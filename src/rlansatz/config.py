@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .agent.ppo import PpoHyperparams
 from .agent.training import TrainConfig
 from .errors import ConfigurationError
 from .problems import ProblemInstance, ProblemKind, Topology, make_instance
@@ -81,6 +82,7 @@ class RunConfig:
             rho_end=self.optimizer.rho_end,
             optimizer_method=self.optimizer.method,
             exact_observation=self.rl.exact_observation,
+            ppo=PpoHyperparams(gamma=self.rl.gamma, gae_lambda=self.rl.gae_lambda),
         )
 
     def snapshot(self) -> dict:

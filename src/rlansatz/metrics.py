@@ -117,8 +117,8 @@ def solution_distribution(
     its frequency; frequencies sum to 1.
     """
     dist = sample_shots(circuit, n_shots, derive_seed(seed, REWARD_STREAM))
-    hist: dict[float, float] = {}
-    for b, c in dist.counts.items():
-        e = float(inst.ham.energy[b])
-        hist[e] = hist.get(e, 0.0) + c / dist.n_shots
-    return dict(sorted(hist.items()))
+    levels, level_of = np.unique(inst.ham.energy, return_inverse=True)
+    # bincount adds each outcome's frequency in basis order, as a per-outcome loop would
+    freq = np.bincount(level_of, weights=dist.probabilities(), minlength=len(levels))
+    hit = freq > 0
+    return dict(zip(levels[hit].tolist(), freq[hit].tolist()))

@@ -1,75 +1,151 @@
 """Dense statevector simulation, shot sampling and expectation estimation.
 
 States are length-2^n complex128 vectors in little-endian basis order
-(qubit i lives at bit i of the amplitude index). Gates are applied in place
-over the full vector through tensor contractions on a (2,)*n view; no
-operator larger than 4x4 is ever materialized here. Randomness enters only
-through explicit per-call integer seeds (see ``seeding``); simulations
-never share RNG state.
+(qubit i lives at bit i of the amplitude index). Each gate is applied in
+place by a kernel specialised to its family, working on a reshaped view of
+the vector in which the gate's qubits own axes of length 2:
+``(2^(n-q-1), 2, 2^q)`` for one qubit, ``(..., 2, ..., 2, ...)`` for two. No
+gate operator is ever built. A Pauli rotation ``exp(-i theta/2 P)`` equals
+``cos(theta/2) psi - i sin(theta/2) (P psi)``, so:
+
+* Rz and Rzz are diagonal: scale the whole vector by ``e^{-i theta/2}``,
+  then the odd-parity half (Rz) or quarters (Rzz) by ``e^{i theta}``.
+* The rotations about x or y axes (Rx, Ry, Rxx, Rxy, ..., Rzx) scale the
+  vector by ``cos(theta/2)`` and add ``-i sin(theta/2) (P psi)`` block by
+  block: ``P`` maps each half or quarter onto its partner with the x/y bits
+  flipped, times +-1 or +-i from the y and z factors.
+* H replaces the two halves by their scaled sum and difference; Cx swaps
+  the target halves within the control-1 half.
+
+A circuit that opens with an H on every qubit starts from the uniform state
+instead of applying those gates. Randomness enters only through explicit
+per-call integer seeds (see ``seeding``); simulations never share RNG state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .circuits import Circuit, GateApplication, GateKind, rotation_axes
+from .circuits import Circuit, GateApplication, GateKind, PARAMETRIC_KINDS, rotation_axes
 from .errors import ConfigurationError, InvalidGateError
 from .problems import DiagonalHamiltonian
 
 MAX_QUBITS = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_ALL = slice(None)
 
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-_H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
-
-# Basis order of 4x4 matrices: index m = 2*bit(qubits[0]) + bit(qubits[1]).
-_CX_MATRIX = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
+# How sigma_a acts on one qubit: (sigma_a psi)[b] = phase * sign^b * psi[b ^ flip].
+_PAULI_ACTION = {"x": (1.0, 1, True), "y": (-1.0j, -1, True), "z": (1.0, -1, False)}
 
 
-def gate_matrix(kind: GateKind, angle: float | None = None) -> np.ndarray:
-    """Dense 2x2 or 4x4 unitary of one gate kind at the given angle."""
+def _block(bits: tuple[int, ...]) -> tuple:
+    """Index of the half or quarter of a gate view where the gate's qubits read ``bits``."""
+    return (_ALL, bits[0]) if len(bits) == 1 else (_ALL, bits[0], _ALL, bits[1])
+
+
+def _rotation_plan(axes: str) -> tuple[complex, bool, list[tuple[tuple, tuple, bool]]]:
+    """How the generator P of a rotation acts, block by block.
+
+    Returns P's phase on the all-zero block, whether P is diagonal (pure z),
+    and per output block (block, source block, negated), such that
+    (P psi)[block] = phase * (-1 if negated else 1) * psi[source].
+    """
+    actions = [_PAULI_ACTION[a] for a in axes]
+    phase = math.prod(phase for phase, _, _ in actions)
+    blocks = []
+    for bits in product((0, 1), repeat=len(axes)):
+        source = tuple(b ^ flip for b, (_, _, flip) in zip(bits, actions))
+        sign = math.prod(sign**b for b, (_, sign, _) in zip(bits, actions))
+        blocks.append((_block(bits), _block(source), sign < 0))
+    return phase, not any(flip for _, _, flip in actions), blocks
+
+
+_ROTATIONS = {kind: _rotation_plan(rotation_axes(kind)) for kind in PARAMETRIC_KINDS}
+
+
+def _gate_view(psi: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """View of ``psi`` whose axes 1 (and 3) index the bits of qubits[0] (and qubits[1])."""
+    if len(qubits) == 1:
+        q = qubits[0]
+        return psi.reshape(1 << (n - q - 1), 2, 1 << q)
+    u, v = qubits
+    lo, hi = (u, v) if u < v else (v, u)
+    view = psi.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return view if u > v else view.swapaxes(1, 3)
+
+
+def _block_op(ufunc, a, b, out: np.ndarray) -> None:
+    """``ufunc(a, b, out=out)`` on halves or quarters of gate views.
+
+    When the lowest gate qubit is qubit 1, a block is made of runs of two
+    contiguous amplitudes, and NumPy's default loop order would run one
+    inner loop per pair. Looping over the block's longest axis innermost
+    is several times faster there.
+    """
+    if out.shape[-1] != 2:
+        ufunc(a, b, out=out)
+        return
+    axis = max(range(out.ndim), key=out.shape.__getitem__)
+    a, out = a.swapaxes(axis, -1), out.swapaxes(axis, -1)
+    if isinstance(b, np.ndarray):
+        b = b.swapaxes(axis, -1)
+    ufunc(a, b, out=out, order="C")
+
+
+def _apply(psi: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], angle: float | None) -> None:
+    """Apply one gate to the contiguous state vector ``psi`` in place."""
+    view = _gate_view(psi, n, qubits)
     if kind is GateKind.H:
-        return _H_MATRIX
+        scaled = _gate_view(psi * _SQRT_HALF, n, qubits)
+        _block_op(np.add, scaled[:, 0], scaled[:, 1], view[:, 0])
+        _block_op(np.subtract, scaled[:, 0], scaled[:, 1], view[:, 1])
+        return
     if kind is GateKind.CX:
-        return _CX_MATRIX
-    if angle is None:
-        raise InvalidGateError(f"{kind.value} needs an angle")
+        on = view[:, 1]  # control reads 1: swap the target halves
+        target_zero = on[:, :, 0].copy()
+        on[:, :, 0] = on[:, :, 1]
+        on[:, :, 1] = target_zero
+        return
     half = 0.5 * angle
-    c, s = math.cos(half), math.sin(half)
-    axes = rotation_axes(kind)
-    if len(axes) == 1:
-        return c * np.eye(2, dtype=complex) - 1.0j * s * PAULI[axes]
-    generator = np.kron(PAULI[axes[0]], PAULI[axes[1]])
-    return c * np.eye(4, dtype=complex) - 1.0j * s * generator
+    phase, diagonal, blocks = _ROTATIONS[kind]
+    if diagonal:
+        psi *= complex(math.cos(half), -math.sin(half))
+        odd = complex(math.cos(angle), math.sin(angle))
+        for block, _, negated in blocks:
+            if negated:
+                _block_op(np.multiply, view[block], odd, view[block])
+        return
+    partner = _gate_view(psi * (-1.0j * math.sin(half) * phase), n, qubits)
+    psi *= math.cos(half)
+    for block, source, negated in blocks:
+        _block_op(np.subtract if negated else np.add, view[block], partner[source], view[block])
 
 
 @dataclass
 class StateVector:
+    """A state on ``n_qubits``; the gate kernels update ``amplitudes`` in place."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
+    def __post_init__(self):
+        # the kernels reshape the vector into views, which needs one contiguous complex block
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if self.amplitudes.shape != (1 << self.n_qubits,):
+            raise ConfigurationError(f"a state on {self.n_qubits} qubits needs 2^{self.n_qubits} amplitudes")
+
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        amps = self.amplitudes
+        return (amps * amps.conj()).real
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(self.probabilities()))
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -90,27 +166,26 @@ def apply_gate(state: StateVector, gate: GateApplication, params: np.ndarray | N
     n = state.n_qubits
     if any(q >= n for q in gate.qubits):
         raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-    matrix = gate_matrix(gate.kind, gate.resolved_angle(params))
-    tensor = state.amplitudes.reshape((2,) * n)
-    if len(gate.qubits) == 1:
-        ax = n - 1 - gate.qubits[0]
-        tensor = np.tensordot(matrix, tensor, axes=([1], [ax]))
-        tensor = np.moveaxis(tensor, 0, ax)
-    else:
-        ax0 = n - 1 - gate.qubits[0]
-        ax1 = n - 1 - gate.qubits[1]
-        m4 = matrix.reshape(2, 2, 2, 2)
-        tensor = np.tensordot(m4, tensor, axes=([2, 3], [ax0, ax1]))
-        tensor = np.moveaxis(tensor, (0, 1), (ax0, ax1))
-    state.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
+    _apply(state.amplitudes, n, gate.kind, gate.qubits, gate.resolved_angle(params))
     return state
+
+
+def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
+    """True when the first n gates put one H on every qubit."""
+    head = gates[:n]
+    return len(head) == n and all(g.kind is GateKind.H for g in head) and len({g.qubits[0] for g in head}) == n
 
 
 def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> StateVector:
     """Final state of the circuit from |0...0>; ``params`` overrides circuit.params."""
     theta = circuit.params if params is None else np.asarray(params, dtype=float)
-    state = zero_state(circuit.n_qubits)
-    for gate in circuit.gates:
+    n = circuit.n_qubits
+    state = zero_state(n)
+    gates = circuit.gates
+    if _opens_with_h_layer(gates, n):
+        state.amplitudes[:] = 1.0 / math.sqrt(1 << n)
+        gates = gates[n:]
+    for gate in gates:
         apply_gate(state, gate, theta)
     return state
 
@@ -127,28 +202,44 @@ def exact_expectation(circuit: Circuit, ham: DiagonalHamiltonian, params: np.nda
     return float(exact_probabilities(circuit, params) @ ham.energy)
 
 
-@dataclass(frozen=True)
 class ShotDistribution:
-    """Multinomial measurement counts: outcome basis index -> occurrences."""
+    """Multinomial measurement counts over the 2^n basis outcomes.
 
-    n_qubits: int
-    n_shots: int
-    counts: dict[int, int]
+    ``count_vector[b]`` is how often outcome ``b`` was measured. The
+    constructor takes that dense vector or an ``{outcome: count}`` mapping;
+    ``counts`` reads back as the mapping of the outcomes that occurred.
+    """
 
-    def __post_init__(self):
-        if self.n_shots < 1:
-            raise ConfigurationError(f"n_shots must be >= 1, got {self.n_shots}")
-        if sum(self.counts.values()) != self.n_shots:
+    __slots__ = ("n_qubits", "n_shots", "count_vector")
+
+    def __init__(self, n_qubits: int, n_shots: int, counts: Mapping[int, int] | np.ndarray):
+        if n_shots < 1:
+            raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
+        dim = 1 << n_qubits
+        if isinstance(counts, Mapping):
+            if any(not (0 <= b < dim) for b in counts):
+                raise ConfigurationError("outcome out of range")
+            vector = np.zeros(dim, dtype=np.int64)
+            vector[list(counts)] = list(counts.values())
+        else:
+            vector = np.asarray(counts, dtype=np.int64)
+            if vector.shape != (dim,):
+                raise ConfigurationError(f"count vector must have length 2^{n_qubits}")
+        if vector.sum() != n_shots:
             raise ConfigurationError("counts do not sum to n_shots")
-        if any(not (0 <= b < (1 << self.n_qubits)) for b in self.counts):
-            raise ConfigurationError("outcome out of range")
+        self.n_qubits = n_qubits
+        self.n_shots = n_shots
+        self.count_vector = vector
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Outcome basis index -> occurrences, for the outcomes that occurred."""
+        hit = np.flatnonzero(self.count_vector)
+        return dict(zip(hit.tolist(), self.count_vector[hit].tolist()))
 
     def probabilities(self) -> np.ndarray:
         """Dense empirical frequency vector of length 2^n."""
-        probs = np.zeros(1 << self.n_qubits)
-        for b, c in self.counts.items():
-            probs[b] = c / self.n_shots
-        return probs
+        return self.count_vector / self.n_shots
 
 
 def sample_from_probabilities(probs: np.ndarray, n_qubits: int, n_shots: int, rng_seed: int) -> ShotDistribution:
@@ -156,9 +247,7 @@ def sample_from_probabilities(probs: np.ndarray, n_qubits: int, n_shots: int, rn
     # guard tiny float drift before the multinomial draw
     p = np.clip(probs, 0.0, None)
     p = p / p.sum()
-    counts = rng.multinomial(n_shots, p)
-    nonzero = np.flatnonzero(counts)
-    return ShotDistribution(n_qubits, n_shots, {int(b): int(counts[b]) for b in nonzero})
+    return ShotDistribution(n_qubits, n_shots, rng.multinomial(n_shots, p))
 
 
 def sample_shots(circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None) -> ShotDistribution:
@@ -177,7 +266,4 @@ def estimate_expectation(dist: ShotDistribution, ham: DiagonalHamiltonian) -> fl
     """
     if dist.n_qubits != ham.n:
         raise ConfigurationError(f"distribution on {dist.n_qubits} qubits vs hamiltonian on {ham.n}")
-    total = 0.0
-    for b, c in dist.counts.items():
-        total += c * ham.energy[b]
-    return float(total / dist.n_shots)
+    return float(dist.count_vector @ ham.energy / dist.n_shots)

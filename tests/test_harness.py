@@ -51,6 +51,15 @@ def test_default_config_values():
     assert cfg.eval_runs == 10
 
 
+def test_rl_discount_keys_reach_ppo_hyperparams(tmp_path):
+    from rlansatz.config import load_config
+
+    path = tmp_path / "discount.ini"
+    path.write_text("[rl]\ngamma = 0.5\ngae_lambda = 0.8\n")
+    ppo = load_config(path).train_config().ppo
+    assert (ppo.gamma, ppo.gae_lambda) == (0.5, 0.8)
+
+
 def test_train_writes_all_artifacts(tmp_path):
     cfg = write_config(tmp_path / "toy.ini")
     out = tmp_path / "run"

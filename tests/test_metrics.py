@@ -105,3 +105,18 @@ def test_solution_distribution_frequencies_sum_to_one():
     hist = solution_distribution(circuit, inst, n_shots=1000, seed=5)
     assert abs(sum(hist.values()) - 1.0) <= 1e-9
     assert all(f > 0 for f in hist.values())
+
+
+def test_solution_distribution_equals_per_outcome_histogram():
+    from rlansatz.qsim import sample_shots
+    from rlansatz.seeding import REWARD_STREAM, derive_seed
+
+    inst = make_instance("three_regular", 8, 2, "minvertexcover")
+    circuit = build_qaoa(inst, 1).with_params([0.9, -0.4])
+    hist = solution_distribution(circuit, inst, n_shots=1000, seed=6)
+    dist = sample_shots(circuit, 1000, derive_seed(6, REWARD_STREAM))
+    expected: dict[float, float] = {}
+    for b, c in dist.counts.items():
+        e = float(inst.ham.energy[b])
+        expected[e] = expected.get(e, 0.0) + c / dist.n_shots
+    assert list(hist.items()) == sorted(expected.items())

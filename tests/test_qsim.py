@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlansatz.circuits import (
     Circuit,
     DOUBLE_ROTATIONS,
     GateApplication,
     GateKind,
+    TWO_QUBIT_KINDS,
     decompose_double_rotation,
     h_layer,
 )
@@ -15,16 +18,21 @@ from rlansatz.errors import ConfigurationError, InvalidGateError
 from rlansatz.problems import make_instance
 from rlansatz.qsim import (
     ShotDistribution,
+    StateVector,
     apply_gate,
     estimate_expectation,
     exact_probabilities,
+    run_circuit,
+    sample_from_probabilities,
     sample_shots,
     zero_state,
 )
 
 from _oracles import (
     circuit_probabilities,
+    circuit_unitary,
     gate_list_unitary,
+    gate_unitary,
     phase_aligned_distance,
     random_circuit,
     rotation_unitary,
@@ -180,3 +188,131 @@ def test_shot_distribution_validates_counts():
         ShotDistribution(2, 10, {0: 5})  # does not sum to n_shots
     with pytest.raises(ConfigurationError):
         ShotDistribution(1, 3, {4: 3})  # outcome out of range
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the in-place gate kernels against the dense oracles.
+# ---------------------------------------------------------------------------
+
+N_PARAMS = 3
+ANGLES = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def gate_applications(draw, n, kinds=tuple(GateKind)):
+    """One gate of the given kinds on n qubits: fixed angle, or a parameter with any coeff."""
+    kind = draw(st.sampled_from([k for k in kinds if n >= 2 or k not in TWO_QUBIT_KINDS]))
+    arity = 2 if kind in TWO_QUBIT_KINDS else 1
+    qubits = tuple(draw(st.permutations(range(n)))[:arity])
+    if kind in (GateKind.H, GateKind.CX):
+        return GateApplication(kind, qubits)
+    if draw(st.booleans()):
+        return GateApplication(kind, qubits, angle=draw(ANGLES))
+    coeff = draw(st.one_of(st.just(1.0), st.floats(-3.0, 3.0, allow_nan=False)))
+    return GateApplication(kind, qubits, param_index=draw(st.integers(0, N_PARAMS - 1)), coeff=coeff)
+
+
+def leading_h_gates(draw, n, layer):
+    """Opening H gates: on every qubit ("full"), a proper subset ("partial"),
+    every qubit with one repeated among the first n gates ("repeated"), or none."""
+    order = draw(st.permutations(range(n)))
+    if layer == "full":
+        qubits = order
+    elif layer == "partial":
+        qubits = order[: draw(st.integers(0, n - 1))]
+    elif layer == "repeated":
+        qubits = list(order)
+        qubits.insert(draw(st.integers(0, n - 1)), draw(st.sampled_from(order[: max(n - 1, 1)])))
+    else:
+        qubits = []
+    return [GateApplication(GateKind.H, (q,)) for q in qubits]
+
+
+@st.composite
+def circuits(draw, layer):
+    n = draw(st.integers(1, 6))
+    gates = leading_h_gates(draw, n, layer) + draw(st.lists(gate_applications(n), max_size=10))
+    params = np.array(draw(st.lists(ANGLES, min_size=N_PARAMS, max_size=N_PARAMS)))
+    return Circuit(n, gates, params)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("layer", ["none", "full", "partial", "repeated"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_run_circuit_matches_oracle_property(layer, data):
+    circuit = data.draw(circuits(layer))
+    amps = run_circuit(circuit).amplitudes
+    assert np.max(np.abs(amps - circuit_unitary(circuit)[:, 0])) <= 1e-10
+    probs = exact_probabilities(circuit)
+    assert np.max(np.abs(probs - circuit_probabilities(circuit))) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_apply_gate_matches_oracle_unitary_property(kind, data):
+    n = data.draw(st.integers(2 if kind in TWO_QUBIT_KINDS else 1, 6))
+    gate = data.draw(gate_applications(n, (kind,)))
+    params = np.array(data.draw(st.lists(ANGLES, min_size=N_PARAMS, max_size=N_PARAMS)))
+    amps = random_state(n, data.draw(st.integers(0, 2**32 - 1)))
+    # both qubit orders of a two-qubit gate
+    for g in {gate, GateApplication(gate.kind, gate.qubits[::-1], gate.param_index, gate.coeff, gate.angle)}:
+        state = apply_gate(StateVector(n, amps.copy()), g, params)
+        assert np.max(np.abs(state.amplitudes - gate_unitary(g, n, params) @ amps)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Sampling contract: the exact multinomial draw and the dense estimate.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sample_from_probabilities_is_the_clipped_normalised_multinomial(seed):
+    probs = np.random.default_rng(seed + 1).random(32) ** 3
+    probs /= probs.sum()
+    probs[[3, 17]] = -1e-17  # float drift the clip removes
+    dist = sample_from_probabilities(probs, 5, 1000, seed)
+    p = np.clip(probs, 0.0, None)
+    expected = np.random.default_rng(seed).multinomial(1000, p / p.sum())
+    assert np.array_equal(dist.count_vector, expected)
+    assert dist.counts == {b: int(c) for b, c in enumerate(expected) if c}
+
+
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_estimate_expectation_matches_per_outcome_sum(seed):
+    inst = make_instance("three_regular", 8, 1, "maxcut")
+    circuit = random_circuit(np.random.default_rng(seed), 8, 16)
+    dist = sample_shots(circuit, 1000, rng_seed=seed)
+    total = 0.0
+    for b, c in dist.counts.items():
+        total += c * inst.ham.energy[b]
+    assert abs(estimate_expectation(dist, inst.ham) - total / dist.n_shots) <= 1e-12
+
+
+def test_shot_distribution_dense_and_mapping_forms_agree():
+    dense = np.zeros(8, dtype=np.int64)
+    dense[[1, 6]] = [3, 7]
+    from_dense = ShotDistribution(3, 10, dense)
+    from_mapping = ShotDistribution(3, 10, {1: 3, 6: 7})
+    assert np.array_equal(from_dense.count_vector, from_mapping.count_vector)
+    assert from_dense.counts == {1: 3, 6: 7}
+    with pytest.raises(ConfigurationError):
+        ShotDistribution(3, 10, np.zeros(4, dtype=np.int64))  # wrong length
+
+
+def test_state_vector_takes_a_contiguous_complex_copy_of_strided_input():
+    amps = np.zeros(8)
+    amps[0] = 1.0
+    state = StateVector(2, amps[::2])
+    apply_gate(state, GateApplication(GateKind.RX, (0,), angle=np.pi))
+    assert np.allclose(np.abs(state.amplitudes), [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(amps, [1, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ConfigurationError):
+        StateVector(2, np.zeros(3))
