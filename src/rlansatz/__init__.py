@@ -20,7 +20,7 @@ from .circuits import (
     transpiled_counts,
 )
 from .metrics import EvalReport, approximation_ratio, evaluate_circuit, solution_distribution
-from .optimize import OptimizationResult, cobyla_minimize, nelder_mead_minimize, optimize_circuit
+from .optimize import OptimizationResult, OptimizerConfig, cobyla_minimize, optimize_circuit
 from .problems import (
     DiagonalHamiltonian,
     Graph,

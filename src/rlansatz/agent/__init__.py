@@ -1,6 +1,6 @@
 """Reinforcement-learning agent: environment, networks and training loop."""
 
-from .env import CircuitBuildEnv, StepInfo
+from .env import CircuitBuildEnv, EnvConfig, StepInfo
 from .networks import Adam, Mlp
 from .ppo import (
     Batch,
@@ -22,6 +22,7 @@ __all__ = [
     "Adam",
     "Batch",
     "CircuitBuildEnv",
+    "EnvConfig",
     "Mlp",
     "PpoHyperparams",
     "PpoModel",

@@ -4,48 +4,54 @@ Each step appends the chosen gate at angle 0, re-optimizes every circuit
 parameter on shot estimates (warm start), scores
 ``reward = -expectation - beta * depth`` with a fresh shot estimate and a
 basis-gate depth, and observes a fresh estimated probability distribution
-of the optimized circuit. Episodes end after ``2 * n`` steps or when the
-patience counter runs out: patience drops on every step whose reward is
-strictly below the episode's best so far, and otherwise recovers up to its
-initial value.
+of the optimized circuit. Episodes end after ``max_episode_steps_factor * n``
+steps (``2 * n`` by default) or when the patience counter runs out:
+patience drops on every step whose reward is strictly below the episode's
+best so far, and otherwise recovers up to its initial value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..circuits import ActionSpace, Circuit, action_space, circuit_depth_basis, h_layer
-from ..optimize import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_RHO_BEGIN,
-    DEFAULT_RHO_END,
-    optimize_circuit,
-)
+from ..optimize import OptimizerConfig, optimize_circuit
 from ..problems import ProblemInstance
 from ..qsim import estimate_expectation, exact_probabilities, sample_shots
 from ..seeding import OBS_STREAM, OPT_STREAM, REWARD_STREAM, derive_seed
 
-DEFAULT_BETA = 0.015
-DEFAULT_PATIENCE = 3
-DEFAULT_MAX_STEPS_FACTOR = 2
-DEFAULT_SHOTS = 1000
+
+@dataclass
+class EnvConfig:
+    """Settings of one environment: shots, reward, episode end, optimizer."""
+
+    shots: int = 1000
+    beta: float = 0.015  # depth weight in the reward
+    patience: int = 3
+    max_episode_steps_factor: int = 2  # episode cap = factor * n
+    exact_observation: bool = False  # exact probabilities as observations
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
 @dataclass
 class StepInfo:
-    """Everything needed to audit or replay one environment step."""
+    """Everything needed to audit or replay one environment step.
+
+    The fields, in order, are the ``steps.csv`` columns after ``epoch`` and
+    ``worker``.
+    """
 
     episode: int
     step: int
     action_id: int
+    reward: float
     expectation: float
     depth: int
-    reward: float
-    patience: int
     n_gates: int
-    n_params: int
+    patience: int
+    done: bool
     evaluations: int
     opt_seed: int
     reward_seed: int
@@ -55,38 +61,16 @@ class StepInfo:
 class CircuitBuildEnv:
     """Appends agent-chosen gates to a circuit over one problem instance."""
 
-    def __init__(
-        self,
-        inst: ProblemInstance,
-        *,
-        seed: int = 0,
-        shots: int = DEFAULT_SHOTS,
-        beta: float = DEFAULT_BETA,
-        patience: int = DEFAULT_PATIENCE,
-        max_steps_factor: int = DEFAULT_MAX_STEPS_FACTOR,
-        optimizer_max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        rho_begin: float = DEFAULT_RHO_BEGIN,
-        rho_end: float = DEFAULT_RHO_END,
-        optimizer_method: str = "cobyla",
-        exact_observation: bool = False,
-    ):
+    def __init__(self, inst: ProblemInstance, config: EnvConfig | None = None, *, seed: int = 0):
         self.inst = inst
+        self.config = config or EnvConfig()
         self.actions: ActionSpace = action_space(inst.n)
         self.seed = seed
-        self.shots = shots
-        self.beta = beta
-        self.initial_patience = patience
-        self.max_steps = max_steps_factor * inst.n
-        self.optimizer_max_iterations = optimizer_max_iterations
-        self.rho_begin = rho_begin
-        self.rho_end = rho_end
-        self.optimizer_method = optimizer_method
-        self.exact_observation = exact_observation
 
         self.circuit: Circuit = h_layer(inst.n)
         self.episode = -1
         self.steps = 0
-        self.patience = patience
+        self.patience = self.config.patience
         self.best_episode_reward = -np.inf
         self.done = True
 
@@ -99,22 +83,23 @@ class CircuitBuildEnv:
         return self.actions.size
 
     def _observe(self, obs_seed: int) -> np.ndarray:
-        if self.exact_observation:
+        if self.config.exact_observation:
             return exact_probabilities(self.circuit)
-        dist = sample_shots(self.circuit, self.shots, obs_seed)
+        dist = sample_shots(self.circuit, self.config.shots, obs_seed)
         return dist.probabilities()
 
     def reset(self) -> np.ndarray:
         """Start a new episode from a bare Hadamard layer."""
         self.episode += 1
         self.steps = 0
-        self.patience = self.initial_patience
+        self.patience = self.config.patience
         self.best_episode_reward = -np.inf
         self.circuit = h_layer(self.inst.n)
         self.done = False
         return self._observe(derive_seed(self.seed, self.episode, 0, OBS_STREAM))
 
     def step(self, action_id: int) -> tuple[np.ndarray, float, bool, StepInfo]:
+        cfg = self.config
         if self.done:
             raise RuntimeError("episode is over; call reset()")
         if not (0 <= action_id < self.n_actions):
@@ -123,32 +108,23 @@ class CircuitBuildEnv:
         self.circuit = self.actions.apply(self.circuit, action_id)
         step_key = self.steps + 1  # 0 is the reset observation
         opt_seed = derive_seed(self.seed, self.episode, step_key, OPT_STREAM)
-        result = optimize_circuit(
-            self.circuit,
-            self.inst,
-            self.shots,
-            opt_seed,
-            max_iterations=self.optimizer_max_iterations,
-            rho_begin=self.rho_begin,
-            rho_end=self.rho_end,
-            method=self.optimizer_method,
-        )
+        result = optimize_circuit(self.circuit, self.inst, cfg.shots, opt_seed, cfg.optimizer)
 
         reward_seed = derive_seed(self.seed, self.episode, step_key, REWARD_STREAM)
         expectation = estimate_expectation(
-            sample_shots(self.circuit, self.shots, reward_seed), self.inst.ham
+            sample_shots(self.circuit, cfg.shots, reward_seed), self.inst.ham
         )
         depth = circuit_depth_basis(self.circuit)
-        reward = -expectation - self.beta * depth
+        reward = -expectation - cfg.beta * depth
 
         if reward < self.best_episode_reward:
             self.patience -= 1
         else:
-            self.patience = min(self.initial_patience, self.patience + 1)
+            self.patience = min(cfg.patience, self.patience + 1)
         self.best_episode_reward = max(self.best_episode_reward, reward)
 
         self.steps += 1
-        self.done = self.steps >= self.max_steps or self.patience <= 0
+        self.done = self.steps >= cfg.max_episode_steps_factor * self.inst.n or self.patience <= 0
 
         obs_seed = derive_seed(self.seed, self.episode, step_key, OBS_STREAM)
         observation = self._observe(obs_seed)
@@ -156,12 +132,12 @@ class CircuitBuildEnv:
             episode=self.episode,
             step=self.steps,
             action_id=action_id,
+            reward=reward,
             expectation=expectation,
             depth=depth,
-            reward=reward,
-            patience=self.patience,
             n_gates=len(self.circuit.gates),
-            n_params=self.circuit.n_params,
+            patience=self.patience,
+            done=self.done,
             evaluations=result.evaluations,
             opt_seed=opt_seed,
             reward_seed=reward_seed,

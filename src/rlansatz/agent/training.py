@@ -10,7 +10,7 @@ in the next epoch. The best-reward circuit over the whole run is kept
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,13 +18,7 @@ from ..circuits import Circuit
 from ..errors import ConfigurationError
 from ..problems import ProblemInstance
 from ..seeding import derive_seed, rng_for
-from .env import (
-    DEFAULT_BETA,
-    DEFAULT_MAX_STEPS_FACTOR,
-    DEFAULT_PATIENCE,
-    DEFAULT_SHOTS,
-    CircuitBuildEnv,
-)
+from .env import CircuitBuildEnv, EnvConfig
 from .networks import Adam
 from .ppo import (
     Batch,
@@ -42,19 +36,12 @@ _ACTION_STREAM = 2
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(EnvConfig):
+    """Environment settings plus the rollout schedule and PPO settings."""
+
     epochs: int = 64
     steps_per_epoch: int = 384
-    workers: int = 6
-    shots: int = DEFAULT_SHOTS
-    beta: float = DEFAULT_BETA
-    patience: int = DEFAULT_PATIENCE
-    max_steps_factor: int = DEFAULT_MAX_STEPS_FACTOR
-    optimizer_max_iterations: int = 1000
-    rho_begin: float = 1.0
-    rho_end: float = 1e-4
-    optimizer_method: str = "cobyla"
-    exact_observation: bool = False
+    workers: int = 6  # logical rollout workers; steps split evenly
     ppo: PpoHyperparams = field(default_factory=PpoHyperparams)
 
     def validate(self) -> None:
@@ -87,31 +74,17 @@ class _WorkerState:
 def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> TrainResult:
     """Train an agent on one instance; fully deterministic in (cfg, seed)."""
     cfg.validate()
-    obs_dim = 1 << inst.n
-    n_actions = 3 * inst.n + 9 * inst.n * (inst.n - 1) // 2
-    model = build_model(obs_dim, n_actions, derive_seed(seed, _MODEL_STREAM), cfg.ppo.hidden)
-    pi_opt = Adam(model.policy.parameter_arrays(), cfg.ppo.pi_lr)
-    vf_opt = Adam(model.value.parameter_arrays(), cfg.ppo.vf_lr)
-
     workers = [
         _WorkerState(
-            env=CircuitBuildEnv(
-                inst,
-                seed=derive_seed(seed, _ENV_STREAM, w),
-                shots=cfg.shots,
-                beta=cfg.beta,
-                patience=cfg.patience,
-                max_steps_factor=cfg.max_steps_factor,
-                optimizer_max_iterations=cfg.optimizer_max_iterations,
-                rho_begin=cfg.rho_begin,
-                rho_end=cfg.rho_end,
-                optimizer_method=cfg.optimizer_method,
-                exact_observation=cfg.exact_observation,
-            ),
+            env=CircuitBuildEnv(inst, cfg, seed=derive_seed(seed, _ENV_STREAM, w)),
             rng=rng_for(seed, _ACTION_STREAM, w),
         )
         for w in range(cfg.workers)
     ]
+    env = workers[0].env
+    model = build_model(env.observation_dim, env.n_actions, derive_seed(seed, _MODEL_STREAM), cfg.ppo.hidden)
+    pi_opt = Adam(model.policy.parameter_arrays(), cfg.ppo.pi_lr)
+    vf_opt = Adam(model.value.parameter_arrays(), cfg.ppo.vf_lr)
 
     steps_per_worker = cfg.steps_per_epoch // cfg.workers
     best_reward = -np.inf
@@ -141,23 +114,7 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
                 state.episode_return += reward
                 epoch_rewards.append(reward)
 
-                row = {
-                    "epoch": epoch,
-                    "worker": w,
-                    "episode": info.episode,
-                    "step": info.step,
-                    "action_id": info.action_id,
-                    "reward": info.reward,
-                    "expectation": info.expectation,
-                    "depth": info.depth,
-                    "n_gates": info.n_gates,
-                    "patience": info.patience,
-                    "done": int(done),
-                    "evaluations": info.evaluations,
-                    "opt_seed": info.opt_seed,
-                    "reward_seed": info.reward_seed,
-                    "obs_seed": info.obs_seed,
-                }
+                row = {"epoch": epoch, "worker": w, **asdict(info), "done": int(done)}
                 step_log.append(row)
                 if log_step is not None:
                     log_step(row)

@@ -17,8 +17,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
+from .agent.env import StepInfo
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
 from .circuits import Circuit, transpiled_counts
@@ -28,24 +30,6 @@ from .metrics import approximation_ratio, evaluate_circuit
 from .problems import instance_to_json_dict, make_instance
 from .qsim import estimate_expectation, exact_expectation, sample_shots
 from .seeding import REWARD_STREAM, derive_seed
-
-_STEP_COLUMNS = (
-    "epoch",
-    "worker",
-    "episode",
-    "step",
-    "action_id",
-    "reward",
-    "expectation",
-    "depth",
-    "n_gates",
-    "patience",
-    "done",
-    "evaluations",
-    "opt_seed",
-    "reward_seed",
-    "obs_seed",
-)
 
 _EPOCH_COLUMNS = (
     "epoch",
@@ -88,37 +72,37 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
-    if args.workers is not None:
-        cfg.rl.workers = args.workers
     return cfg
 
 
 def cmd_train(args) -> int:
     cfg = _load(args)
+    if args.workers is not None:
+        cfg.train.workers = args.workers
     out = _out_dir(cfg, args)
     inst = cfg.build_instance()
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
-    result = train(inst, cfg.train_config(), cfg.master_seed)
-    _write_csv(out / "steps.csv", _STEP_COLUMNS, result.steps)
+    result = train(inst, cfg.train, cfg.master_seed)
+    step_columns = ("epoch", "worker", *(f.name for f in fields(StepInfo)))
+    _write_csv(out / "steps.csv", step_columns, result.steps)
     _write_csv(out / "epochs.csv", _EPOCH_COLUMNS, result.history)
     result.best_circuit.save(out / "best_circuit.json")
 
     # fresh shot re-estimate of the best circuit at its trained parameters
     est_seed = derive_seed(cfg.master_seed, REWARD_STREAM)
     estimate = estimate_expectation(
-        sample_shots(result.best_circuit, cfg.shots, est_seed), inst.ham
+        sample_shots(result.best_circuit, cfg.train.shots, est_seed), inst.ham
     )
+    exact = exact_expectation(result.best_circuit, inst.ham)
     counts = transpiled_counts(result.best_circuit)
     report = {
         "best_reward": result.best_reward,
         "best_expectation_during_training": result.best_expectation,
         "reestimated_expectation": estimate,
         "approx_ratio": approximation_ratio(estimate, inst.spectrum, clamp=True),
-        "exact_expectation": exact_expectation(result.best_circuit, inst.ham),
-        "exact_approx_ratio": approximation_ratio(
-            exact_expectation(result.best_circuit, inst.ham), inst.spectrum, clamp=True
-        ),
+        "exact_expectation": exact,
+        "exact_approx_ratio": approximation_ratio(exact, inst.spectrum, clamp=True),
         "feasibility_threshold_ar": inst.spectrum.feasibility_threshold_ar,
         "single_qubit_gates": counts.single_qubit,
         "two_qubit_gates": counts.two_qubit,
@@ -129,22 +113,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path) -> dict:
+def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dict | None = None) -> dict:
     circuit = build_baseline(algorithm, inst)
     report = evaluate_circuit(
         circuit,
         inst,
         n_runs=cfg.eval_runs,
-        n_shots=cfg.shots,
+        n_shots=cfg.train.shots,
         seed=cfg.master_seed,
-        max_iterations=cfg.optimizer.max_iterations,
-        method=cfg.optimizer.method,
+        optimizer=cfg.train.optimizer,
     )
     doc = {
         "algorithm": algorithm,
         "n_params": circuit.n_params,
         "feasibility_threshold_ar": inst.spectrum.feasibility_threshold_ar,
         **report.to_json_dict(),
+        **(extra or {}),
     }
     write_json(out / "report.json", doc)
     runs = [
@@ -188,11 +172,28 @@ def cmd_brute_force(args) -> int:
     return 0
 
 
+def _cell_settings(cfg: RunConfig) -> dict:
+    """The settings besides the cell's own axes that determine a matrix cell."""
+    p = cfg.problem
+    return {
+        "problem_seed": p.seed,
+        "penalty": p.penalty,
+        "er_p": p.er_p,
+        "rows": p.rows,
+        "shots": cfg.train.shots,
+        "eval_runs": cfg.eval_runs,
+        "master_seed": cfg.master_seed,
+        "optimizer": asdict(cfg.train.optimizer),
+    }
+
+
 def cmd_matrix(args) -> int:
     cfg, matrix = load_matrix_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
     out = _out_dir(cfg, args)
+    p = cfg.problem
+    settings = _cell_settings(cfg)
     rows = []
     for kind in matrix["problems"]:
         for topology in matrix["topologies"]:
@@ -201,15 +202,10 @@ def cmd_matrix(args) -> int:
                     cell = out / f"{kind}_{topology}_{n}_{algorithm}"
                     cell.mkdir(parents=True, exist_ok=True)
                     report_path = cell / "report.json"
-                    if args.resume and report_path.is_file():
-                        with open(report_path) as fh:
-                            doc = json.load(fh)
-                    else:
-                        inst = make_instance(
-                            topology, n, cfg.problem.seed, kind, cfg.problem.penalty, er_p=cfg.problem.er_p
-                        )
-                        doc = _baseline_report(cfg, inst, algorithm, cell)
-                        doc["feasibility_threshold_ar"] = inst.spectrum.feasibility_threshold_ar
+                    doc = json.loads(report_path.read_text()) if args.resume and report_path.is_file() else {}
+                    if doc.get("settings") != settings:
+                        inst = make_instance(topology, n, p.seed, kind, p.penalty, er_p=p.er_p, rows=p.rows)
+                        doc = _baseline_report(cfg, inst, algorithm, cell, {"settings": settings})
                     rows.append(
                         {
                             "problem": kind,
@@ -248,12 +244,11 @@ def cmd_eval(args) -> int:
         circuit,
         inst,
         n_runs=args.runs,
-        n_shots=cfg.shots,
+        n_shots=cfg.train.shots,
         seed=cfg.master_seed,
         random_init=args.random_init,
         optimize=args.reoptimize,
-        max_iterations=cfg.optimizer.max_iterations,
-        method=cfg.optimizer.method,
+        optimizer=cfg.train.optimizer,
     )
     doc = {
         "circuit": str(circuit_path),
@@ -272,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--workers", type=int, default=None, help="override rl.workers")
         p.add_argument("--out", default=None, help="override output directory")
 
     p_train = sub.add_parser("train", help="train the gate-appending agent")
     add_common(p_train)
+    p_train.add_argument("--workers", type=int, default=None, help="override rl.workers")
     p_train.set_defaults(func=cmd_train)
 
     p_base = sub.add_parser("baseline", help="evaluate a fixed ansatz")
@@ -290,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="run an experiment grid")
     add_common(p_matrix)
-    p_matrix.add_argument("--resume", action="store_true", help="skip cells with a report.json")
+    p_matrix.add_argument(
+        "--resume", action="store_true", help="reuse cells whose report.json has the current settings"
+    )
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_eval = sub.add_parser("eval", help="re-score a saved circuit")

@@ -1,23 +1,21 @@
 """Run configuration: INI files with [problem], [rl], [optimizer], [run] sections.
 
-Defaults reproduce the reference experimental setup: 64 epochs of 384
-action steps, depth weight 0.015, 1000 shots, a 1000-evaluation optimizer
-budget, patience 3 and an episode cap of 2n steps. Any key may be omitted;
-see README.md for the full schema.
+Each section fills fields of the dataclasses that use them (see
+``_sections``); their defaults reproduce the reference experimental setup.
+Any key may be omitted; see README.md for the full schema.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .agent.ppo import PpoHyperparams
 from .agent.training import TrainConfig
 from .errors import ConfigurationError
-from .problems import ProblemInstance, ProblemKind, Topology, make_instance
+from .problems import DEFAULT_PENALTY, ProblemInstance, ProblemKind, Topology, make_instance
 
 
 @dataclass
@@ -26,38 +24,15 @@ class ProblemConfig:
     topology: str = "cycle"
     n: int = 6
     seed: int = 0
-    penalty: float = 2.0
+    penalty: float = DEFAULT_PENALTY
     er_p: float | None = None
     rows: int | None = None
 
 
 @dataclass
-class RlConfig:
-    epochs: int = 64
-    steps_per_epoch: int = 384
-    workers: int = 6
-    beta: float = 0.015
-    gamma: float = 0.99
-    gae_lambda: float = 0.97
-    max_episode_steps_factor: int = 2
-    patience: int = 3
-    exact_observation: bool = False
-
-
-@dataclass
-class OptimizerConfig:
-    max_iterations: int = 1000
-    rho_begin: float = 1.0
-    rho_end: float = 1e-4
-    method: str = "cobyla"
-
-
-@dataclass
 class RunConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
-    rl: RlConfig = field(default_factory=RlConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    shots: int = 1000
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval_runs: int = 10
     output_dir: str = "runs/out"
     master_seed: int = 0
@@ -68,27 +43,29 @@ class RunConfig:
             p.topology, p.n, p.seed, p.kind, p.penalty, er_p=p.er_p, rows=p.rows
         )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.rl.epochs,
-            steps_per_epoch=self.rl.steps_per_epoch,
-            workers=self.rl.workers,
-            shots=self.shots,
-            beta=self.rl.beta,
-            patience=self.rl.patience,
-            max_steps_factor=self.rl.max_episode_steps_factor,
-            optimizer_max_iterations=self.optimizer.max_iterations,
-            rho_begin=self.optimizer.rho_begin,
-            rho_end=self.optimizer.rho_end,
-            optimizer_method=self.optimizer.method,
-            exact_observation=self.rl.exact_observation,
-            ppo=PpoHyperparams(gamma=self.rl.gamma, gae_lambda=self.rl.gae_lambda),
-        )
-
     def snapshot(self) -> dict:
         doc = asdict(self)
         doc["version"] = __version__
         return doc
+
+
+def _names(obj) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(obj))
+
+
+def _sections(cfg: RunConfig) -> dict[str, list[tuple[object, tuple[str, ...]]]]:
+    """INI section -> the objects it fills, each with the keys it takes."""
+    train = cfg.train
+    return {
+        "problem": [(cfg.problem, _names(cfg.problem))],
+        "rl": [
+            (train, ("epochs", "steps_per_epoch", "workers")),
+            (train, ("beta", "patience", "max_episode_steps_factor", "exact_observation")),
+            (train.ppo, ("gamma", "gae_lambda")),
+        ],
+        "optimizer": [(train.optimizer, _names(train.optimizer))],
+        "run": [(train, ("shots",)), (cfg, ("eval_runs", "output_dir", "master_seed"))],
+    }
 
 
 _COERCERS = {
@@ -103,20 +80,22 @@ _COERCERS = {
 _OPTIONAL_FIELD_TYPES = {"er_p": float, "rows": int}
 
 
-def _apply_section(target, section: configparser.SectionProxy, name: str) -> None:
-    fields = set(target.__dataclass_fields__)
+def _apply_section(
+    section: configparser.SectionProxy, targets: list[tuple[object, tuple[str, ...]]], name: str
+) -> None:
+    owners = {key: target for target, keys in targets for key in keys}
     for key, raw in section.items():
-        if key not in fields:
+        if key not in owners:
             raise ConfigurationError(f"unknown key {key!r} in [{name}]")
-        current = getattr(target, key)
-        field_type = _OPTIONAL_FIELD_TYPES.get(key, type(current))
+        target = owners[key]
+        field_type = _OPTIONAL_FIELD_TYPES.get(key, type(getattr(target, key)))
         try:
             setattr(target, key, _COERCERS.get(field_type, str)(raw))
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {name}.{key}: {raw!r}") from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read(path: str | Path) -> configparser.ConfigParser:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -125,30 +104,20 @@ def load_config(path: str | Path) -> RunConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"could not parse {path}: {exc}") from exc
+    return parser
 
+
+def _from_parser(parser: configparser.ConfigParser) -> RunConfig:
     cfg = RunConfig()
-    sections = {
-        "problem": cfg.problem,
-        "rl": cfg.rl,
-        "optimizer": cfg.optimizer,
-    }
-    for name, target in sections.items():
+    for name, targets in _sections(cfg).items():
         if parser.has_section(name):
-            _apply_section(target, parser[name], name)
-    if parser.has_section("run"):
-        for key, raw in parser["run"].items():
-            if key == "shots":
-                cfg.shots = int(raw)
-            elif key == "eval_runs":
-                cfg.eval_runs = int(raw)
-            elif key == "output_dir":
-                cfg.output_dir = raw.strip()
-            elif key == "master_seed":
-                cfg.master_seed = int(raw)
-            else:
-                raise ConfigurationError(f"unknown key {key!r} in [run]")
+            _apply_section(parser[name], targets, name)
     _validate(cfg)
     return cfg
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return _from_parser(_read(path))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -160,8 +129,9 @@ def _validate(cfg: RunConfig) -> None:
         Topology(cfg.problem.topology)
     except ValueError:
         raise ConfigurationError(f"unknown topology {cfg.problem.topology!r}") from None
-    if cfg.shots < 1:
+    if cfg.train.shots < 1:
         raise ConfigurationError("shots must be >= 1")
+    cfg.train.optimizer.validate()
     if cfg.eval_runs < 1:
         raise ConfigurationError("eval_runs must be >= 1")
     if Topology(cfg.problem.topology) is Topology.ERDOS_RENYI and cfg.problem.er_p is None:
@@ -170,9 +140,8 @@ def _validate(cfg: RunConfig) -> None:
 
 def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
     """Config with a [matrix] section listing problems/topologies/sizes/algorithms."""
-    base = load_config(path)
-    parser = configparser.ConfigParser()
-    parser.read(Path(path))
+    parser = _read(path)
+    base = _from_parser(parser)
     if not parser.has_section("matrix"):
         raise ConfigurationError("matrix config needs a [matrix] section")
     section = parser["matrix"]

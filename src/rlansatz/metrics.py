@@ -8,7 +8,7 @@ import numpy as np
 
 from .circuits import Circuit, transpiled_counts
 from .errors import DegenerateSpectrumError
-from .optimize import DEFAULT_MAX_ITERATIONS, optimize_circuit
+from .optimize import OptimizerConfig, optimize_circuit
 from .problems import ProblemInstance, Spectrum
 from .qsim import estimate_expectation, sample_shots
 from .seeding import INIT_STREAM, OPT_STREAM, REWARD_STREAM, derive_seed, rng_for
@@ -61,15 +61,14 @@ def evaluate_circuit(
     *,
     random_init: bool = True,
     optimize: bool = True,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    method: str = "cobyla",
+    optimizer: OptimizerConfig | None = None,
 ) -> EvalReport:
     """Run the standard evaluation protocol and average the ratios.
 
     Per run: re-initialize every parameter uniformly in [-pi, pi) (unless
     ``random_init`` is off), optimize on shot estimates (unless ``optimize``
-    is off), then score a fresh shot estimate. The reported ratio is the
-    mean of the per-run ratios.
+    is off) with the ``optimizer`` settings, then score a fresh shot
+    estimate. The reported ratio is the mean of the per-run ratios.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -81,14 +80,7 @@ def evaluate_circuit(
             init_rng = rng_for(seed, INIT_STREAM, run)
             work.params[:] = init_rng.uniform(-np.pi, np.pi, work.n_params)
         if optimize and work.n_params:
-            optimize_circuit(
-                work,
-                inst,
-                n_shots,
-                derive_seed(seed, OPT_STREAM, run),
-                max_iterations=max_iterations,
-                method=method,
-            )
+            optimize_circuit(work, inst, n_shots, derive_seed(seed, OPT_STREAM, run), optimizer)
         dist = sample_shots(work, n_shots, derive_seed(seed, REWARD_STREAM, run))
         estimate = estimate_expectation(dist, inst.ham)
         estimates.append(estimate)

@@ -1,10 +1,10 @@
 """Derivative-free parameter optimization of circuits on shot estimates.
 
-The default optimizer is COBYLA (linear-interpolation trust region, run
+The optimizer is COBYLA (linear-interpolation trust region, run
 unconstrained), delegated to SciPy behind a wrapper that enforces the
 evaluation budget, tracks the best evaluation ever seen and rejects
-non-finite objective values. A Nelder-Mead drop-in is exposed for
-debugging; circuit optimization always defaults to COBYLA.
+non-finite objective values. ``OptimizerConfig`` holds its settings: the
+budget and the initial and final trust radius.
 """
 
 from __future__ import annotations
@@ -16,14 +16,23 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .circuits import Circuit
-from .errors import OptimizationError
+from .errors import ConfigurationError, OptimizationError
 from .problems import ProblemInstance
 from .qsim import estimate_expectation, sample_shots
 from .seeding import OPT_STREAM, derive_seed
 
-DEFAULT_MAX_ITERATIONS = 1000
-DEFAULT_RHO_BEGIN = 1.0
-DEFAULT_RHO_END = 1e-4
+
+@dataclass
+class OptimizerConfig:
+    max_iterations: int = 1000  # objective-evaluation budget per optimization
+    rho_begin: float = 1.0
+    rho_end: float = 1e-4
+
+    def validate(self) -> None:
+        if self.max_iterations < 1:
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (self.rho_begin > self.rho_end > 0):
+            raise ConfigurationError(f"need rho_begin > rho_end > 0, got {self.rho_begin}, {self.rho_end}")
 
 
 @dataclass(frozen=True)
@@ -61,23 +70,28 @@ class _Recorder:
         return value
 
 
-def _run_scipy(
-    method: str,
+def cobyla_minimize(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
-    max_iterations: int,
-    options: dict,
+    config: OptimizerConfig | None = None,
 ) -> OptimizationResult:
+    """Minimize with COBYLA under a hard objective-evaluation budget.
+
+    Terminates when the trust radius shrinks below ``rho_end`` or the budget
+    is exhausted; ``best_value`` is the minimum over all evaluations, not the
+    last iterate. Deterministic for a deterministic objective.
+    """
+    config = config or OptimizerConfig()
+    config.validate()
     x0 = np.asarray(x0, dtype=float)
-    if max_iterations < 1:
-        raise OptimizationError(f"max_iterations must be >= 1, got {max_iterations}")
-    recorder = _Recorder(objective, max_iterations)
+    recorder = _Recorder(objective, config.max_iterations)
     if x0.size == 0:
         value = recorder(x0)
         return OptimizationResult(x0.copy(), value, 1, True)
+    options = {"rhobeg": config.rho_begin, "tol": config.rho_end, "maxiter": config.max_iterations}
     converged = False
     try:
-        result = _scipy_minimize(recorder, x0, method=method, options=options)
+        result = _scipy_minimize(recorder, x0, method="COBYLA", options=options)
         converged = bool(result.success)
     except _BudgetExhausted:
         pass
@@ -86,53 +100,12 @@ def _run_scipy(
     return OptimizationResult(recorder.best_params, recorder.best_value, recorder.evaluations, converged)
 
 
-def cobyla_minimize(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    rho_begin: float = DEFAULT_RHO_BEGIN,
-    rho_end: float = DEFAULT_RHO_END,
-) -> OptimizationResult:
-    """Minimize with COBYLA under a hard objective-evaluation budget.
-
-    Terminates when the trust radius shrinks below ``rho_end`` or the budget
-    is exhausted; ``best_value`` is the minimum over all evaluations, not the
-    last iterate. Deterministic for a deterministic objective.
-    """
-    if not (rho_begin > rho_end > 0):
-        raise OptimizationError(f"need rho_begin > rho_end > 0, got {rho_begin}, {rho_end}")
-    options = {"rhobeg": rho_begin, "tol": rho_end, "maxiter": max_iterations}
-    return _run_scipy("COBYLA", objective, x0, max_iterations, options)
-
-
-def nelder_mead_minimize(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    xatol: float = 1e-4,
-    fatol: float = 1e-8,
-) -> OptimizationResult:
-    """Nelder-Mead substitute with the same result contract (debugging aid)."""
-    options = {"maxfev": max_iterations, "xatol": xatol, "fatol": fatol}
-    return _run_scipy("Nelder-Mead", objective, x0, max_iterations, options)
-
-
-MINIMIZERS: dict[str, Callable[..., OptimizationResult]] = {
-    "cobyla": cobyla_minimize,
-    "nelder-mead": nelder_mead_minimize,
-}
-
-
 def optimize_circuit(
     circuit: Circuit,
     inst: ProblemInstance,
     n_shots: int,
     seed: int,
-    *,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    rho_begin: float = DEFAULT_RHO_BEGIN,
-    rho_end: float = DEFAULT_RHO_END,
-    method: str = "cobyla",
+    optimizer: OptimizerConfig | None = None,
 ) -> OptimizationResult:
     """Tune the circuit's parameters against the shot-estimated expectation.
 
@@ -150,14 +123,7 @@ def optimize_circuit(
         dist = sample_shots(circuit, n_shots, shot_seed, params=theta)
         return estimate_expectation(dist, inst.ham)
 
-    if method == "cobyla":
-        result = cobyla_minimize(
-            objective, circuit.params, max_iterations, rho_begin, rho_end
-        )
-    elif method in MINIMIZERS:
-        result = MINIMIZERS[method](objective, circuit.params, max_iterations)
-    else:
-        raise OptimizationError(f"unknown optimizer {method!r}; expected one of {sorted(MINIMIZERS)}")
+    result = cobyla_minimize(objective, circuit.params, optimizer)
     if circuit.n_params:
         circuit.params[:] = result.best_params
     return result

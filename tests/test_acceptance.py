@@ -18,7 +18,7 @@ from rlansatz.ansatz import build_linear_ryz, build_qaoa
 from rlansatz.circuits import DOUBLE_ROTATIONS, decompose_double_rotation
 from rlansatz.cli import main as cli_main
 from rlansatz.metrics import evaluate_circuit, solution_distribution
-from rlansatz.optimize import cobyla_minimize, optimize_circuit
+from rlansatz.optimize import OptimizerConfig, cobyla_minimize, optimize_circuit
 from rlansatz.problems import make_instance
 from rlansatz.qsim import exact_probabilities
 from rlansatz.seeding import INIT_STREAM, derive_seed, rng_for
@@ -178,7 +178,7 @@ def test_criterion_6_cobyla_quadratic_bowls():
     details = []
     for dim in range(1, 7):
         target = np.linspace(-1.0, 1.0, dim) if dim > 1 else np.array([0.7])
-        result = cobyla_minimize(lambda x: float(np.sum((x - target) ** 2)), np.zeros(dim), max_iterations=200)
+        result = cobyla_minimize(lambda x: float(np.sum((x - target) ** 2)), np.zeros(dim), OptimizerConfig(max_iterations=200))
         err = float(np.max(np.abs(result.best_params - target)))
         if err > 1e-3 or result.evaluations > 200:
             ok = False

@@ -8,6 +8,7 @@ from rlansatz.agent import (
     Adam,
     Batch,
     CircuitBuildEnv,
+    EnvConfig,
     Mlp,
     PpoHyperparams,
     Segment,
@@ -23,7 +24,7 @@ from rlansatz.agent import (
     TrainConfig,
 )
 from rlansatz.agent.ppo import log_softmax
-from rlansatz.optimize import OptimizationResult
+from rlansatz.optimize import OptimizationResult, OptimizerConfig
 from rlansatz.problems import make_instance
 
 
@@ -251,7 +252,7 @@ def test_value_gradient_matches_finite_differences():
 # --- environment ------------------------------------------------------------
 
 def test_reset_observation_near_uniform():
-    env = CircuitBuildEnv(toy_instance(), seed=1, shots=1000)
+    env = CircuitBuildEnv(toy_instance(), EnvConfig(shots=1000), seed=1)
     obs = env.reset()
     assert obs.shape == (4,)
     assert abs(obs.sum() - 1.0) <= 1e-9
@@ -261,13 +262,13 @@ def test_reset_observation_near_uniform():
 
 
 def test_exact_observation_mode_is_exactly_uniform():
-    env = CircuitBuildEnv(toy_instance(), seed=1, exact_observation=True)
+    env = CircuitBuildEnv(toy_instance(), EnvConfig(exact_observation=True), seed=1)
     obs = env.reset()
     assert np.allclose(obs, 0.25, atol=1e-12)
 
 
 def test_step_rejects_bad_action_ids():
-    env = CircuitBuildEnv(toy_instance(), seed=0, optimizer_max_iterations=5, shots=50)
+    env = CircuitBuildEnv(toy_instance(), EnvConfig(shots=50, optimizer=OptimizerConfig(max_iterations=5)), seed=0)
     env.reset()
     with pytest.raises(ValueError):
         env.step(env.n_actions)
@@ -283,7 +284,7 @@ def scripted_env(monkeypatch, inst, expectations, **kwargs):
         lambda circuit, *a, **k: OptimizationResult(circuit.params.copy(), 0.0, 1, True),
     )
     monkeypatch.setattr(env_module, "estimate_expectation", lambda dist, ham: next(script))
-    return CircuitBuildEnv(inst, seed=0, shots=10, **kwargs)
+    return CircuitBuildEnv(inst, EnvConfig(shots=10, **kwargs), seed=0)
 
 
 def test_reward_arithmetic():
@@ -294,7 +295,7 @@ def test_reward_identity_on_scripted_step(monkeypatch):
     env = scripted_env(monkeypatch, toy_instance(), [-5.0])
     env.reset()
     _, reward, _, info = env.step(0)
-    assert reward == -info.expectation - env.beta * info.depth
+    assert reward == -info.expectation - env.config.beta * info.depth
     assert info.expectation == -5.0
 
 
@@ -346,13 +347,13 @@ def test_episode_caps_at_two_n_steps(monkeypatch):
 
 def test_real_step_reward_identity_and_gate_growth():
     inst = toy_instance()
-    env = CircuitBuildEnv(inst, seed=3, shots=200, optimizer_max_iterations=20)
+    env = CircuitBuildEnv(inst, EnvConfig(shots=200, optimizer=OptimizerConfig(max_iterations=20)), seed=3)
     env.reset()
     n_gates_before = len(env.circuit.gates)
     obs, reward, _, info = env.step(7)
     assert len(env.circuit.gates) == n_gates_before + 1
     assert env.circuit.gates[-1].is_parametric
-    assert reward == -info.expectation - env.beta * info.depth
+    assert reward == -info.expectation - env.config.beta * info.depth
     assert abs(obs.sum() - 1.0) <= 1e-9
 
 
@@ -363,7 +364,7 @@ TOY_TRAIN = dict(
     steps_per_epoch=8,
     workers=2,
     shots=100,
-    optimizer_max_iterations=20,
+    optimizer=OptimizerConfig(max_iterations=20),
 )
 
 

@@ -41,13 +41,13 @@ def test_default_config_values():
     from rlansatz.config import RunConfig
 
     cfg = RunConfig()
-    assert cfg.rl.epochs == 64
-    assert cfg.rl.steps_per_epoch == 384
-    assert cfg.rl.beta == 0.015
-    assert cfg.rl.patience == 3
-    assert cfg.rl.max_episode_steps_factor == 2
-    assert cfg.shots == 1000
-    assert cfg.optimizer.max_iterations == 1000
+    assert cfg.train.epochs == 64
+    assert cfg.train.steps_per_epoch == 384
+    assert cfg.train.beta == 0.015
+    assert cfg.train.patience == 3
+    assert cfg.train.max_episode_steps_factor == 2
+    assert cfg.train.shots == 1000
+    assert cfg.train.optimizer.max_iterations == 1000
     assert cfg.eval_runs == 10
 
 
@@ -56,7 +56,7 @@ def test_rl_discount_keys_reach_ppo_hyperparams(tmp_path):
 
     path = tmp_path / "discount.ini"
     path.write_text("[rl]\ngamma = 0.5\ngae_lambda = 0.8\n")
-    ppo = load_config(path).train_config().ppo
+    ppo = load_config(path).train.ppo
     assert (ppo.gamma, ppo.gae_lambda) == (0.5, 0.8)
 
 
@@ -202,3 +202,199 @@ def test_eval_wrong_size_circuit_exits_2(tmp_path):
         ["eval", "--config", str(other), "--circuit", str(run / "best_circuit.json"), "--out", str(tmp_path / "e")]
     )
     assert code == 2
+
+
+# --- every INI key reaches the object that uses it --------------------------
+
+BASE_INI = {
+    "problem": {"kind": "maxcut", "topology": "cycle", "n": "3", "seed": "1"},
+    "rl": {"epochs": "1", "steps_per_epoch": "2", "workers": "1"},
+    "optimizer": {"max_iterations": "10"},
+    "run": {"shots": "50", "eval_runs": "1", "master_seed": "11", "output_dir": "{tmp}/out"},
+}
+
+
+def render_ini(sections: dict, tmp_path) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v.format(tmp=tmp_path)}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+@pytest.fixture
+def consumers(monkeypatch):
+    """Named arguments and result of the last call to each consumer of settings."""
+    import inspect
+
+    import rlansatz.agent.training as training
+    import rlansatz.cli as cli
+    import rlansatz.config as config
+    import rlansatz.optimize as optimize
+
+    seen = {}
+    targets = (
+        (config, "make_instance"),
+        (training, "CircuitBuildEnv"),
+        (training, "compute_returns_and_advantages"),
+        (optimize, "_scipy_minimize"),
+        (cli, "evaluate_circuit"),
+        (cli, "train"),
+    )
+    for module, attr in targets:
+        original = getattr(module, attr)
+
+        def spy(*args, _original=original, _signature=inspect.signature(original), _attr=attr, **kwargs):
+            result = _original(*args, **kwargs)
+            seen[_attr] = {**_signature.bind(*args, **kwargs).arguments, "result": result}
+            return result
+
+        monkeypatch.setattr(module, attr, spy)
+    return seen
+
+
+def _instance(key):
+    return lambda seen: seen["make_instance"][key]
+
+
+def _env(key):
+    return lambda seen: getattr(seen["CircuitBuildEnv"]["config"], key)
+
+
+def _cobyla(option):
+    return lambda seen: seen["_scipy_minimize"]["options"][option]
+
+
+def _evaluate(arg):
+    return lambda seen: seen["evaluate_circuit"][arg]
+
+
+# (section, key, INI value, expected value, subcommand, where the value lands)
+KEY_TABLE = [
+    ("problem", "kind", "minvertexcover", "minvertexcover", "brute-force", _instance("kind")),
+    ("problem", "topology", "star", "star", "brute-force", _instance("topology")),
+    ("problem", "n", "4", 4, "brute-force", _instance("n")),
+    ("problem", "seed", "5", 5, "brute-force", _instance("seed")),
+    ("problem", "penalty", "3.5", 3.5, "brute-force", _instance("penalty")),
+    ("problem", "er_p", "0.5", 0.5, "brute-force", _instance("er_p")),
+    ("problem", "rows", "1", 1, "brute-force", _instance("rows")),
+    ("rl", "epochs", "2", 2, "train", lambda seen: len(seen["train"]["result"].history)),
+    ("rl", "steps_per_epoch", "4", 4, "train", lambda seen: len(seen["train"]["result"].steps)),
+    ("rl", "workers", "2", 2, "train", lambda seen: len({row["worker"] for row in seen["train"]["result"].steps})),
+    ("rl", "beta", "0.5", 0.5, "train", _env("beta")),
+    ("rl", "gamma", "0.5", 0.5, "train", lambda seen: seen["compute_returns_and_advantages"]["gamma"]),
+    ("rl", "gae_lambda", "0.8", 0.8, "train", lambda seen: seen["compute_returns_and_advantages"]["gae_lambda"]),
+    ("rl", "max_episode_steps_factor", "1", 1, "train", _env("max_episode_steps_factor")),
+    ("rl", "patience", "1", 1, "train", _env("patience")),
+    ("rl", "exact_observation", "true", True, "train", _env("exact_observation")),
+    ("optimizer", "max_iterations", "12", 12, "baseline", _cobyla("maxiter")),
+    ("optimizer", "rho_begin", "0.5", 0.5, "baseline", _cobyla("rhobeg")),
+    ("optimizer", "rho_end", "0.001", 0.001, "baseline", _cobyla("tol")),
+    ("run", "shots", "60", 60, "baseline", _evaluate("n_shots")),
+    ("run", "eval_runs", "2", 2, "baseline", _evaluate("n_runs")),
+    ("run", "master_seed", "7", 7, "baseline", _evaluate("seed")),
+    ("run", "output_dir", "{tmp}/elsewhere", True, "baseline", None),
+]
+COMMANDS = {"brute-force": ["brute-force"], "train": ["train"], "baseline": ["baseline", "qaoa1"]}
+
+
+def test_key_table_covers_every_ini_key():
+    from rlansatz.config import RunConfig, _sections
+
+    ini_keys = {(name, key) for name, targets in _sections(RunConfig()).items() for _, keys in targets for key in keys}
+    assert ini_keys == {(section, key) for section, key, *_ in KEY_TABLE}
+    assert len(ini_keys) == 23
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, expected, command, landed", KEY_TABLE, ids=[f"{row[0]}.{row[1]}" for row in KEY_TABLE]
+)
+def test_ini_key_reaches_its_consumer(tmp_path, consumers, section, key, raw, expected, command, landed):
+    sections = {name: dict(keys) for name, keys in BASE_INI.items()}
+    sections[section][key] = raw
+    path = tmp_path / "key.ini"
+    path.write_text(render_ini(sections, tmp_path))
+    assert main([*COMMANDS[command], "--config", str(path)]) == 0
+    if landed is None:  # output_dir: the artifacts land there
+        assert (tmp_path / "elsewhere" / "report.json").is_file() == expected
+        return
+    assert landed(consumers) == expected
+    # the INI value differs from the default, so a dropped key cannot pass
+    assert expected != default_value(section, key)
+
+
+def default_value(section, key):
+    from rlansatz.config import RunConfig, _sections
+
+    owner = next(target for target, keys in _sections(RunConfig())[section] if key in keys)
+    return getattr(owner, key)
+
+
+@pytest.mark.parametrize("body", ["[optimizer]\nmethod = cobyla\n", "[run]\nworkers = 2\n", "[rl]\npi_lr = 0.1\n"])
+def test_unknown_keys_exit_2(tmp_path, body):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(body)
+    assert main(["brute-force", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "optimizer",
+    ["rho_begin = 1e-5\nrho_end = 1e-4", "rho_end = 0", "rho_begin = 1e-4\nrho_end = 1e-4", "max_iterations = 0"],
+)
+def test_bad_optimizer_settings_exit_2_at_load(tmp_path, optimizer):
+    from rlansatz.config import load_config
+    from rlansatz.errors import ConfigurationError
+
+    cfg = write_config(tmp_path / "toy.ini")
+    text = cfg.read_text().replace("[optimizer]\nmax_iterations = 40\n", f"[optimizer]\n{optimizer}\n")
+    cfg.write_text(text + "\n[matrix]\nsizes = 4\n")
+    with pytest.raises(ConfigurationError):
+        load_config(cfg)
+    for command in (["train"], ["baseline", "qaoa1"], ["matrix"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, command
+
+
+@pytest.mark.parametrize("command", ["matrix", "eval"])
+def test_optimizer_keys_reach_matrix_and_eval(tmp_path, consumers, command):
+    from rlansatz.ansatz import build_qaoa
+    from rlansatz.problems import make_instance
+
+    cfg = write_config(tmp_path / "toy.ini")
+    text = cfg.read_text().replace("max_iterations = 40\n", "max_iterations = 30\nrho_begin = 0.5\nrho_end = 0.001\n")
+    cfg.write_text(text + "\n[matrix]\nsizes = 4\n")
+    circuit = tmp_path / "qaoa1.json"
+    build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).save(circuit)
+    extra = {"matrix": [], "eval": ["--circuit", str(circuit), "--reoptimize"]}[command]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
+    options = consumers["_scipy_minimize"]["options"]
+    assert (options["maxiter"], options["rhobeg"], options["tol"]) == (30, 0.5, 0.001)
+
+
+def test_workers_option_is_train_only(tmp_path):
+    cfg = write_config(tmp_path / "toy.ini")
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "qaoa1", "--config", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_matrix_uses_problem_rows(tmp_path):
+    cfg = write_config(tmp_path / "rows.ini", n=4, topology="grid2d")
+    text = cfg.read_text().replace("seed = 1\n", "seed = 1\nrows = 1\n", 1)
+    cfg.write_text(text + "\n[matrix]\nproblems = maxcut\ntopologies = grid2d\nsizes = 4\nalgorithms = qaoa1\n")
+    assert main(["matrix", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 0
+    assert main(["baseline", "qaoa1", "--config", str(cfg), "--out", str(tmp_path / "base")]) == 0
+    cell = json.loads((tmp_path / "grid" / "maxcut_grid2d_4_qaoa1" / "report.json").read_text())
+    base = json.loads((tmp_path / "base" / "report.json").read_text())
+    assert cell["per_run_estimates"] == base["per_run_estimates"]
+
+
+def test_matrix_resume_recomputes_cells_with_changed_settings(tmp_path):
+    cfg = write_config(tmp_path / "m.ini", n=4)
+    cfg.write_text(cfg.read_text() + "\n[matrix]\nproblems = maxcut\ntopologies = cycle\nsizes = 4\nalgorithms = qaoa1\n")
+    out = tmp_path / "grid"
+    assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 0
+    marker = out / "maxcut_cycle_4_qaoa1" / "report.json"
+    stamp = marker.stat().st_mtime_ns
+    cfg.write_text(cfg.read_text().replace("shots = 200", "shots = 300"))
+    assert main(["matrix", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert marker.stat().st_mtime_ns != stamp  # cell recomputed
+    assert json.loads(marker.read_text())["settings"]["shots"] == 300

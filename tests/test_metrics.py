@@ -9,6 +9,7 @@ from rlansatz.ansatz import build_linear_ryz, build_qaoa
 from rlansatz.circuits import Circuit, GateApplication, GateKind, h_layer
 from rlansatz.errors import DegenerateSpectrumError
 from rlansatz.metrics import approximation_ratio, evaluate_circuit, solution_distribution
+from rlansatz.optimize import OptimizerConfig
 from rlansatz.problems import Spectrum, make_instance
 
 
@@ -54,8 +55,8 @@ def test_ratio_clamp_guards_edges():
 def test_evaluate_circuit_reproducible_and_consistent():
     inst = make_instance("cycle", 4, 0, "maxcut")
     circuit = build_qaoa(inst, 1)
-    a = evaluate_circuit(circuit, inst, n_runs=4, n_shots=300, seed=5, max_iterations=60)
-    b = evaluate_circuit(circuit, inst, n_runs=4, n_shots=300, seed=5, max_iterations=60)
+    a = evaluate_circuit(circuit, inst, n_runs=4, n_shots=300, seed=5, optimizer=OptimizerConfig(max_iterations=60))
+    b = evaluate_circuit(circuit, inst, n_runs=4, n_shots=300, seed=5, optimizer=OptimizerConfig(max_iterations=60))
     assert a == b
     assert a.n_runs == 4
     assert len(a.per_run_ratios) == 4

@@ -5,9 +5,9 @@ import pytest
 
 from rlansatz.ansatz import build_linear_ryz, build_qaoa
 from rlansatz.circuits import h_layer
-from rlansatz.errors import OptimizationError
+from rlansatz.errors import ConfigurationError, OptimizationError
 from rlansatz.metrics import approximation_ratio
-from rlansatz.optimize import cobyla_minimize, nelder_mead_minimize, optimize_circuit
+from rlansatz.optimize import OptimizerConfig, cobyla_minimize, optimize_circuit
 from rlansatz.problems import make_instance
 from rlansatz.qsim import exact_expectation
 
@@ -26,14 +26,14 @@ def test_two_dim_bowl_reaches_tiny_value():
 def test_quadratic_bowls_dimensions_one_to_six():
     for dim in range(1, 7):
         target = np.linspace(-1.0, 1.0, dim)
-        result = cobyla_minimize(lambda x: float(np.sum((x - target) ** 2)), np.zeros(dim), max_iterations=200)
+        result = cobyla_minimize(lambda x: float(np.sum((x - target) ** 2)), np.zeros(dim), OptimizerConfig(max_iterations=200))
         assert result.evaluations <= 200
         assert np.max(np.abs(result.best_params - target)) <= 1e-3, dim
 
 
 def test_evaluation_cap_of_one():
     calls = []
-    result = cobyla_minimize(lambda x: calls.append(1) or float(x[0] ** 2), np.array([5.0]), max_iterations=1)
+    result = cobyla_minimize(lambda x: calls.append(1) or float(x[0] ** 2), np.array([5.0]), OptimizerConfig(max_iterations=1))
     assert len(calls) == 1
     assert result.evaluations == 1
     assert not result.converged
@@ -45,7 +45,7 @@ def test_evaluation_cap_respected():
         result = cobyla_minimize(
             lambda x: calls.append(1) or float((x[0] - 2) ** 2 + x[1] ** 2),
             np.array([10.0, 10.0]),
-            max_iterations=cap,
+            OptimizerConfig(max_iterations=cap),
         )
         assert len(calls) <= cap
         assert result.evaluations == len(calls)
@@ -59,7 +59,7 @@ def test_best_value_is_minimum_over_all_evaluations():
         seen.append(value)
         return value
 
-    result = cobyla_minimize(bumpy, np.array([1.0]), max_iterations=150)
+    result = cobyla_minimize(bumpy, np.array([1.0]), OptimizerConfig(max_iterations=150))
     assert result.best_value == min(seen)
 
 
@@ -77,13 +77,8 @@ def test_non_finite_objective_aborts():
 
 
 def test_rho_validation():
-    with pytest.raises(OptimizationError):
-        cobyla_minimize(lambda x: float(x[0] ** 2), np.zeros(1), rho_begin=1e-5, rho_end=1e-4)
-
-
-def test_nelder_mead_substitute():
-    result = nelder_mead_minimize(lambda x: float((x[0] - 3.0) ** 2), np.zeros(1))
-    assert abs(result.best_params[0] - 3.0) <= 1e-3
+    with pytest.raises(ConfigurationError):
+        cobyla_minimize(lambda x: float(x[0] ** 2), np.zeros(1), OptimizerConfig(rho_begin=1e-5, rho_end=1e-4))
 
 
 # --- circuit objectives -----------------------------------------------------
@@ -152,7 +147,7 @@ def test_optimize_circuit_warm_start_evaluates_current_params_first():
 
     opt.sample_shots = spy
     try:
-        optimize_circuit(circuit, inst, 200, seed=1, max_iterations=5)
+        optimize_circuit(circuit, inst, 200, seed=1, optimizer=OptimizerConfig(max_iterations=5))
     finally:
         opt.sample_shots = original
     assert np.array_equal(seen[0], [0.4, -0.2])
