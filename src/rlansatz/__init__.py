@@ -37,12 +37,9 @@ from .problems import (
     qubo_to_hamiltonian,
 )
 from .qsim import (
-    ShotDistribution,
-    StateVector,
     apply_gate,
     estimate_expectation,
     exact_expectation,
     exact_probabilities,
     sample_shots,
-    zero_state,
 )

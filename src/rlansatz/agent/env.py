@@ -19,7 +19,7 @@ import numpy as np
 from ..circuits import ActionSpace, Circuit, action_space, circuit_depth_basis, h_layer
 from ..optimize import OptimizerConfig, optimize_circuit
 from ..problems import ProblemInstance
-from ..qsim import estimate_expectation, exact_probabilities, sample_shots
+from ..qsim import estimate_expectation, sample_shots
 from ..seeding import OBS_STREAM, OPT_STREAM, REWARD_STREAM, derive_seed
 
 
@@ -31,7 +31,6 @@ class EnvConfig:
     beta: float = 0.015  # depth weight in the reward
     patience: int = 3
     max_episode_steps_factor: int = 2  # episode cap = factor * n
-    exact_observation: bool = False  # exact probabilities as observations
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
@@ -83,10 +82,7 @@ class CircuitBuildEnv:
         return self.actions.size
 
     def _observe(self, obs_seed: int) -> np.ndarray:
-        if self.config.exact_observation:
-            return exact_probabilities(self.circuit)
-        dist = sample_shots(self.circuit, self.config.shots, obs_seed)
-        return dist.probabilities()
+        return sample_shots(self.circuit, self.config.shots, obs_seed) / self.config.shots
 
     def reset(self) -> np.ndarray:
         """Start a new episode from a bare Hadamard layer."""

@@ -17,10 +17,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
-from .agent.env import StepInfo
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
 from .circuits import Circuit, transpiled_counts
@@ -31,30 +30,15 @@ from .problems import instance_to_json_dict, make_instance
 from .qsim import estimate_expectation, exact_expectation, sample_shots
 from .seeding import REWARD_STREAM, derive_seed
 
-_EPOCH_COLUMNS = (
-    "epoch",
-    "steps",
-    "episodes_completed",
-    "mean_reward",
-    "mean_episode_return",
-    "best_reward",
-    "pi_loss",
-    "vf_loss",
-    "vf_loss_final",
-    "kl",
-    "clip_fraction",
-    "entropy",
-    "pi_steps",
-)
-
-
 def _format_cell(value) -> str:
     if isinstance(value, float):  # includes numpy float64
         return repr(float(value))
     return str(value)
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """One line per row dict; the header is the first row's keys."""
+    columns = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -79,14 +63,14 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     if args.workers is not None:
         cfg.train.workers = args.workers
+    cfg.train.validate()
     out = _out_dir(cfg, args)
     inst = cfg.build_instance()
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
     result = train(inst, cfg.train, cfg.master_seed)
-    step_columns = ("epoch", "worker", *(f.name for f in fields(StepInfo)))
-    _write_csv(out / "steps.csv", step_columns, result.steps)
-    _write_csv(out / "epochs.csv", _EPOCH_COLUMNS, result.history)
+    _write_csv(out / "steps.csv", result.steps)
+    _write_csv(out / "epochs.csv", result.history)
     result.best_circuit.save(out / "best_circuit.json")
 
     # fresh shot re-estimate of the best circuit at its trained parameters
@@ -135,7 +119,7 @@ def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dic
         {"run": i, "ratio": r, "estimate": e}
         for i, (r, e) in enumerate(zip(report.per_run_ratios, report.per_run_estimates))
     ]
-    _write_csv(out / "runs.csv", ("run", "ratio", "estimate"), runs)
+    _write_csv(out / "runs.csv", runs)
     return doc
 
 
@@ -150,7 +134,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_brute_force(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     out = _out_dir(cfg, args)
     inst = cfg.build_instance()
     spectrum = inst.spectrum
@@ -219,11 +203,7 @@ def cmd_matrix(args) -> int:
                             "depth": doc["depth"],
                         }
                     )
-    _write_csv(
-        out / "matrix.csv",
-        ("problem", "topology", "n", "algorithm", "approx_ratio", "threshold", "single_qubit", "two_qubit", "depth"),
-        rows,
-    )
+    _write_csv(out / "matrix.csv", rows)
     print(f"{len(rows)} cells -> {out / 'matrix.csv'}")
     return 0
 
@@ -264,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rlansatz", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="override output directory")
 
     p_train = sub.add_parser("train", help="train the gate-appending agent")
@@ -280,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.set_defaults(func=cmd_baseline)
 
     p_bf = sub.add_parser("brute-force", help="write the exact spectrum")
-    add_common(p_bf)
+    add_common(p_bf, seed=False)  # the spectrum does not depend on master_seed
     p_bf.set_defaults(func=cmd_brute_force)
 
     p_matrix = sub.add_parser("matrix", help="run an experiment grid")

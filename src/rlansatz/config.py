@@ -60,7 +60,7 @@ def _sections(cfg: RunConfig) -> dict[str, list[tuple[object, tuple[str, ...]]]]
         "problem": [(cfg.problem, _names(cfg.problem))],
         "rl": [
             (train, ("epochs", "steps_per_epoch", "workers")),
-            (train, ("beta", "patience", "max_episode_steps_factor", "exact_observation")),
+            (train, ("beta", "patience", "max_episode_steps_factor")),
             (train.ppo, ("gamma", "gae_lambda")),
         ],
         "optimizer": [(train.optimizer, _names(train.optimizer))],
@@ -71,7 +71,6 @@ def _sections(cfg: RunConfig) -> dict[str, list[tuple[object, tuple[str, ...]]]]
 _COERCERS = {
     int: lambda s: int(s),
     float: lambda s: float(s),
-    bool: lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
     str: lambda s: s.strip(),
 }
 

@@ -81,8 +81,8 @@ def evaluate_circuit(
             work.params[:] = init_rng.uniform(-np.pi, np.pi, work.n_params)
         if optimize and work.n_params:
             optimize_circuit(work, inst, n_shots, derive_seed(seed, OPT_STREAM, run), optimizer)
-        dist = sample_shots(work, n_shots, derive_seed(seed, REWARD_STREAM, run))
-        estimate = estimate_expectation(dist, inst.ham)
+        shot_seed = derive_seed(seed, REWARD_STREAM, run)
+        estimate = estimate_expectation(sample_shots(work, n_shots, shot_seed), inst.ham)
         estimates.append(estimate)
         ratios.append(approximation_ratio(estimate, inst.spectrum, clamp=True))
     counts = transpiled_counts(circuit)
@@ -108,9 +108,9 @@ def solution_distribution(
     Maps each distinct exact energy value hit by the sampled bitstrings to
     its frequency; frequencies sum to 1.
     """
-    dist = sample_shots(circuit, n_shots, derive_seed(seed, REWARD_STREAM))
+    counts = sample_shots(circuit, n_shots, derive_seed(seed, REWARD_STREAM))
     levels, level_of = np.unique(inst.ham.energy, return_inverse=True)
     # bincount adds each outcome's frequency in basis order, as a per-outcome loop would
-    freq = np.bincount(level_of, weights=dist.probabilities(), minlength=len(levels))
+    freq = np.bincount(level_of, weights=counts / n_shots, minlength=len(levels))
     hit = freq > 0
     return dict(zip(levels[hit].tolist(), freq[hit].tolist()))

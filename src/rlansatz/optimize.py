@@ -120,8 +120,7 @@ def optimize_circuit(
     def objective(theta: np.ndarray) -> float:
         shot_seed = derive_seed(seed, OPT_STREAM, eval_counter[0])
         eval_counter[0] += 1
-        dist = sample_shots(circuit, n_shots, shot_seed, params=theta)
-        return estimate_expectation(dist, inst.ham)
+        return estimate_expectation(sample_shots(circuit, n_shots, shot_seed, params=theta), inst.ham)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)
     if circuit.n_params:

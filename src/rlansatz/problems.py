@@ -9,7 +9,6 @@ bit ``(b >> i) & 1``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -203,10 +202,6 @@ class QuboMatrix:
             raise ConfigurationError("Q must be upper triangular")
         object.__setattr__(self, "q", q)
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.q @ x + self.offset)
-
 
 def build_qubo(graph: Graph, kind: ProblemKind | str, penalty: float = DEFAULT_PENALTY) -> QuboMatrix:
     """QUBO formulation of the given problem on the graph.
@@ -271,11 +266,6 @@ def qubo_to_hamiltonian(qubo: QuboMatrix) -> DiagonalHamiltonian:
         bits = ((idx[:, None] >> shifts) & 1).astype(float)
         energy[start : start + len(idx)] = np.einsum("bi,ij,bj->b", bits, qubo.q, bits)
     return DiagonalHamiltonian(n, energy + qubo.offset)
-
-
-def bits_of(index: int, n: int) -> np.ndarray:
-    """Little-endian bit vector of a basis index."""
-    return (index >> np.arange(n)) & 1
 
 
 def qubo_to_ising(qubo: QuboMatrix) -> tuple[dict[tuple[int, int], float], np.ndarray, float]:
@@ -442,13 +432,3 @@ def instance_from_json_dict(doc: dict) -> ProblemInstance:
     if recorded != graph.edges:
         raise ConfigurationError("recorded edge set does not match deterministic regeneration")
     return build_instance(graph, doc["kind"], float(doc.get("penalty", DEFAULT_PENALTY)))
-
-
-def save_instance(inst: ProblemInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json_dict(inst), fh, indent=2)
-
-
-def load_instance(path) -> ProblemInstance:
-    with open(path) as fh:
-        return instance_from_json_dict(json.load(fh))

@@ -1,9 +1,11 @@
 """Dense statevector simulation, shot sampling and expectation estimation.
 
-States are length-2^n complex128 vectors in little-endian basis order
-(qubit i lives at bit i of the amplitude index). Each gate is applied in
-place by a kernel specialised to its family, working on a reshaped view of
-the vector in which the gate's qubits own axes of length 2:
+States and shot samples are plain NumPy arrays. A state is a length-2^n
+complex128 amplitude vector in little-endian basis order (qubit i lives at
+bit i of the index); a shot sample is the int64 vector of per-outcome
+counts. Each gate is applied in place by a kernel specialised to its
+family, working on a reshaped view of the vector in which the gate's qubits
+own axes of length 2:
 ``(2^(n-q-1), 2, 2^q)`` for one qubit, ``(..., 2, ..., 2, ...)`` for two. No
 gate operator is ever built. A Pauli rotation ``exp(-i theta/2 P)`` equals
 ``cos(theta/2) psi - i sin(theta/2) (P psi)``, so:
@@ -25,8 +27,6 @@ per-call integer seeds (see ``seeding``); simulations never share RNG state.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -127,47 +127,29 @@ def _apply(psi: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], ang
         _block_op(np.subtract if negated else np.add, view[block], partner[source], view[block])
 
 
-@dataclass
-class StateVector:
-    """A state on ``n_qubits``; the gate kernels update ``amplitudes`` in place."""
+def apply_gate(amplitudes: np.ndarray, gate: GateApplication, params: np.ndarray | None = None) -> None:
+    """Apply one gate to the state ``amplitudes`` in place.
 
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        # the kernels reshape the vector into views, which needs one contiguous complex block
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ConfigurationError(f"a state on {self.n_qubits} qubits needs 2^{self.n_qubits} amplitudes")
-
-    def probabilities(self) -> np.ndarray:
-        amps = self.amplitudes
-        return (amps * amps.conj()).real
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.probabilities()))
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n qubits."""
-    if not (1 <= n_qubits <= MAX_QUBITS):
-        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def apply_gate(state: StateVector, gate: GateApplication, params: np.ndarray | None = None) -> StateVector:
-    """Apply one gate in place and return the state.
-
-    Parametric gates resolve their angle from ``params`` unless they carry a
-    fixed angle. Qubit indices must be distinct and within range.
+    ``amplitudes`` must be one C-contiguous complex128 vector of length 2^n
+    (n >= 1): the kernels write through reshaped views, and reshaping any
+    other array would write to a copy without error. Parametric gates
+    resolve their angle from ``params`` unless they carry a fixed angle.
+    Qubit indices must be distinct and below n.
     """
-    n = state.n_qubits
+    n = amplitudes.size.bit_length() - 1
+    if not (
+        n >= 1
+        and amplitudes.shape == (1 << n,)
+        and amplitudes.dtype == np.complex128
+        and amplitudes.flags.c_contiguous
+    ):
+        raise ConfigurationError(
+            "apply_gate needs one C-contiguous complex128 vector of length 2^n, "
+            f"got {amplitudes.dtype} of shape {amplitudes.shape}"
+        )
     if any(q >= n for q in gate.qubits):
         raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-    _apply(state.amplitudes, n, gate.kind, gate.qubits, gate.resolved_angle(params))
-    return state
+    _apply(amplitudes, n, gate.kind, gate.qubits, gate.resolved_angle(params))
 
 
 def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
@@ -176,23 +158,28 @@ def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
     return len(head) == n and all(g.kind is GateKind.H for g in head) and len({g.qubits[0] for g in head}) == n
 
 
-def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> StateVector:
-    """Final state of the circuit from |0...0>; ``params`` overrides circuit.params."""
+def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:
+    """Amplitudes of the circuit's final state from |0...0>; ``params`` overrides circuit.params."""
     theta = circuit.params if params is None else np.asarray(params, dtype=float)
     n = circuit.n_qubits
-    state = zero_state(n)
+    if not (1 <= n <= MAX_QUBITS):
+        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     gates = circuit.gates
     if _opens_with_h_layer(gates, n):
-        state.amplitudes[:] = 1.0 / math.sqrt(1 << n)
+        psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
         gates = gates[n:]
+    else:
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0] = 1.0
     for gate in gates:
-        apply_gate(state, gate, theta)
-    return state
+        apply_gate(psi, gate, theta)
+    return psi
 
 
 def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:
     """|amplitude|^2 per basis index; sums to 1 up to float error."""
-    return run_circuit(circuit, params).probabilities()
+    amps = run_circuit(circuit, params)
+    return (amps * amps.conj()).real
 
 
 def exact_expectation(circuit: Circuit, ham: DiagonalHamiltonian, params: np.ndarray | None = None) -> float:
@@ -202,68 +189,28 @@ def exact_expectation(circuit: Circuit, ham: DiagonalHamiltonian, params: np.nda
     return float(exact_probabilities(circuit, params) @ ham.energy)
 
 
-class ShotDistribution:
-    """Multinomial measurement counts over the 2^n basis outcomes.
-
-    ``count_vector[b]`` is how often outcome ``b`` was measured. The
-    constructor takes that dense vector or an ``{outcome: count}`` mapping;
-    ``counts`` reads back as the mapping of the outcomes that occurred.
-    """
-
-    __slots__ = ("n_qubits", "n_shots", "count_vector")
-
-    def __init__(self, n_qubits: int, n_shots: int, counts: Mapping[int, int] | np.ndarray):
-        if n_shots < 1:
-            raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-        dim = 1 << n_qubits
-        if isinstance(counts, Mapping):
-            if any(not (0 <= b < dim) for b in counts):
-                raise ConfigurationError("outcome out of range")
-            vector = np.zeros(dim, dtype=np.int64)
-            vector[list(counts)] = list(counts.values())
-        else:
-            vector = np.asarray(counts, dtype=np.int64)
-            if vector.shape != (dim,):
-                raise ConfigurationError(f"count vector must have length 2^{n_qubits}")
-        if vector.sum() != n_shots:
-            raise ConfigurationError("counts do not sum to n_shots")
-        self.n_qubits = n_qubits
-        self.n_shots = n_shots
-        self.count_vector = vector
-
-    @property
-    def counts(self) -> dict[int, int]:
-        """Outcome basis index -> occurrences, for the outcomes that occurred."""
-        hit = np.flatnonzero(self.count_vector)
-        return dict(zip(hit.tolist(), self.count_vector[hit].tolist()))
-
-    def probabilities(self) -> np.ndarray:
-        """Dense empirical frequency vector of length 2^n."""
-        return self.count_vector / self.n_shots
-
-
-def sample_from_probabilities(probs: np.ndarray, n_qubits: int, n_shots: int, rng_seed: int) -> ShotDistribution:
+def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) -> np.ndarray:
+    """Multinomial counts of ``n_shots`` measurements: ``counts[b]`` is how often outcome b occurred."""
+    if n_shots < 1:
+        raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
     rng = np.random.default_rng(rng_seed)
     # guard tiny float drift before the multinomial draw
     p = np.clip(probs, 0.0, None)
     p = p / p.sum()
-    return ShotDistribution(n_qubits, n_shots, rng.multinomial(n_shots, p))
+    return rng.multinomial(n_shots, p)
 
 
-def sample_shots(circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None) -> ShotDistribution:
-    """Measure the circuit ``n_shots`` times; deterministic for a fixed seed."""
-    if n_shots < 1:
-        raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-    probs = exact_probabilities(circuit, params)
-    return sample_from_probabilities(probs, circuit.n_qubits, n_shots, rng_seed)
+def sample_shots(circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None) -> np.ndarray:
+    """Counts of ``n_shots`` measurements of the circuit; deterministic for a fixed seed."""
+    return sample_from_probabilities(exact_probabilities(circuit, params), n_shots, rng_seed)
 
 
-def estimate_expectation(dist: ShotDistribution, ham: DiagonalHamiltonian) -> float:
-    """Average energy of the sampled outcomes: (1/shots) * sum count(b) * energy(b).
+def estimate_expectation(counts: np.ndarray, ham: DiagonalHamiltonian) -> float:
+    """Average energy of the sampled outcomes: sum count(b) * energy(b) / shots.
 
     Equals the shot estimate of <H> because H is diagonal, so each measured
     basis state contributes exactly its table energy.
     """
-    if dist.n_qubits != ham.n:
-        raise ConfigurationError(f"distribution on {dist.n_qubits} qubits vs hamiltonian on {ham.n}")
-    return float(dist.count_vector @ ham.energy / dist.n_shots)
+    if counts.shape != ham.energy.shape:
+        raise ConfigurationError(f"{counts.size} outcome counts vs hamiltonian on {ham.n} qubits")
+    return float(counts @ ham.energy / counts.sum())

@@ -261,12 +261,6 @@ def test_reset_observation_near_uniform():
     assert env.steps == 0
 
 
-def test_exact_observation_mode_is_exactly_uniform():
-    env = CircuitBuildEnv(toy_instance(), EnvConfig(exact_observation=True), seed=1)
-    obs = env.reset()
-    assert np.allclose(obs, 0.25, atol=1e-12)
-
-
 def test_step_rejects_bad_action_ids():
     env = CircuitBuildEnv(toy_instance(), EnvConfig(shots=50, optimizer=OptimizerConfig(max_iterations=5)), seed=0)
     env.reset()

@@ -285,7 +285,6 @@ KEY_TABLE = [
     ("rl", "gae_lambda", "0.8", 0.8, "train", lambda seen: seen["compute_returns_and_advantages"]["gae_lambda"]),
     ("rl", "max_episode_steps_factor", "1", 1, "train", _env("max_episode_steps_factor")),
     ("rl", "patience", "1", 1, "train", _env("patience")),
-    ("rl", "exact_observation", "true", True, "train", _env("exact_observation")),
     ("optimizer", "max_iterations", "12", 12, "baseline", _cobyla("maxiter")),
     ("optimizer", "rho_begin", "0.5", 0.5, "baseline", _cobyla("rhobeg")),
     ("optimizer", "rho_end", "0.001", 0.001, "baseline", _cobyla("tol")),
@@ -302,7 +301,7 @@ def test_key_table_covers_every_ini_key():
 
     ini_keys = {(name, key) for name, targets in _sections(RunConfig()).items() for _, keys in targets for key in keys}
     assert ini_keys == {(section, key) for section, key, *_ in KEY_TABLE}
-    assert len(ini_keys) == 23
+    assert len(ini_keys) == 22
 
 
 @pytest.mark.parametrize(
@@ -329,7 +328,10 @@ def default_value(section, key):
     return getattr(owner, key)
 
 
-@pytest.mark.parametrize("body", ["[optimizer]\nmethod = cobyla\n", "[run]\nworkers = 2\n", "[rl]\npi_lr = 0.1\n"])
+@pytest.mark.parametrize(
+    "body",
+    ["[optimizer]\nmethod = cobyla\n", "[run]\nworkers = 2\n", "[rl]\npi_lr = 0.1\n", "[rl]\nexact_observation = true\n"],
+)
 def test_unknown_keys_exit_2(tmp_path, body):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(body)
@@ -374,6 +376,24 @@ def test_workers_option_is_train_only(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["baseline", "qaoa1", "--config", str(cfg), "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_brute_force_rejects_seed(tmp_path):
+    cfg = write_config(tmp_path / "toy.ini")
+    with pytest.raises(SystemExit) as exc:
+        main(["brute-force", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ini_workers, flag", [("2", []), ("1", ["--workers", "2"])], ids=["ini", "flag"])
+def test_train_rejects_uneven_worker_split_before_writing(tmp_path, ini_workers, flag):
+    cfg = write_config(tmp_path / "toy.ini")
+    text = cfg.read_text().replace("steps_per_epoch = 8\nworkers = 2\n", f"steps_per_epoch = 5\nworkers = {ini_workers}\n")
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 2
+    assert not (out / "config.json").exists()
 
 
 def test_matrix_uses_problem_rows(tmp_path):

@@ -115,9 +115,9 @@ def test_solution_distribution_equals_per_outcome_histogram():
     inst = make_instance("three_regular", 8, 2, "minvertexcover")
     circuit = build_qaoa(inst, 1).with_params([0.9, -0.4])
     hist = solution_distribution(circuit, inst, n_shots=1000, seed=6)
-    dist = sample_shots(circuit, 1000, derive_seed(6, REWARD_STREAM))
+    counts = sample_shots(circuit, 1000, derive_seed(6, REWARD_STREAM))
     expected: dict[float, float] = {}
-    for b, c in dist.counts.items():
+    for b in np.flatnonzero(counts):
         e = float(inst.ham.energy[b])
-        expected[e] = expected.get(e, 0.0) + c / dist.n_shots
+        expected[e] = expected.get(e, 0.0) + counts[b] / 1000
     assert list(hist.items()) == sorted(expected.items())

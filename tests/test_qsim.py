@@ -17,15 +17,12 @@ from rlansatz.circuits import (
 from rlansatz.errors import ConfigurationError, InvalidGateError
 from rlansatz.problems import make_instance
 from rlansatz.qsim import (
-    ShotDistribution,
-    StateVector,
     apply_gate,
     estimate_expectation,
     exact_probabilities,
     run_circuit,
     sample_from_probabilities,
     sample_shots,
-    zero_state,
 )
 
 from _oracles import (
@@ -41,27 +38,42 @@ from _oracles import (
 THETA_GRID = np.arange(16) * (np.pi / 4.0) - 2.0 * np.pi
 
 
+def ket_zero(n):
+    """|0...0> as a fresh amplitude vector."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+def counts_of(*pairs, n):
+    """Dense int64 count vector on n qubits from (outcome, count) pairs."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for b, c in pairs:
+        counts[b] = c
+    return counts
+
+
 def test_zero_state_one_qubit():
-    state = zero_state(1)
-    assert np.array_equal(state.amplitudes, [1.0, 0.0])
+    amps = run_circuit(Circuit(1))
+    assert amps.dtype == complex
+    assert np.array_equal(amps, [1.0, 0.0])
 
 
 def test_zero_state_two_qubits():
-    state = zero_state(2)
-    assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(run_circuit(Circuit(2)), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_zero_state_rejects_bad_sizes():
     with pytest.raises(ConfigurationError):
-        zero_state(0)
+        run_circuit(Circuit(0))
     with pytest.raises(ConfigurationError):
-        zero_state(21)
+        run_circuit(Circuit(21))
 
 
 def test_hadamard_on_zero():
-    state = zero_state(1)
-    apply_gate(state, GateApplication(GateKind.H, (0,)))
-    assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    amps = ket_zero(1)
+    apply_gate(amps, GateApplication(GateKind.H, (0,)))
+    assert np.allclose(amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_double_rotation_at_zero_is_identity():
@@ -69,22 +81,20 @@ def test_double_rotation_at_zero_is_identity():
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
     for kind in DOUBLE_ROTATIONS:
-        from rlansatz.qsim import StateVector
-
-        state = StateVector(2, amps.copy())
+        state = amps.copy()
         apply_gate(state, GateApplication(kind, (0, 1), angle=0.0))
-        assert np.allclose(state.amplitudes, amps, atol=1e-12)
+        assert np.allclose(state, amps, atol=1e-12)
 
 
 def test_ryz_matches_matrix_exponential_oracle():
-    state = zero_state(2)
+    state = ket_zero(2)
     apply_gate(state, GateApplication(GateKind.RYZ, (0, 1), angle=np.pi / 2))
     expected = rotation_unitary("yz", (0, 1), np.pi / 2, 2)[:, 0]
-    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-10
+    assert np.max(np.abs(state - expected)) <= 1e-10
 
 
 def test_apply_gate_rejects_bad_qubits():
-    state = zero_state(2)
+    state = ket_zero(2)
     with pytest.raises(InvalidGateError):
         apply_gate(state, GateApplication(GateKind.RX, (5,), angle=0.1))
     with pytest.raises(InvalidGateError):
@@ -135,59 +145,52 @@ def test_decomposition_identity_reversed_qubit_pair():
 
 
 def test_sample_shots_deterministic_circuit():
-    dist = sample_shots(Circuit(2), 1000, rng_seed=7)
-    assert dist.counts == {0: 1000}
+    counts = sample_shots(Circuit(2), 1000, rng_seed=7)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, [1000, 0, 0, 0])
 
 
 def test_sample_shots_binomial_bound_and_determinism():
     circuit = h_layer(1)
-    dist = sample_shots(circuit, 1000, rng_seed=123)
-    assert 400 <= dist.counts.get(0, 0) <= 600
+    counts = sample_shots(circuit, 1000, rng_seed=123)
+    assert 400 <= counts[0] <= 600
     again = sample_shots(circuit, 1000, rng_seed=123)
-    assert dist.counts == again.counts
+    assert np.array_equal(counts, again)
 
 
 def test_sampling_converges_to_exact_probabilities():
     rng = np.random.default_rng(5)
     circuit = random_circuit(rng, 3, 8)
     probs = exact_probabilities(circuit)
-    dist = sample_shots(circuit, 100_000, rng_seed=99)
-    tv = 0.5 * np.abs(dist.probabilities() - probs).sum()
+    counts = sample_shots(circuit, 100_000, rng_seed=99)
+    tv = 0.5 * np.abs(counts / 100_000 - probs).sum()
     assert tv < 0.05
 
 
 def test_estimate_expectation_ground_state_counts():
     inst = make_instance("cycle", 3, 0, "maxcut")
     ground = inst.spectrum.ground_states[0]
-    dist = ShotDistribution(3, 1000, {ground: 1000})
-    assert estimate_expectation(dist, inst.ham) == inst.spectrum.e_min
+    counts = counts_of((ground, 1000), n=3)
+    assert estimate_expectation(counts, inst.ham) == inst.spectrum.e_min
 
 
 def test_estimate_expectation_uniform_counts_is_table_mean():
     inst = make_instance("cycle", 3, 0, "maxcut")
-    dist = ShotDistribution(3, 800, {b: 100 for b in range(8)})
-    assert estimate_expectation(dist, inst.ham) == pytest.approx(inst.ham.energy.mean())
+    counts = counts_of(*((b, 100) for b in range(8)), n=3)
+    assert estimate_expectation(counts, inst.ham) == pytest.approx(inst.ham.energy.mean())
 
 
 def test_estimate_expectation_k3_half_half():
     # 500 shots on 0b011 and 500 on 0b100, both cut-2 bipartitions of K3
     inst = make_instance("cycle", 3, 0, "maxcut")
-    dist = ShotDistribution(3, 1000, {0b011: 500, 0b100: 500})
-    assert estimate_expectation(dist, inst.ham) == -2.0
+    counts = counts_of((0b011, 500), (0b100, 500), n=3)
+    assert estimate_expectation(counts, inst.ham) == -2.0
 
 
 def test_estimate_expectation_dimension_mismatch():
     inst = make_instance("cycle", 3, 0, "maxcut")
-    dist = ShotDistribution(2, 10, {0: 10})
     with pytest.raises(ConfigurationError):
-        estimate_expectation(dist, inst.ham)
-
-
-def test_shot_distribution_validates_counts():
-    with pytest.raises(ConfigurationError):
-        ShotDistribution(2, 10, {0: 5})  # does not sum to n_shots
-    with pytest.raises(ConfigurationError):
-        ShotDistribution(1, 3, {4: 3})  # outcome out of range
+        estimate_expectation(counts_of((0, 10), n=2), inst.ham)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,7 @@ def random_state(n, seed):
 @given(data=st.data())
 def test_run_circuit_matches_oracle_property(layer, data):
     circuit = data.draw(circuits(layer))
-    amps = run_circuit(circuit).amplitudes
+    amps = run_circuit(circuit)
     assert np.max(np.abs(amps - circuit_unitary(circuit)[:, 0])) <= 1e-10
     probs = exact_probabilities(circuit)
     assert np.max(np.abs(probs - circuit_probabilities(circuit))) <= 1e-10
@@ -264,8 +267,9 @@ def test_apply_gate_matches_oracle_unitary_property(kind, data):
     amps = random_state(n, data.draw(st.integers(0, 2**32 - 1)))
     # both qubit orders of a two-qubit gate
     for g in {gate, GateApplication(gate.kind, gate.qubits[::-1], gate.param_index, gate.coeff, gate.angle)}:
-        state = apply_gate(StateVector(n, amps.copy()), g, params)
-        assert np.max(np.abs(state.amplitudes - gate_unitary(g, n, params) @ amps)) <= 1e-10
+        state = amps.copy()
+        apply_gate(state, g, params)
+        assert np.max(np.abs(state - gate_unitary(g, n, params) @ amps)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -278,41 +282,36 @@ def test_sample_from_probabilities_is_the_clipped_normalised_multinomial(seed):
     probs = np.random.default_rng(seed + 1).random(32) ** 3
     probs /= probs.sum()
     probs[[3, 17]] = -1e-17  # float drift the clip removes
-    dist = sample_from_probabilities(probs, 5, 1000, seed)
+    counts = sample_from_probabilities(probs, 1000, seed)
     p = np.clip(probs, 0.0, None)
     expected = np.random.default_rng(seed).multinomial(1000, p / p.sum())
-    assert np.array_equal(dist.count_vector, expected)
-    assert dist.counts == {b: int(c) for b, c in enumerate(expected) if c}
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 99])
 def test_estimate_expectation_matches_per_outcome_sum(seed):
     inst = make_instance("three_regular", 8, 1, "maxcut")
     circuit = random_circuit(np.random.default_rng(seed), 8, 16)
-    dist = sample_shots(circuit, 1000, rng_seed=seed)
+    counts = sample_shots(circuit, 1000, rng_seed=seed)
     total = 0.0
-    for b, c in dist.counts.items():
-        total += c * inst.ham.energy[b]
-    assert abs(estimate_expectation(dist, inst.ham) - total / dist.n_shots) <= 1e-12
+    for b in np.flatnonzero(counts):
+        total += counts[b] * inst.ham.energy[b]
+    assert abs(estimate_expectation(counts, inst.ham) - total / 1000) <= 1e-12
 
 
-def test_shot_distribution_dense_and_mapping_forms_agree():
-    dense = np.zeros(8, dtype=np.int64)
-    dense[[1, 6]] = [3, 7]
-    from_dense = ShotDistribution(3, 10, dense)
-    from_mapping = ShotDistribution(3, 10, {1: 3, 6: 7})
-    assert np.array_equal(from_dense.count_vector, from_mapping.count_vector)
-    assert from_dense.counts == {1: 3, 6: 7}
-    with pytest.raises(ConfigurationError):
-        ShotDistribution(3, 10, np.zeros(4, dtype=np.int64))  # wrong length
-
-
-def test_state_vector_takes_a_contiguous_complex_copy_of_strided_input():
-    amps = np.zeros(8)
-    amps[0] = 1.0
-    state = StateVector(2, amps[::2])
-    apply_gate(state, GateApplication(GateKind.RX, (0,), angle=np.pi))
-    assert np.allclose(np.abs(state.amplitudes), [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(amps, [1, 0, 0, 0, 0, 0, 0, 0])
-    with pytest.raises(ConfigurationError):
-        StateVector(2, np.zeros(3))
+def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
+    # a reshape of any of these would update a copy, or fail, instead of the state
+    gate = GateApplication(GateKind.RX, (0,), angle=np.pi)
+    strided = np.zeros(8, dtype=complex)
+    strided[0] = 1.0
+    real = np.array([1.0, 0.0, 0.0, 0.0])
+    for bad in (strided[::2], real, ket_zero(2)[:3], ket_zero(2).reshape(2, 2), ket_zero(0)):
+        before = bad.copy()
+        with pytest.raises(ConfigurationError):
+            apply_gate(bad, gate)
+        assert np.array_equal(bad, before)
+    assert np.array_equal(strided, [1, 0, 0, 0, 0, 0, 0, 0])
+    state = ket_zero(2)
+    apply_gate(state, gate)
+    assert np.allclose(np.abs(state), [0.0, 1.0, 0.0, 0.0])
