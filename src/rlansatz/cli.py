@@ -210,7 +210,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
+    if args.runs < 1:
+        raise ConfigurationError(f"--runs must be >= 1, got {args.runs}")
     inst = cfg.build_instance()
     circuit_path = Path(args.circuit)
     if not circuit_path.is_file():
@@ -220,6 +221,7 @@ def cmd_eval(args) -> int:
         raise ConfigurationError(
             f"circuit on {circuit.n_qubits} qubits vs instance on {inst.n}"
         )
+    out = _out_dir(cfg, args)
     report = evaluate_circuit(
         circuit,
         inst,

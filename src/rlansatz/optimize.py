@@ -1,19 +1,26 @@
 """Derivative-free parameter optimization of circuits on shot estimates.
 
-The optimizer is COBYLA (linear-interpolation trust region, run
-unconstrained), delegated to SciPy behind a wrapper that enforces the
-evaluation budget, tracks the best evaluation ever seen and rejects
-non-finite objective values. ``OptimizerConfig`` holds its settings: the
-budget and the initial and final trust radius.
+The optimizer is COBYLA run without constraints: a linear model through the
+n+1 vertices of a simplex, a step to the edge of a trust region along the
+model's descent direction, and a resolution ``rho`` that shrinks from
+``rho_begin`` to ``rho_end``. The loop is a NumPy port of the unconstrained
+case of Zhang's PRIMA reference implementation of Powell's 1994 method
+(doi:10.5281/zenodo.8052654), whose Python translation SciPy >= 1.16 runs;
+with no constraints the trust-region LP becomes a step of length ``delta``
+along -g, and the merit function is the objective. ``cobyla_minimize``
+wraps the loop: it enforces the evaluation budget, tracks the best
+evaluation ever seen and rejects non-finite objective values.
+``OptimizerConfig`` holds its settings.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .circuits import Circuit
 from .errors import ConfigurationError, OptimizationError
@@ -60,13 +67,13 @@ class _Recorder:
     def __call__(self, x: np.ndarray) -> float:
         if self.evaluations >= self.budget:
             raise _BudgetExhausted
-        value = float(self.objective(np.asarray(x, dtype=float)))
-        if not np.isfinite(value):
-            raise OptimizationError(f"non-finite objective value {value!r} at params {np.asarray(x)!r}")
+        value = float(self.objective(x))
+        if not math.isfinite(value):
+            raise OptimizationError(f"non-finite objective value {value!r} at params {x!r}")
         self.evaluations += 1
         if value < self.best_value:
             self.best_value = value
-            self.best_params = np.array(x, dtype=float)
+            self.best_params = x.copy()
         return value
 
 
@@ -77,27 +84,335 @@ def cobyla_minimize(
 ) -> OptimizationResult:
     """Minimize with COBYLA under a hard objective-evaluation budget.
 
-    Terminates when the trust radius shrinks below ``rho_end`` or the budget
-    is exhausted; ``best_value`` is the minimum over all evaluations, not the
-    last iterate. Deterministic for a deterministic objective.
+    Terminates when the resolution ``rho`` has reached ``rho_end`` (then
+    ``converged`` is true) or the budget is exhausted; ``best_value`` is the
+    minimum over all evaluations, not the last iterate. Deterministic for a
+    deterministic objective.
     """
     config = config or OptimizerConfig()
     config.validate()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
     recorder = _Recorder(objective, config.max_iterations)
     if x0.size == 0:
         value = recorder(x0)
-        return OptimizationResult(x0.copy(), value, 1, True)
-    options = {"rhobeg": config.rho_begin, "tol": config.rho_end, "maxiter": config.max_iterations}
-    converged = False
+        return OptimizationResult(x0, value, 1, True)
     try:
-        result = _scipy_minimize(recorder, x0, method="COBYLA", options=options)
-        converged = bool(result.success)
+        converged = _cobyla(recorder, x0, config.max_iterations, config.rho_begin, config.rho_end)
     except _BudgetExhausted:
-        pass
-    if recorder.best_params is None:
-        raise OptimizationError("optimizer made no evaluations")
+        converged = False
     return OptimizationResult(recorder.best_params, recorder.best_value, recorder.evaluations, converged)
+
+
+# PRIMA's trust-region settings: ratio thresholds for shrinking and growing
+# delta (PRIMA derives eta2 from eta1; it is 0.7000000000000001, and
+# reduction ratios of exactly that value occur on shot estimates), the
+# shrink and growth factors, and the factor below which delta is reset to
+# rho (max(1, min(0.75 * gamma2, 1.5))).
+_ETA1 = 0.1
+_ETA2 = (_ETA1 + 2) / 3
+_GAMMA1, _GAMMA2, _GAMMA3 = 0.5, 2.0, 1.5
+_EPS = float(np.finfo(float).eps)
+# Without constraints PRIMA's penalty parameter stays at eps, so a step
+# counts only if it predicts a decrease above 1e-6 * eps * rho.
+_MIN_PREDICTED = 1e-6 * _EPS
+
+
+def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho_begin: float, rho_end: float) -> bool:
+    """PRIMA's COBYLA iteration without constraints; true when ``rho`` reached ``rho_end``.
+
+    ``sim[:, n]`` is the best vertex so far (the pole), ``sim[:, j]`` the
+    step from it to vertex j, ``fval`` the values in that order and ``simi``
+    the inverse of ``sim[:, :n]``. ``delta`` is the trust-region radius and
+    ``rho`` the resolution, its lower bound. The arithmetic follows PRIMA's
+    Python translation operation by operation, so a deterministic objective
+    is evaluated at the same points. ``fun`` raises when ``budget`` runs
+    out; PRIMA itself needs at least n + 2 evaluations.
+
+    What the constraints needed is gone: the penalty parameter stays at eps
+    and multiplies zero violations, so the merit function is f, and the
+    pole is already the best vertex wherever PRIMA re-picks it after
+    updating the penalty. The filter and the history only chose the
+    returned point, which ``fun`` tracks.
+    """
+    n = x0.size
+    maxfun = max(budget, n + 2)
+    # initxfc: x0, then a step of rho_begin along each axis from the best point so far
+    sim = np.eye(n, n + 1) * rho_begin
+    sim[:, n] = x0
+    fval = np.empty(n + 1)
+    fval[n] = fun(x0)
+    for j in range(n):
+        x = sim[:, n].copy()
+        x[j] += rho_begin
+        fval[j] = fun(x)
+        if fval[j] < fval[n]:
+            fval[j], fval[n] = fval[n], fval[j]
+            sim[:, n] = x
+            sim[j, : j + 1] = -rho_begin
+    simi = np.linalg.inv(sim[:, :n])
+    nf = n + 1
+    near = 1e-4 * rho_end
+
+    def value_at(d: np.ndarray) -> float:
+        """f at the pole plus d, or the value of a vertex within 1e-4 * rho_end of that point.
+
+        Steps are at least 0.1 * rho long, so the pole itself is never that close.
+        """
+        nonlocal nf
+        x = sim[:, n] + d
+        gaps = x[:, None] - (sim[:, n, None] + sim[:, :n])
+        distsq = (gaps * gaps).sum(axis=0)
+        j = distsq.argmin()
+        if distsq[j] <= near * near:
+            return fval[j]
+        nf += 1
+        return fun(x)
+
+    rho = delta = rho_begin
+    converged = False
+    for _ in range(10 * maxfun):
+        g = (fval[:n] - fval[n]) @ simi
+        d = _trstlp(g, delta)
+        dnorm = min(delta, math.sqrt(d @ d))
+        shortd = dnorm <= 0.1 * rho
+        prerem = -(d @ g)
+        trfail = not prerem > _MIN_PREDICTED * rho
+        # PRIMA tests the geometry of the simplex as the iteration finds it;
+        # the test matters only after a bad step, so it is made only then.
+        # A step is bad when it is short or fails, or when ratio <= 0, which
+        # also covers setdrop_tr finding no vertex to drop.
+        geo_delta, col_sq = delta, None
+        if shortd or trfail:
+            delta *= 0.1
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+            bad_trstep = True
+        else:
+            f = value_at(d)
+            actrem = fval[n] - f
+            ratio = actrem / prerem
+            bad_trstep = ratio <= 0
+            if bad_trstep:
+                col_sq = _col_sq(sim)
+            delta = _trrad(delta, dnorm, ratio)
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi, col_sq)
+            if jdrop_tr is not None:
+                simi = _updatexfc(jdrop_tr, d, f, sim, simi, fval)
+                if simi is None:  # rounding ruined the simplex
+                    break
+            if nf >= maxfun:
+                break
+        if not bad_trstep:
+            continue
+        if col_sq is None:
+            col_sq = _col_sq(sim)
+        adequate_geo = col_sq.max() <= 4 * (geo_delta * geo_delta)
+        if not adequate_geo:
+            col_sq = _col_sq(sim)
+            if not col_sq.max() <= 4 * (delta * delta):
+                # geostep: move the farthest vertex to delta/2 from the pole,
+                # normal to the opposite face, on the model's downhill side
+                jdrop_geo = int(col_sq.argmax())
+                d = simi[jdrop_geo]
+                d = (delta / 2) * (d / math.sqrt(d @ d))
+                g = (fval[:n] - fval[n]) @ simi
+                if -(d @ g) < d @ g:
+                    d = -d
+                simi = _updatexfc(jdrop_geo, d, value_at(d), sim, simi, fval)
+                if simi is None or nf >= maxfun:
+                    break
+        elif max(delta, dnorm) <= rho:
+            if rho <= rho_end:
+                converged = True
+                break
+            delta = max(0.5 * rho, _redrho(rho, rho_end))
+            rho = _redrho(rho, rho_end)
+    # PRIMA tries the last step once more when a short one ended the run.
+    # Here a step is either zero or delta >= rho long, so a short step is
+    # zero and PRIMA skips it.
+    return converged
+
+
+def _col_sq(sim: np.ndarray) -> np.ndarray:
+    """Squared distance of each vertex from the pole."""
+    steps = sim[:, :-1]
+    return (steps * steps).sum(axis=0)
+
+
+def _trstlp(g: np.ndarray, delta: float) -> np.ndarray:
+    """PRIMA ``trstlp`` without constraints: the step of length ``delta`` along -g.
+
+    PRIMA reaches it through a QR update of the identity by Givens rotations
+    (``qradd_Rdiag``); this replays that arithmetic. Rotation k turns
+    (g[k], h[k + 1]) into (h[k], 0), where ``h`` holds the running norms
+    from the last coordinate up; ``z``, the first column of Q, is built in
+    the same order. PRIMA's rescaled rotation for entries beyond 1e+-154 is
+    left out.
+    """
+    cq = g.tolist()
+    big = max(map(abs, cq))
+    if big > 1e12:
+        cq = (g * max(2 * np.finfo(float).tiny, 1 / big)).tolist()
+    n = len(cq)
+    h = cq[:]
+    _norm_chain(cq, h, n - 1, math.hypot)
+    # math.hypot can differ from NumPy's hypot in the last bit: check the
+    # chain in one call, and redo it with np.hypot from the first miss on
+    exact = np.hypot(cq[:-1], h[1:]).tolist()
+    miss = next((k for k in range(n - 2, -1, -1) if h[k + 1] != 0 and h[k] != exact[k]), None)
+    if miss is not None:
+        h[miss] = exact[miss]
+        _norm_chain(cq, h, miss, lambda a, b: float(np.hypot(a, b)))
+    if not abs(h[0]) > _EPS * _EPS:
+        return np.zeros(n)
+    # PRIMA's np.linalg.norm of each pair is the pair's dot product, as here
+    pairs = np.empty((n - 1, 1, 2))
+    pairs[:, 0, 0] = cq[:-1]
+    pairs[:, 0, 1] = h[1:]
+    r = np.sqrt(pairs @ pairs.transpose(0, 2, 1)).ravel().tolist()
+    z = [1.0]
+    for k in range(n - 2, -1, -1):
+        x0, x1 = cq[k], h[k + 1]
+        if x1 == 0:  # nothing to rotate
+            z = [1.0] + [0.0] * len(z)
+            continue
+        if abs(x1) <= _EPS * abs(x0):
+            c, s = math.copysign(1.0, x0), 0.0
+        elif abs(x0) <= _EPS * abs(x1):
+            c, s = 0.0, math.copysign(1.0, x1)
+        else:
+            c, s = x0 / r[k], x1 / r[k]
+        z = [c] + [s * zi for zi in z]
+    sdirn = (-1 / h[0]) * np.array(z)
+    ss = sdirn @ sdirn
+    if ss <= _EPS * delta * delta:
+        return np.zeros(n)
+    return (math.sqrt(ss * (delta * delta)) / ss) * sdirn
+
+
+def _norm_chain(cq: list, h: list, top: int, hypot) -> None:
+    """Set h[k] = hypot(cq[k], h[k + 1]) for k from top - 1 down.
+
+    Where h[k + 1] is zero there is nothing to rotate, and h[k] is cq[k].
+    """
+    for k in range(top - 1, -1, -1):
+        h[k] = hypot(cq[k], h[k + 1]) if h[k + 1] != 0 else cq[k]
+
+
+def _trrad(delta: float, dnorm: float, ratio: float) -> float:
+    """PRIMA ``trrad``: the next trust-region radius after a step of length ``dnorm``."""
+    if ratio <= _ETA1:
+        return _GAMMA1 * dnorm
+    if ratio <= _ETA2:
+        return max(_GAMMA1 * delta, dnorm)
+    return max(_GAMMA1 * delta, _GAMMA2 * dnorm)
+
+
+def _redrho(rho: float, rho_end: float) -> float:
+    """PRIMA ``redrho``: the next resolution below ``rho``."""
+    ratio = rho / rho_end
+    if ratio > 250:
+        return 0.1 * rho
+    if ratio <= 16:
+        return rho_end
+    return math.sqrt(ratio) * rho_end
+
+
+def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq) -> int | None:
+    """PRIMA ``setdrop_tr``: the vertex that the trust-region point replaces, or None.
+
+    ``col_sq`` holds the squared distances of the vertices from the pole.
+    """
+    n = d.size
+    distsq = np.empty(n + 1)
+    if ximproved:
+        gaps = sim[:, :n] - d[:, None]
+        distsq[:n] = (gaps * gaps).sum(axis=0)
+        distsq[n] = (d * d).sum()
+    else:
+        distsq[:n] = col_sq
+        distsq[n] = 0.0
+    scale = max(rho, delta / 10)
+    simid = simi @ d
+    score = np.empty(n + 1)
+    np.abs(simid, out=score[:n])
+    score[n] = abs(1 - simid.sum()) if ximproved else -1
+    score *= np.maximum(1, distsq / (scale * scale))
+    jdrop = int(score.argmax())
+    if score[jdrop] > 0:
+        return jdrop
+    return int(distsq.argmax()) if ximproved else None
+
+
+def _updatexfc(j: int, d, f: float, sim, simi, fval):
+    """PRIMA ``updatexfc``: vertex j becomes the pole plus d, with value f.
+
+    ``sim`` and ``fval`` change in place. Returns the updated inverse, or
+    None when rounding has ruined it.
+    """
+    n = fval.size - 1
+    if j < n:
+        sim[:, j] = d
+        row = simi[j] / (simi[j] @ d)
+        simi -= (simi @ d)[:, None] * row
+        simi[j] = row
+    else:
+        sim[:, n] += d
+        sim[:, :n] -= d[:, None]
+        simid = simi @ d
+        simi += simid[:, None] * (simi.sum(axis=0) / (1 - sum(simid)))
+    simi = _checked_inverse(sim, simi)
+    if simi is None:
+        return None
+    fval[j] = f
+    return _updatepole(sim, simi, fval)
+
+
+def _updatepole(sim, simi, fval):
+    """PRIMA ``updatepole``: make the best vertex the pole (a tie keeps the pole).
+
+    When the pole stays, PRIMA re-checks ``simi``; every caller has just
+    checked it, so that is skipped.
+    """
+    n = fval.size - 1
+    jopt = int(fval.argmin())
+    if not fval[jopt] < fval[n]:
+        return simi
+    sim[:, n] += sim[:, jopt]
+    step = sim[:, jopt].copy()
+    sim[:, jopt] = 0
+    sim[:, :n] -= step[:, None]
+    simi[jopt] = -simi.sum(axis=0)
+    simi = _checked_inverse(sim, simi)
+    if simi is not None:
+        fval[jopt], fval[n] = fval[n], fval[jopt]
+    return simi
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _checked_inverse(sim, simi):
+    """``simi``, re-inverted when ``simi @ sim[:, :n]`` strays from I by more than 0.1; None beyond 1."""
+    n = simi.shape[0]
+    eye = _eye(n)
+    erri = np.abs(simi @ sim[:, :n] - eye).max()
+    if not erri <= 0.1:
+        try:
+            test = np.linalg.inv(sim[:, :n])
+        except np.linalg.LinAlgError:
+            test = None
+        if test is not None:
+            erri_test = np.abs(test @ sim[:, :n] - eye).max()
+            if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+                simi, erri = test, erri_test
+    return simi if erri <= 1 else None
 
 
 def optimize_circuit(

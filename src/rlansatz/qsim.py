@@ -147,9 +147,14 @@ def apply_gate(amplitudes: np.ndarray, gate: GateApplication, params: np.ndarray
             "apply_gate needs one C-contiguous complex128 vector of length 2^n, "
             f"got {amplitudes.dtype} of shape {amplitudes.shape}"
         )
+    _apply_gate(amplitudes, n, gate, params)
+
+
+def _apply_gate(psi: np.ndarray, n: int, gate: GateApplication, params: np.ndarray | None) -> None:
+    """Check that the gate's qubits are below n, then apply it to ``psi`` in place."""
     if any(q >= n for q in gate.qubits):
         raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-    _apply(amplitudes, n, gate.kind, gate.qubits, gate.resolved_angle(params))
+    _apply(psi, n, gate.kind, gate.qubits, gate.resolved_angle(params))
 
 
 def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
@@ -171,8 +176,8 @@ def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarra
     else:
         psi = np.zeros(1 << n, dtype=complex)
         psi[0] = 1.0
-    for gate in gates:
-        apply_gate(psi, gate, theta)
+    for gate in gates:  # psi is built here, so apply_gate's check of the vector is not needed
+        _apply_gate(psi, n, gate, theta)
     return psi
 
 

@@ -132,3 +132,22 @@ def random_circuit(rng: np.random.Generator, n: int, n_gates: int):
         else:
             gates.append(GateApplication(kind, qubits, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
     return Circuit(n, gates)
+
+
+def scipy_cobyla(objective, x0, rho_begin, rho_end, budget):
+    """SciPy's COBYLA on ``objective``: the points it evaluates and its result.
+
+    Since scipy 1.16 this is PRIMA's Python translation. PRIMA raises a
+    budget below n + 2 to n + 2, so points past ``budget`` are dropped.
+    """
+    from scipy.optimize import minimize
+
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return objective(x)
+
+    options = {"rhobeg": rho_begin, "tol": rho_end, "maxiter": max(budget, len(x0) + 2)}
+    result = minimize(recorded, x0, method="COBYLA", options=options)
+    return points[:budget], result

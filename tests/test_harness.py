@@ -193,6 +193,34 @@ def test_eval_saved_circuit(tmp_path):
     assert 0.0 <= doc["exact_approx_ratio"] <= 1.0
 
 
+def test_eval_zero_runs_exits_2_before_creating_output(tmp_path):
+    from rlansatz.ansatz import build_qaoa
+    from rlansatz.problems import make_instance
+
+    cfg = write_config(tmp_path / "toy.ini")
+    circuit = tmp_path / "qaoa1.json"
+    build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).save(circuit)
+    out = tmp_path / "ev"
+    code = main(["eval", "--config", str(cfg), "--circuit", str(circuit), "--out", str(out), "--runs", "0"])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rlansatz
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rlansatz.__file__).resolve().parents[1])}
+    probe = "import sys, rlansatz.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_eval_wrong_size_circuit_exits_2(tmp_path):
     cfg = write_config(tmp_path / "toy.ini")
     other = write_config(tmp_path / "other.ini", n=6)
@@ -236,7 +264,7 @@ def consumers(monkeypatch):
         (config, "make_instance"),
         (training, "CircuitBuildEnv"),
         (training, "compute_returns_and_advantages"),
-        (optimize, "_scipy_minimize"),
+        (optimize, "_cobyla"),
         (cli, "evaluate_circuit"),
         (cli, "train"),
     )
@@ -260,8 +288,8 @@ def _env(key):
     return lambda seen: getattr(seen["CircuitBuildEnv"]["config"], key)
 
 
-def _cobyla(option):
-    return lambda seen: seen["_scipy_minimize"]["options"][option]
+def _cobyla(arg):
+    return lambda seen: seen["_cobyla"][arg]
 
 
 def _evaluate(arg):
@@ -285,9 +313,9 @@ KEY_TABLE = [
     ("rl", "gae_lambda", "0.8", 0.8, "train", lambda seen: seen["compute_returns_and_advantages"]["gae_lambda"]),
     ("rl", "max_episode_steps_factor", "1", 1, "train", _env("max_episode_steps_factor")),
     ("rl", "patience", "1", 1, "train", _env("patience")),
-    ("optimizer", "max_iterations", "12", 12, "baseline", _cobyla("maxiter")),
-    ("optimizer", "rho_begin", "0.5", 0.5, "baseline", _cobyla("rhobeg")),
-    ("optimizer", "rho_end", "0.001", 0.001, "baseline", _cobyla("tol")),
+    ("optimizer", "max_iterations", "12", 12, "baseline", _cobyla("budget")),
+    ("optimizer", "rho_begin", "0.5", 0.5, "baseline", _cobyla("rho_begin")),
+    ("optimizer", "rho_end", "0.001", 0.001, "baseline", _cobyla("rho_end")),
     ("run", "shots", "60", 60, "baseline", _evaluate("n_shots")),
     ("run", "eval_runs", "2", 2, "baseline", _evaluate("n_runs")),
     ("run", "master_seed", "7", 7, "baseline", _evaluate("seed")),
@@ -367,8 +395,8 @@ def test_optimizer_keys_reach_matrix_and_eval(tmp_path, consumers, command):
     build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).save(circuit)
     extra = {"matrix": [], "eval": ["--circuit", str(circuit), "--reoptimize"]}[command]
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
-    options = consumers["_scipy_minimize"]["options"]
-    assert (options["maxiter"], options["rhobeg"], options["tol"]) == (30, 0.5, 0.001)
+    loop = consumers["_cobyla"]
+    assert (loop["budget"], loop["rho_begin"], loop["rho_end"]) == (30, 0.5, 0.001)
 
 
 def test_workers_option_is_train_only(tmp_path):

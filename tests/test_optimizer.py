@@ -1,8 +1,13 @@
 """Derivative-free optimizer contracts and circuit-objective behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import scipy_cobyla
 from rlansatz.ansatz import build_linear_ryz, build_qaoa
 from rlansatz.circuits import h_layer
 from rlansatz.errors import ConfigurationError, OptimizationError
@@ -79,6 +84,159 @@ def test_non_finite_objective_aborts():
 def test_rho_validation():
     with pytest.raises(ConfigurationError):
         cobyla_minimize(lambda x: float(x[0] ** 2), np.zeros(1), OptimizerConfig(rho_begin=1e-5, rho_end=1e-4))
+
+
+# --- scipy's COBYLA as the oracle -------------------------------------------
+
+def spd_sine_objective(dim, seed):
+    """0.5 (x - c)^T Q (x - c) + a sin(k . x) with Q symmetric, eigenvalues in [0.5, 2], and |a| <= 0.2."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = basis @ np.diag(rng.uniform(0.5, 2.0, dim)) @ basis.T
+    centre, wave = rng.normal(size=dim), rng.normal(size=dim)
+    amplitude = rng.uniform(0.0, 0.2)
+
+    def objective(x):
+        gap = x - centre
+        return float(0.5 * gap @ q @ gap + amplitude * np.sin(wave @ x))
+
+    return objective, rng.normal(size=dim)
+
+
+def recorded(objective, points):
+    def wrapped(x):
+        points.append(np.array(x))
+        return objective(x)
+
+    return wrapped
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_cobyla_agrees_with_scipy_cobyla(dim, seed):
+    objective, x0 = spd_sine_objective(dim, seed)
+    config = OptimizerConfig()
+    ours = []
+    result = cobyla_minimize(recorded(objective, ours), x0, config)
+    theirs, reference = scipy_cobyla(objective, x0, config.rho_begin, config.rho_end, config.max_iterations)
+    assert len(ours) >= dim + 1 and len(theirs) >= dim + 1
+    for a, b in zip(ours[: dim + 1], theirs[: dim + 1]):
+        assert np.array_equal(a, b)
+    assert abs(len(ours) - len(theirs)) <= 0.1 * len(theirs)
+    assert abs(result.best_value - reference.fun) <= 1e-5
+    if len(ours) < config.max_iterations and len(theirs) < config.max_iterations:
+        assert result.converged == reference.success
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 0.05]),
+    shots=st.sampled_from([None, 500]),
+    rho_end=st.sampled_from([1e-4, 1e-3, 1 / 222, 0.05]),
+    budget=st.sampled_from([1, 3, 9, 40, 400]),
+)
+def test_cobyla_evaluates_the_points_scipy_cobyla_evaluates(dim, seed, noise, shots, rho_end, budget):
+    """The port repeats PRIMA's arithmetic, so even a noisy objective sees the same points.
+
+    With ``shots`` the values are multiples of 1/shots, as shot estimates
+    are, so reduction ratios hit PRIMA's thresholds exactly.
+    """
+    objective, x0 = spd_sine_objective(dim, seed)
+
+    def noisy():
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            value = objective(x) + noise * np.random.default_rng(calls[0]).normal()
+            return value if shots is None else round(value * shots) / shots
+
+        return f
+
+    ours = []
+    result = cobyla_minimize(recorded(noisy(), ours), x0, OptimizerConfig(max_iterations=budget, rho_end=rho_end))
+    theirs, reference = scipy_cobyla(noisy(), x0, 1.0, rho_end, budget)
+    assert len(ours) == len(theirs) == result.evaluations
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    if result.evaluations < budget:
+        assert result.converged == reference.success
+
+
+@pytest.fixture
+def prima():
+    """The modules of scipy's translation of PRIMA's COBYLA."""
+    import importlib
+
+    pytest.importorskip("scipy._lib.pyprima")
+    names = ("cobyla.update", "cobyla.geometry", "cobyla.trustregion", "common.redrho", "common.consts")
+    return {name: importlib.import_module(f"scipy._lib.pyprima.{name}") for name in names}
+
+
+def random_simplex(rng, n, drift):
+    """A pole, n steps, their values and an inverse of the steps that is off by about ``drift``."""
+    sim = np.column_stack([rng.normal(size=(n, n)) + 3 * np.eye(n), rng.normal(size=n)])
+    simi = np.linalg.inv(sim[:, :n]) + drift * rng.normal(size=(n, n)) / n
+    return sim, simi, rng.normal(size=n + 1)
+
+
+def test_simplex_updates_match_prima(prima):
+    """``_updatexfc`` (with its pole switch and re-inversion) and ``_setdrop_tr`` against PRIMA's own."""
+    from rlansatz.optimize import _EPS, _col_sq, _setdrop_tr, _updatexfc
+
+    update, geometry = prima["cobyla.update"], prima["cobyla.geometry"]
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = 1 + case % 8
+        sim, simi, fval = random_simplex(rng, n, drift=[0.0, 0.3, 3.0][case % 3])
+        d, f = rng.normal(size=n), float(rng.normal())
+        delta = 10 ** rng.uniform(-1.5, 1)
+        rho = delta * 10 ** rng.uniform(-2, 0)
+        for ximproved in (True, False):
+            expected = geometry.setdrop_tr(ximproved, d, delta, rho, sim, simi)
+            assert _setdrop_tr(ximproved, d, delta, rho, sim, simi, _col_sq(sim)) == expected
+        j = int(rng.integers(0, n + 1))
+        sim_o, fval_o = sim.copy(), fval.copy()
+        simi_o = _updatexfc(j, d, f, sim_o, simi.copy(), fval_o)
+        no_constraints = (np.zeros(0), _EPS, 0.0, d, f, np.zeros((0, n + 1)), np.zeros(n + 1))
+        sim_p, simi_p, fval_p, _, _, info = update.updatexfc(j, *no_constraints, fval.copy(), sim.copy(), simi.copy())
+        if info != 0:  # PRIMA's DAMAGING_ROUNDING: the run stops
+            assert simi_o is None
+            continue
+        assert np.array_equal(sim_o, sim_p) and np.array_equal(simi_o, simi_p) and np.array_equal(fval_o, fval_p)
+
+
+def test_radius_and_resolution_updates_match_prima(prima):
+    from rlansatz.optimize import _redrho, _trrad
+
+    trrad, redrho = prima["cobyla.trustregion"].trrad, prima["common.redrho"].redrho
+    eta1 = prima["common.consts"].ETA1_DEFAULT
+    eta2 = (eta1 + 2) / 3  # as PRIMA's cobyla() sets it when only eta1 has a default
+    for ratio in (-1.0, 0.0, 0.05, 0.1, 0.4, 0.7, 0.7000000000000001, 0.9, 3.0):
+        for delta, dnorm in ((1.0, 1.0), (0.3, 0.1), (0.2, 0.15)):
+            assert _trrad(delta, dnorm, ratio) == trrad(delta, dnorm, eta1, eta2, 0.5, 2.0, ratio)
+    for rho in (1.0, 0.5, 0.1, 0.0226, 0.02, 0.0016, 0.0011):
+        assert _redrho(rho, 1e-4) == redrho(rho, 1e-4)
+
+
+def test_trust_region_step_matches_prima(prima):
+    """``_trstlp`` against PRIMA's own, also where math.hypot and np.hypot round differently."""
+    from rlansatz.optimize import _trstlp
+
+    trustregion = prima["cobyla.trustregion"]
+    rng = np.random.default_rng(3)
+    gradients = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in range(1, 12) for _ in range(20)]
+    gradients += [np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]), np.array([3e12, -1.0, 4e11])]
+    rounds_apart = []
+    while len(rounds_apart) < 5:
+        a, b = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, size=2)
+        if math.hypot(a, b) != np.hypot(a, b):
+            rounds_apart.append(np.array([rng.normal(), a, b]))
+    for g in gradients + rounds_apart:
+        for delta in (1.0, 0.3, 1e-4):
+            expected = trustregion.trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
+            assert np.array_equal(_trstlp(g, delta), expected), (g, delta)
 
 
 # --- circuit objectives -----------------------------------------------------
