@@ -19,7 +19,7 @@ import numpy as np
 from ..circuits import ActionSpace, Circuit, action_space, circuit_depth_basis, h_layer
 from ..optimize import OptimizerConfig, optimize_circuit
 from ..problems import ProblemInstance
-from ..qsim import estimate_expectation, sample_shots
+from ..qsim import estimate_expectation, exact_probabilities, sample_from_probabilities, sample_shots
 from ..seeding import OBS_STREAM, OPT_STREAM, REWARD_STREAM, derive_seed
 
 
@@ -81,9 +81,6 @@ class CircuitBuildEnv:
     def n_actions(self) -> int:
         return self.actions.size
 
-    def _observe(self, obs_seed: int) -> np.ndarray:
-        return sample_shots(self.circuit, self.config.shots, obs_seed) / self.config.shots
-
     def reset(self) -> np.ndarray:
         """Start a new episode from a bare Hadamard layer."""
         self.episode += 1
@@ -92,7 +89,8 @@ class CircuitBuildEnv:
         self.best_episode_reward = -np.inf
         self.circuit = h_layer(self.inst.n)
         self.done = False
-        return self._observe(derive_seed(self.seed, self.episode, 0, OBS_STREAM))
+        obs_seed = derive_seed(self.seed, self.episode, 0, OBS_STREAM)
+        return sample_shots(self.circuit, self.config.shots, obs_seed) / self.config.shots
 
     def step(self, action_id: int) -> tuple[np.ndarray, float, bool, StepInfo]:
         cfg = self.config
@@ -106,10 +104,10 @@ class CircuitBuildEnv:
         opt_seed = derive_seed(self.seed, self.episode, step_key, OPT_STREAM)
         result = optimize_circuit(self.circuit, self.inst, cfg.shots, opt_seed, cfg.optimizer)
 
+        # the reward and the observation sample the same optimized circuit
+        probs = exact_probabilities(self.circuit)
         reward_seed = derive_seed(self.seed, self.episode, step_key, REWARD_STREAM)
-        expectation = estimate_expectation(
-            sample_shots(self.circuit, cfg.shots, reward_seed), self.inst.ham
-        )
+        expectation = estimate_expectation(sample_from_probabilities(probs, cfg.shots, reward_seed), self.inst.ham)
         depth = circuit_depth_basis(self.circuit)
         reward = -expectation - cfg.beta * depth
 
@@ -123,7 +121,7 @@ class CircuitBuildEnv:
         self.done = self.steps >= cfg.max_episode_steps_factor * self.inst.n or self.patience <= 0
 
         obs_seed = derive_seed(self.seed, self.episode, step_key, OBS_STREAM)
-        observation = self._observe(obs_seed)
+        observation = sample_from_probabilities(probs, cfg.shots, obs_seed) / cfg.shots
         info = StepInfo(
             episode=self.episode,
             step=self.steps,

@@ -55,8 +55,8 @@ class EvalReport:
 def evaluate_circuit(
     circuit: Circuit,
     inst: ProblemInstance,
-    n_runs: int = 10,
-    n_shots: int = 1000,
+    n_runs: int,
+    n_shots: int,
     seed: int = 0,
     *,
     random_init: bool = True,
@@ -101,7 +101,7 @@ def evaluate_circuit(
 
 
 def solution_distribution(
-    circuit: Circuit, inst: ProblemInstance, n_shots: int = 1000, seed: int = 0
+    circuit: Circuit, inst: ProblemInstance, n_shots: int, seed: int = 0
 ) -> dict[float, float]:
     """Sampled-energy histogram of an already-optimized circuit.
 

@@ -16,6 +16,7 @@ evaluation ever seen and rejects non-finite objective values.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +27,7 @@ from .circuits import Circuit
 from .errors import ConfigurationError, OptimizationError
 from .problems import ProblemInstance
 from .qsim import estimate_expectation, sample_shots
-from .seeding import OPT_STREAM, derive_seed
+from .seeding import OPT_STREAM, SeedStream
 
 
 @dataclass
@@ -424,17 +425,17 @@ def optimize_circuit(
 ) -> OptimizationResult:
     """Tune the circuit's parameters against the shot-estimated expectation.
 
-    The objective re-samples every evaluation with a fresh seed derived from
-    ``seed`` and an evaluation counter, mirroring repeated executions on a
-    sampling backend. Warm start: optimization begins at the circuit's
-    current parameters (new gates enter at 0). On return the circuit carries
-    the best parameters found.
+    The objective re-samples every evaluation with a fresh seed,
+    ``derive_seed(seed, OPT_STREAM, k)`` for evaluation k, mirroring repeated
+    executions on a sampling backend. Warm start: optimization begins at the
+    circuit's current parameters (new gates enter at 0). On return the
+    circuit carries the best parameters found.
     """
-    eval_counter = [0]
+    shot_seeds = SeedStream(seed, OPT_STREAM)
+    evaluation = itertools.count()
 
     def objective(theta: np.ndarray) -> float:
-        shot_seed = derive_seed(seed, OPT_STREAM, eval_counter[0])
-        eval_counter[0] += 1
+        shot_seed = shot_seeds[next(evaluation)]
         return estimate_expectation(sample_shots(circuit, n_shots, shot_seed, params=theta), inst.ham)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)

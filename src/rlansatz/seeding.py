@@ -4,9 +4,21 @@ Every stochastic call in the package takes an explicit integer seed. Seeds
 for sub-tasks (per worker, per episode, per objective evaluation, ...) are
 derived from a master seed plus an integer path, so a run is reproducible
 from its master seed alone and parallel consumers never share RNG state.
+
+``derive_seed`` is the definition. An optimization derives one seed per
+objective evaluation, ``derive_seed(seed, OPT_STREAM, k)`` for k = 0, 1,
+..., and samples each evaluation's shots from ``default_rng`` of that seed.
+``SeedStream`` computes those seeds in blocks of ``BLOCK`` counters, and
+with them the PCG64 state that ``default_rng`` would start each seed's
+generator in: numpy's SeedSequence mixing and PCG64 seeding are fixed
+integer arithmetic (O'Neill 2014), so they run on uint32 vectors, one
+lane per counter, with the same bits. ``seeded_generator`` sets a seed's
+state into one reused ``Generator`` instead of building a new one.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,16 +43,21 @@ def derive_seed(master_seed: int, *path: int) -> int:
     32-bit words of the entropy, zero-padded to the pool size when a spawn
     key follows, and then the words of the key; the same words are passed
     here as one uint32 array, which numpy mixes the same way without
-    converting each item. This runs once per objective evaluation.
+    converting each item.
     """
+    ss = np.random.SeedSequence(np.array(_entropy(master_seed, path), dtype=np.uint32))
+    state = ss.generate_state(2, dtype=np.uint32).tolist()
+    return (state[0] << 31) ^ state[1]
+
+
+def _entropy(master_seed: int, path) -> list[int]:
+    """The uint32 words ``SeedSequence(entropy=master_seed, spawn_key=path)`` mixes."""
     words = _words(master_seed)
     if path:
         words += [0] * (_POOL_SIZE - len(words))
         for p in path:
             words += _words(p)
-    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    state = ss.generate_state(2, dtype=np.uint32).tolist()
-    return (state[0] << 31) ^ state[1]
+    return words
 
 
 def _words(value: int) -> list[int]:
@@ -58,3 +75,137 @@ def _words(value: int) -> list[int]:
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
     """A numpy Generator seeded from ``derive_seed(master_seed, *path)``."""
     return np.random.default_rng(derive_seed(master_seed, *path))
+
+
+# -- SeedSequence mixing on uint32 vectors -----------------------------------
+#
+# An array of shape (words, lanes) holds one value per lane; uint32
+# arithmetic wraps mod 2^32 as numpy's C code does. The hash's constant
+# advances with every call, so call i multiplies by init * mult^i; calls
+# that the scalar code makes in a row on values that do not change in
+# between are one array operation here, one row per call.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_consts(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per call ``first``, ..., ``first + calls - 1``: the constant before it and after it, as columns."""
+    consts = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(first, first + calls + 1)], np.uint32)
+    consts.flags.writeable = False  # shared by every caller
+    return consts[:-1, None], consts[1:, None]
+
+
+def _hash(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    """Calls ``first``, ``first + 1``, ... of SeedSequence's hashmix, call i on row i of ``values``."""
+    before, after = _hash_consts(init, mult, first, len(values))
+    values = values ^ before
+    values *= after
+    values ^= values >> _SHIFT
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result ^= result >> _SHIFT
+    return result
+
+
+def _pool(head: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool after it mixes an entropy of at most ``_POOL_SIZE`` rows."""
+    pool = np.zeros((_POOL_SIZE, head.shape[1]), dtype=np.uint32)
+    pool[: len(head)] = head
+    pool = _hash(pool, _INIT_A, _MULT_A, 0)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        calls = _hash(np.broadcast_to(pool[src], (len(dst), pool.shape[1])), _INIT_A, _MULT_A, 4 + 3 * src)
+        pool[dst] = _mix(pool[dst], calls)
+    return pool
+
+
+def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, uint32)`` from a mixed pool, one column per lane."""
+    return _hash(pool[[i % _POOL_SIZE for i in range(n_words)]], _INIT_B, _MULT_B, 0)
+
+
+# -- evaluation seeds ----------------------------------------------------------
+
+BLOCK = 64
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+class SeedStream:
+    """``derive_seed(master_seed, *path, k)`` for k = 0, 1, ..., computed in blocks of ``BLOCK``.
+
+    The entropy of every seed in the stream is one prefix followed by the
+    counter's words, so numpy mixes the prefix once, and a block mixes its
+    counters in on uint32 vectors. Each block also computes the words each
+    of its seeds' own SeedSequence generates for PCG64, which
+    ``seeded_generator`` reads. An optimization uses about 43 of its
+    1000-evaluation budget, so a block is computed only when a counter
+    reaches it.
+    """
+
+    def __init__(self, master_seed: int, *path: int):
+        prefix = _entropy(master_seed, (*path, 0))[:-1]  # at least _POOL_SIZE words; the counter's go last
+        self._pool = np.random.SeedSequence(np.array(prefix, dtype=np.uint32)).pool[:, None]
+        self._first_call = 4 * len(prefix)  # the hash calls the prefix took: 4 + 12 + 4 per word past the pool
+        self._start = -BLOCK
+        self._seeds: list[int] = []
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k - self._start < BLOCK:
+            self._start = k - k % BLOCK
+            self._seeds = self._block(self._start)
+        return self._seeds[k - self._start]
+
+    def _block(self, start: int) -> list[int]:
+        # BLOCK divides 2^32, so every counter of a block has as many words as the first
+        if start >> 32:
+            counter_words = np.array([_words(k) for k in range(start, start + BLOCK)], dtype=np.uint32).T
+        else:
+            counter_words = np.arange(start, start + BLOCK, dtype=np.uint32)[None, :]
+        pool = self._pool
+        for j, word in enumerate(counter_words):
+            calls = _hash(np.broadcast_to(word, (_POOL_SIZE, BLOCK)), _INIT_A, _MULT_A, self._first_call + 4 * j)
+            pool = _mix(pool, calls)
+        s0, s1 = _generate(pool, 2).astype(np.uint64)
+        seeds = (s0 << np.uint64(31)) ^ s1
+        # each seed's SeedSequence mixes its words [low, high]
+        words = _generate(_pool(np.array([seeds & _MASK32, seeds >> np.uint64(32)], dtype=np.uint32)), 8)
+        words = words.astype(np.uint64)
+        seeds = seeds.tolist()
+        _BLOCK_WORDS.clear()
+        _BLOCK_WORDS.update(zip(seeds, (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist()))
+        return seeds
+
+
+# Per seed of the last block a SeedStream computed, the four uint64 words
+# its SeedSequence generates for PCG64: a cache of a pure function of the
+# seed, so what it holds changes no draw, only how fast it is set up.
+_BLOCK_WORDS: dict[int, list[int]] = {}
+_GENERATOR = np.random.default_rng(0)
+
+
+def seeded_generator(seed: int) -> np.random.Generator:
+    """One reused Generator, set to the state ``np.random.default_rng(seed)`` starts in.
+
+    The generator is shared: draw from it before the next call. PCG64 reads
+    its SeedSequence's four words as the initial state (high, low) and the
+    stream (high, low), then sets ``inc = 2 stream + 1`` and
+    ``state = (inc + initstate) * mult + inc`` mod 2^128.
+    """
+    words = _BLOCK_WORDS.get(seed)
+    if words is None:
+        words = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
+    state = ((inc + ((words[0] << 64) | words[1])) * _PCG64_MULT + inc) & _MASK128
+    _GENERATOR.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+    }
+    return _GENERATOR

@@ -1,5 +1,7 @@
 """Simulator checks against independent dense-matrix oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from rlansatz.circuits import (
     h_layer,
 )
 from rlansatz.errors import ConfigurationError, InvalidGateError
+from rlansatz import qsim
 from rlansatz.problems import make_instance
 from rlansatz.qsim import (
     apply_gate,
@@ -315,3 +318,78 @@ def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
     state = ket_zero(2)
     apply_gate(state, gate)
     assert np.allclose(np.abs(state), [0.0, 1.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# The compiled gate plan: the view kernels' bits, the oracles' values, one
+# plan kept.
+# ---------------------------------------------------------------------------
+
+PLAN_SIZES = st.integers(2, max(12, qsim.PLAN_MAX_QUBITS))
+
+
+@st.composite
+def plan_circuits(draw, n, kind):
+    """Gates of ``kind`` mixed among random gates of every kind, after an opening H layer or not."""
+    layer = draw(st.sampled_from(["none", "full", "partial", "repeated"]))
+    body = draw(st.lists(gate_applications(n, (kind,)), min_size=1, max_size=4))
+    body += draw(st.lists(gate_applications(n), max_size=8))
+    gates = leading_h_gates(draw, n, layer) + list(draw(st.permutations(body)))
+    return Circuit(n, gates, np.array(draw(st.lists(ANGLES, min_size=N_PARAMS, max_size=N_PARAMS))))
+
+
+def kernel_probabilities(circuit):
+    amps = qsim._run_kernels(circuit.n_qubits, circuit.gates, circuit.params)
+    return (amps * amps.conj()).real
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_plan_probabilities_equal_the_kernels_bit_for_bit(kind, data):
+    circuit = data.draw(plan_circuits(data.draw(PLAN_SIZES), kind))
+    amps = qsim._Plan(circuit.n_qubits, circuit.gates).run(circuit.params)
+    expected = kernel_probabilities(circuit)
+    assert np.array_equal((amps * amps.conj()).real, expected)
+    assert np.array_equal(exact_probabilities(circuit), expected)
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_plan_and_kernels_match_the_oracle(kind, data):
+    circuit = data.draw(plan_circuits(data.draw(st.integers(2, 6)), kind))
+    oracle = circuit_unitary(circuit)[:, 0]
+    plan = qsim._Plan(circuit.n_qubits, circuit.gates).run(circuit.params)
+    kernels = qsim._run_kernels(circuit.n_qubits, circuit.gates, circuit.params)
+    for amps in (plan, kernels):
+        assert np.max(np.abs(amps - oracle)) <= 1e-10
+    assert np.max(np.abs(exact_probabilities(circuit) - circuit_probabilities(circuit))) <= 1e-10
+
+
+def test_plan_cache_holds_one_plan_after_many_circuits():
+    rng = np.random.default_rng(11)
+    for i in range(1000):
+        circuit = random_circuit(rng, 2 + i % 5, 1 + i % 7)
+        exact_probabilities(circuit)
+    gc.collect()
+    assert sum(isinstance(o, qsim._Plan) for o in gc.get_objects()) <= 1
+
+
+def test_plan_is_rebuilt_when_the_gate_list_changes_in_place():
+    circuit = h_layer(3).appended(GateKind.RYZ, (0, 2), 0.7)
+    first = exact_probabilities(circuit)
+    assert np.array_equal(first, kernel_probabilities(circuit))
+    circuit.gates.append(GateApplication(GateKind.RZX, (1, 0), angle=1.1))
+    second = exact_probabilities(circuit)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(second, kernel_probabilities(circuit))
+
+
+def test_plan_runs_new_angles_without_a_rebuild():
+    circuit = h_layer(4).appended(GateKind.RXY, (3, 1), 0.2).appended(GateKind.RZ, (2,), -0.4)
+    exact_probabilities(circuit)
+    plan = qsim._last_plan
+    for theta in ([0.5, 1.5], [-2.0, 0.1]):
+        assert np.array_equal(exact_probabilities(circuit, np.array(theta)), kernel_probabilities(circuit.with_params(theta)))
+    assert qsim._last_plan is plan

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlansatz.seeding import derive_seed
+from rlansatz.seeding import BLOCK, OPT_STREAM, SeedStream, derive_seed, seeded_generator
 
 
 def seed_sequence_seed(master_seed, *path):
@@ -24,3 +24,37 @@ def test_derive_seed_is_the_seed_sequence_seed(master_seed, path):
 def test_derive_seed_rejects_negative_seeds(args):
     with pytest.raises(ValueError):
         derive_seed(*args)
+
+
+# The evaluation seed stream and the reused generator: the bits of the definitions.
+
+COUNTERS = st.lists(
+    st.one_of(st.integers(0, 4 * BLOCK), st.sampled_from([BLOCK - 1, BLOCK, 2**32 - 1, 2**32, 2**64 + BLOCK])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(master_seed=st.integers(0, 2**140), prefix=st.lists(st.integers(0, 2**70), max_size=4), counters=COUNTERS)
+def test_seed_stream_is_derive_seed(master_seed, prefix, counters):
+    stream = SeedStream(master_seed, *prefix)
+    for k in counters:
+        assert stream[k] == derive_seed(master_seed, *prefix, k)
+
+
+def test_seed_stream_crosses_block_boundaries_in_order():
+    stream = SeedStream(2024, OPT_STREAM)
+    assert [stream[k] for k in range(3 * BLOCK + 5)] == [derive_seed(2024, OPT_STREAM, k) for k in range(3 * BLOCK + 5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.integers(0, 2**140), k=st.integers(0, 2 * BLOCK), probs_seed=st.integers(0, 2**32 - 1))
+def test_reused_generator_draws_what_default_rng_draws(master_seed, k, probs_seed):
+    p = np.random.default_rng(probs_seed).random(64) ** 2
+    p /= p.sum()
+    seed = SeedStream(master_seed, OPT_STREAM)[k]  # its state was computed with the block
+    for s in (seed, master_seed):  # master_seed's state is computed on its own
+        expected = np.random.default_rng(s).multinomial(1000, p)
+        assert np.array_equal(seeded_generator(s).multinomial(1000, p), expected)
+        assert seeded_generator(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
