@@ -178,6 +178,7 @@ def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
 
 
 def _start_state(n: int, uniform: bool) -> np.ndarray:
+    """|0...0>, or the uniform state that an opening H layer makes of it."""
     if uniform:
         return np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
     psi = np.zeros(1 << n, dtype=complex)
@@ -235,7 +236,7 @@ class _Plan:
                 flip |= flips << q
                 z_mask |= (sign < 0) << q
             if (flip, z_mask) not in tables:
-                odd = np.bitwise_count(basis & z_mask) & 1
+                odd = sum((basis >> q) & 1 for q in gate.qubits if z_mask >> q & 1) & 1
                 if flip:
                     tables[flip, z_mask] = (basis ^ flip, (1.0 - 2.0 * odd) if z_mask else None)
                 else:
@@ -247,6 +248,7 @@ class _Plan:
         return n == self.n and len(gates) == len(self.gates) and all(map(operator.is_, gates, self.gates))
 
     def run(self, theta: np.ndarray) -> np.ndarray:
+        """The final state from |0...0> with the parameter vector ``theta``."""
         psi = self.start.copy()
         values = theta.tolist()
         for gate, table, sign, phase in self.steps:

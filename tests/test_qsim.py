@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlansatz import qsim
 from rlansatz.circuits import (
     Circuit,
     DOUBLE_ROTATIONS,
@@ -17,7 +18,6 @@ from rlansatz.circuits import (
     h_layer,
 )
 from rlansatz.errors import ConfigurationError, InvalidGateError
-from rlansatz import qsim
 from rlansatz.problems import make_instance
 from rlansatz.qsim import (
     apply_gate,
@@ -391,5 +391,6 @@ def test_plan_runs_new_angles_without_a_rebuild():
     exact_probabilities(circuit)
     plan = qsim._last_plan
     for theta in ([0.5, 1.5], [-2.0, 0.1]):
-        assert np.array_equal(exact_probabilities(circuit, np.array(theta)), kernel_probabilities(circuit.with_params(theta)))
+        expected = kernel_probabilities(circuit.with_params(theta))
+        assert np.array_equal(exact_probabilities(circuit, np.array(theta)), expected)
     assert qsim._last_plan is plan
