@@ -13,12 +13,14 @@ with them the PCG64 state that ``default_rng`` would start each seed's
 generator in: numpy's SeedSequence mixing and PCG64 seeding are fixed
 integer arithmetic (O'Neill 2014), so they run on uint32 vectors, one
 lane per counter, with the same bits. ``seeded_generator`` sets a seed's
-state into one reused ``Generator`` instead of building a new one.
+state into a reused ``Generator``, one per thread, instead of building a
+new one.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -189,23 +191,27 @@ class SeedStream:
 # its SeedSequence generates for PCG64: a cache of a pure function of the
 # seed, so what it holds changes no draw, only how fast it is set up.
 _BLOCK_WORDS: dict[int, list[int]] = {}
-_GENERATOR = np.random.default_rng(0)
+_THREAD = threading.local()  # one reused Generator per thread
 
 
 def seeded_generator(seed: int) -> np.random.Generator:
-    """One reused Generator, set to the state ``np.random.default_rng(seed)`` starts in.
+    """A reused Generator, set to the state ``np.random.default_rng(seed)`` starts in.
 
-    The generator is shared: draw from it before the next call. PCG64 reads
-    its SeedSequence's four words as the initial state (high, low) and the
-    stream (high, low), then sets ``inc = 2 stream + 1`` and
-    ``state = (inc + initstate) * mult + inc`` mod 2^128.
+    Each thread has one such generator: draw from it before the thread's
+    next call. PCG64 reads its SeedSequence's four words as the initial
+    state (high, low) and the stream (high, low), then sets
+    ``inc = 2 stream + 1`` and ``state = (inc + initstate) * mult + inc``
+    mod 2^128.
     """
+    generator = getattr(_THREAD, "generator", None)
+    if generator is None:
+        generator = _THREAD.generator = np.random.default_rng(0)
     words = _BLOCK_WORDS.get(seed)
     if words is None:
         words = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
     inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
     state = ((inc + ((words[0] << 64) | words[1])) * _PCG64_MULT + inc) & _MASK128
-    _GENERATOR.bit_generator.state = {
+    generator.bit_generator.state = {
         "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
     }
-    return _GENERATOR
+    return generator

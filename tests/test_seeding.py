@@ -1,5 +1,8 @@
 """Counter-based seed derivation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,3 +61,29 @@ def test_reused_generator_draws_what_default_rng_draws(master_seed, k, probs_see
         expected = np.random.default_rng(s).multinomial(1000, p)
         assert np.array_equal(seeded_generator(s).multinomial(1000, p), expected)
         assert seeded_generator(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
+
+
+def test_threads_draw_from_their_own_generators():
+    p = np.random.default_rng(3).random(32)
+    p /= p.sum()
+    seeds = [derive_seed(9, OPT_STREAM, k) for k in range(150)]
+    expected = {s: np.random.default_rng(s).multinomial(500, p) for s in seeds}
+    mismatches = []
+
+    def draw(offset):
+        for s in seeds[offset:] + seeds[:offset]:
+            if not np.array_equal(seeded_generator(s).multinomial(500, p), expected[s]):
+                mismatches.append(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(17 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
