@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .agent.training import TrainConfig
+from .ansatz import BASELINE_BUILDERS
 from .errors import ConfigurationError
 from .problems import DEFAULT_PENALTY, ProblemInstance, ProblemKind, Topology, make_instance
 
@@ -144,16 +145,23 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
     if not parser.has_section("matrix"):
         raise ConfigurationError("matrix config needs a [matrix] section")
     section = parser["matrix"]
-
-    def csv_list(key: str, default: str) -> list[str]:
-        return [item.strip() for item in section.get(key, default).split(",") if item.strip()]
-
-    matrix = {
-        "problems": csv_list("problems", base.problem.kind),
-        "topologies": csv_list("topologies", base.problem.topology),
-        "sizes": [int(s) for s in csv_list("sizes", str(base.problem.n))],
-        "algorithms": csv_list("algorithms", "qaoa1"),
+    defaults = {
+        "problems": base.problem.kind,
+        "topologies": base.problem.topology,
+        "sizes": str(base.problem.n),
+        "algorithms": "qaoa1",
     }
+    for key in section:
+        if key not in defaults:
+            raise ConfigurationError(f"unknown key {key!r} in [matrix]")
+    matrix = {
+        key: [item.strip() for item in section.get(key, default).split(",") if item.strip()]
+        for key, default in defaults.items()
+    }
+    try:
+        matrix["sizes"] = [int(s) for s in matrix["sizes"]]
+    except ValueError:
+        raise ConfigurationError(f"bad value for matrix.sizes: {section['sizes']!r}") from None
     if not all(matrix.values()):
         raise ConfigurationError("empty [matrix] axis")
     for kind in matrix["problems"]:
@@ -166,6 +174,9 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
             Topology(topo)
         except ValueError:
             raise ConfigurationError(f"unknown topology {topo!r} in [matrix]") from None
+    for algorithm in matrix["algorithms"]:
+        if algorithm not in BASELINE_BUILDERS:
+            raise ConfigurationError(f"unknown algorithm {algorithm!r} in [matrix]")
     return base, matrix
 
 

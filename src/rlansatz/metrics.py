@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,7 @@ class EvalReport:
     per_run_estimates: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "approx_ratio": self.approx_ratio,
-            "above_feasibility_threshold": self.above_feasibility_threshold,
-            "single_qubit_gates": self.single_qubit_gates,
-            "two_qubit_gates": self.two_qubit_gates,
-            "depth": self.depth,
-            "n_runs": self.n_runs,
-            "per_run_ratios": list(self.per_run_ratios),
-            "per_run_estimates": list(self.per_run_estimates),
-        }
+        return asdict(self)
 
 
 def evaluate_circuit(

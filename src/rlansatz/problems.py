@@ -418,17 +418,3 @@ def instance_to_json_dict(inst: ProblemInstance) -> dict:
         doc["cols"] = g.cols
     return doc
 
-
-def instance_from_json_dict(doc: dict) -> ProblemInstance:
-    """Rebuild an instance from its JSON document (regenerates and verifies edges)."""
-    graph = generate_graph(
-        doc["topology"],
-        int(doc["n"]),
-        int(doc["seed"]),
-        er_p=doc.get("er_p"),
-        rows=doc.get("rows"),
-    )
-    recorded = _normalized_edges(tuple((int(i), int(j)) for i, j in doc["edges"]))
-    if recorded != graph.edges:
-        raise ConfigurationError("recorded edge set does not match deterministic regeneration")
-    return build_instance(graph, doc["kind"], float(doc.get("penalty", DEFAULT_PENALTY)))

@@ -8,14 +8,14 @@ family, working on a reshaped view of the vector in which the gate's qubits
 own axes of length 2:
 ``(2^(n-q-1), 2, 2^q)`` for one qubit, ``(..., 2, ..., 2, ...)`` for two. No
 gate operator is ever built. A Pauli rotation ``exp(-i theta/2 P)`` equals
-``cos(theta/2) psi - i sin(theta/2) (P psi)``, so:
+``cos(theta/2) psi - i sin(theta/2) (P psi)``. ``_ROTATIONS`` describes
+each P once (see ``_rotation``), and the kernels apply it through views:
 
-* Rz and Rzz are diagonal: scale the whole vector by ``e^{-i theta/2}``,
-  then the odd-parity half (Rz) or quarters (Rzz) by ``e^{i theta}``.
-* The rotations about x or y axes (Rx, Ry, Rxx, Rxy, ..., Rzx) scale the
-  vector by ``cos(theta/2)`` and add ``-i sin(theta/2) (P psi)`` block by
-  block: ``P`` maps each half or quarter onto its partner with the x/y bits
-  flipped, times +-1 or +-i from the y and z factors.
+* Rz and Rzz are diagonal: scale the vector by ``e^{-i theta/2}``, then
+  the negated (odd-parity) half or quarters by ``e^{i theta}``.
+* Every other rotation reads ``-i sin(theta/2) phase psi`` through the
+  reversing index, negates the negated blocks, and adds that to
+  ``cos(theta/2) psi`` in one operation.
 * H replaces the two halves by their scaled sum and difference; Cx swaps
   the target halves within the control-1 half.
 
@@ -24,13 +24,11 @@ instead of applying those gates.
 
 An optimization runs one gate list dozens of times with new angles, so
 ``run_circuit`` compiles the list into a plan (``_Plan``) once and reruns
-it: per rotation an index table over the 2^n basis states, which turns the
-blocks of a kernel into one gather over the whole vector with the same
-arithmetic in the same order, so the bits are the kernels' bits. At 64
-amplitudes a gate costs a few NumPy calls instead of one per block. Only
-the last plan is kept, so at most one plan's tables are alive. Above
-``PLAN_MAX_QUBITS`` the gathers over 2^n entries cost more than the
-kernels, which then run every time.
+it: the plan tabulates each rotation's record over the 2^n basis states
+and runs the kernels' arithmetic, in the same order and with the same bits,
+as gathers over the whole vector. Only the last plan is kept. Above
+``PLAN_MAX_QUBITS`` the gathers cost more than the kernels, which then run
+every time.
 
 Randomness enters only through explicit per-call integer seeds (see
 ``seeding``); each draw starts from the state its seed gives.
@@ -58,29 +56,31 @@ _ALL = slice(None)
 _PAULI_ACTION = {"x": (1.0, 1, True), "y": (-1.0j, -1, True), "z": (1.0, -1, False)}
 
 
-def _block(bits: tuple[int, ...]) -> tuple:
-    """Index of the half or quarter of a gate view where the gate's qubits read ``bits``."""
+def _block(bits: tuple) -> tuple:
+    """Index of a gate view whose axes 1 (and 3) take ``bits[0]`` (and ``bits[1]``)."""
     return (_ALL, bits[0]) if len(bits) == 1 else (_ALL, bits[0], _ALL, bits[1])
 
 
-def _rotation_plan(axes: str) -> tuple[complex, bool, list[tuple[tuple, tuple, bool]]]:
-    """How the generator P of a rotation acts, block by block.
+def _rotation(axes: str) -> tuple[complex, bool, tuple, list[tuple]]:
+    """The generator P of a rotation, described once for the kernels and the plan.
 
-    Returns P's phase on the all-zero block, whether P is diagonal (pure z),
-    and per output block (block, source block, negated), such that
-    (P psi)[block] = phase * (-1 if negated else 1) * psi[source].
+    P's phase, whether P is diagonal (pure z), the gate-view index ``flips``
+    that reverses the axes of P's x and y qubits, and the blocks that P's y
+    and z factors negate: P psi = phase * psi[flips], negated blocks negated.
     """
     actions = [_PAULI_ACTION[a] for a in axes]
     phase = math.prod(phase for phase, _, _ in actions)
-    blocks = []
-    for bits in product((0, 1), repeat=len(axes)):
-        source = tuple(b ^ flip for b, (_, _, flip) in zip(bits, actions))
-        sign = math.prod(sign**b for b, (_, sign, _) in zip(bits, actions))
-        blocks.append((_block(bits), _block(source), sign < 0))
-    return phase, not any(flip for _, _, flip in actions), blocks
+    diagonal = not any(flip for _, _, flip in actions)
+    flips = _block(tuple(slice(None, None, -1) if flip else _ALL for _, _, flip in actions))
+    negated = [
+        _block(bits)
+        for bits in product((0, 1), repeat=len(axes))
+        if math.prod(sign**b for b, (_, sign, _) in zip(bits, actions)) < 0
+    ]
+    return phase, diagonal, flips, negated
 
 
-_ROTATIONS = {kind: _rotation_plan(rotation_axes(kind)) for kind in PARAMETRIC_KINDS}
+_ROTATIONS = {kind: _rotation(rotation_axes(kind)) for kind in PARAMETRIC_KINDS}
 
 
 def _gate_view(psi: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -95,11 +95,11 @@ def _gate_view(psi: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def _block_op(ufunc, a, b, out: np.ndarray) -> None:
-    """``ufunc(a, b, out=out)`` on halves or quarters of gate views.
+    """``ufunc(a, b, out=out)`` on gate views or their halves or quarters.
 
-    When the lowest gate qubit is qubit 1, a block is made of runs of two
+    When the lowest gate qubit is qubit 1, a view is made of runs of two
     contiguous amplitudes, and NumPy's default loop order would run one
-    inner loop per pair. Looping over the block's longest axis innermost
+    inner loop per pair. Looping over the view's longest axis innermost
     is several times faster there.
     """
     if out.shape[-1] != 2:
@@ -127,18 +127,18 @@ def _apply(psi: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], ang
         on[:, :, 1] = target_zero
         return
     half = 0.5 * angle
-    phase, diagonal, blocks = _ROTATIONS[kind]
+    phase, diagonal, flips, negated = _ROTATIONS[kind]
     if diagonal:
         psi *= complex(math.cos(half), -math.sin(half))
         odd = complex(math.cos(angle), math.sin(angle))
-        for block, _, negated in blocks:
-            if negated:
-                _block_op(np.multiply, view[block], odd, view[block])
+        for block in negated:
+            _block_op(np.multiply, view[block], odd, view[block])
         return
-    partner = _gate_view(psi * (-1.0j * math.sin(half) * phase), n, qubits)
+    partner = _gate_view(psi * (-1.0j * math.sin(half) * phase), n, qubits)[flips]
     psi *= math.cos(half)
-    for block, source, negated in blocks:
-        _block_op(np.subtract if negated else np.add, view[block], partner[source], view[block])
+    for block in negated:
+        np.negative(partner[block], out=partner[block])
+    _block_op(np.add, view, partner, view)
 
 
 def apply_gate(amplitudes: np.ndarray, gate: GateApplication, params: np.ndarray | None = None) -> None:
@@ -198,15 +198,14 @@ def _run_kernels(n: int, gates: list[GateApplication], theta: np.ndarray) -> np.
 class _Plan:
     """A gate list compiled for runs that change only the angles.
 
-    Per rotation after the opening H layer it keeps an index table over the
-    2^n basis states: the odd-parity indices of Rz and Rzz, and the partner
-    ``b ^ flip`` of every other rotation with the +-1 signs of its y and z
-    factors (None when it has none). A run then does ``_apply``'s
-    arithmetic, in the same order, on the whole vector: a diagonal gate is
-    ``psi *= e^{-i theta/2}; psi[odd] *= e^{i theta}``, any other one is
-    ``partner = psi * (-i sin(theta/2) phase); psi *= cos(theta/2);
-    psi += sign * partner[flip_idx]``. H and Cx after the opening layer,
-    and a diagonal gate on all n qubits (see below), keep their view kernels.
+    Per rotation after the opening H layer it tabulates the rotation's
+    ``_ROTATIONS`` record through gate views of 2^n-entry arrays: a sign
+    vector, -1 in the negated blocks, and a partner index, ``arange(2^n)``
+    read through ``flips``. A run does ``_apply``'s arithmetic, in the same
+    order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
+    indices where the sign is -1; any other adds ``sign * partner[index]``
+    (no sign when no block is negated). H and Cx after the opening layer,
+    and a diagonal gate on all n qubits (see below), keep their kernels.
     """
 
     def __init__(self, n: int, gates: list[GateApplication]):
@@ -214,34 +213,32 @@ class _Plan:
         self.gates = tuple(gates)
         uniform = _opens_with_h_layer(gates, n)
         self.start = _start_state(n, uniform)
-        basis = np.arange(1 << n)
-        tables: dict[tuple[int, int], tuple] = {}  # gates with the same flip and z masks share them
+        tables: dict[tuple, tuple] = {}  # repeated gates share them
         self.steps = []
         for gate in gates[n:] if uniform else gates:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-            if gate.kind not in PARAMETRIC_KINDS:
+            phase, diagonal, flips, negated = _ROTATIONS.get(gate.kind, (None, False, None, None))
+            # H and Cx keep their kernels, and so does a diagonal gate on all n
+            # qubits, for the same bits: its kernel multiplies blocks of one
+            # amplitude, which numpy does without the fused multiply-add it
+            # uses on longer arrays.
+            if flips is None or (diagonal and len(gate.qubits) == n):
                 self.steps.append((gate, None, None, None))
                 continue
-            phase, diagonal, _ = _ROTATIONS[gate.kind]
-            # The kernel of a diagonal gate on all n qubits multiplies blocks
-            # of one amplitude, which numpy does without the fused
-            # multiply-add it uses on longer arrays: keep it, for the same bits.
-            if diagonal and len(gate.qubits) == n:
-                self.steps.append((gate, None, None, None))
-                continue
-            flip = z_mask = 0
-            for q, axis in zip(gate.qubits, rotation_axes(gate.kind)):
-                _, sign, flips = _PAULI_ACTION[axis]
-                flip |= flips << q
-                z_mask |= (sign < 0) << q
-            if (flip, z_mask) not in tables:
-                odd = sum((basis >> q) & 1 for q in gate.qubits if z_mask >> q & 1) & 1
-                if flip:
-                    tables[flip, z_mask] = (basis ^ flip, (1.0 - 2.0 * odd) if z_mask else None)
+            key = (gate.kind, gate.qubits)
+            if key not in tables:
+                sign = np.ones(1 << n)
+                for block in negated:
+                    _gate_view(sign, n, gate.qubits)[block] = -1.0
+                if diagonal:
+                    tables[key] = (np.flatnonzero(sign < 0), None)
                 else:
-                    tables[flip, z_mask] = (np.flatnonzero(odd), None)
-            self.steps.append((gate, *tables[flip, z_mask], None if diagonal else phase))
+                    index = np.arange(1 << n)
+                    view = _gate_view(index, n, gate.qubits)
+                    view[...] = view[flips]  # numpy reads an overlapping source from a copy
+                    tables[key] = (index, sign if negated else None)
+            self.steps.append((gate, *tables[key], None if diagonal else phase))
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
         """True for the same gate objects; gates are frozen, so they have the same structure."""
@@ -272,9 +269,9 @@ class _Plan:
         return psi
 
 
-# The crossover, on the qaoa2 circuit of a 3-regular maxcut instance
-# (2 vCPU, numpy 2.4.6): the plan ran its gates 1.58x as fast as the kernels
-# at n = 12 and 1.18x at n = 14, but 0.87x at n = 16.
+# The crossover, from tools/plan_crossover.py (2 vCPU, numpy 2.4.6): kernel
+# time over plan time was 0.95 on qaoa2 and 1.07 on agent circuits at n = 14,
+# 0.94 on agent circuits at n = 15, and 0.72 and 0.99 at n = 16.
 PLAN_MAX_QUBITS = 14
 _last_plan: _Plan | None = None
 
@@ -282,10 +279,11 @@ _last_plan: _Plan | None = None
 def _plan_for(n: int, gates: list[GateApplication]) -> _Plan:
     """The plan of the gate list, reusing the last one built; only that one is kept."""
     global _last_plan
-    if _last_plan is None or not _last_plan.matches(n, gates):
-        _last_plan = None  # drop the old tables before building new ones
-        _last_plan = _Plan(n, gates)
-    return _last_plan
+    plan = _last_plan  # read once: another thread may replace it at any point
+    if plan is None or not plan.matches(n, gates):
+        _last_plan = plan = None  # drop the old tables before building new ones
+        plan = _last_plan = _Plan(n, gates)
+    return plan
 
 
 def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:

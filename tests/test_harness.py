@@ -167,6 +167,19 @@ def test_matrix_without_section_exits_2(tmp_path):
     assert main(["matrix", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["sizes = eight", "algorithm = linear", "algorithms = qaoa1, qaoa7"],
+    ids=["non-integer-size", "unknown-key", "unknown-algorithm"],
+)
+def test_bad_matrix_section_exits_2_before_writing(tmp_path, line):
+    cfg = write_config(tmp_path / "m.ini")
+    cfg.write_text(cfg.read_text() + f"\n[matrix]\nproblems = maxcut\ntopologies = cycle\n{line}\n")
+    out = tmp_path / "grid"
+    assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_eval_saved_circuit(tmp_path):
     cfg = write_config(tmp_path / "toy.ini")
     run = tmp_path / "run"

@@ -1,7 +1,5 @@
 """Graph generators, QUBO formulations and brute-force spectra."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,6 @@ from rlansatz.problems import (
     feasible_mask,
     generate_graph,
     grid_shape,
-    instance_from_json_dict,
-    instance_to_json_dict,
     make_instance,
     qubo_to_hamiltonian,
     qubo_to_ising,
@@ -262,24 +258,7 @@ def test_threshold_range():
             assert t == 0.0
 
 
-# --- serialization ----------------------------------------------------------
-
-def test_instance_round_trip():
-    inst = make_instance("erdos_renyi", 8, 3, "maxclique", er_p=0.5)
-    doc = json.loads(json.dumps(instance_to_json_dict(inst)))
-    back = instance_from_json_dict(doc)
-    assert back.graph.edges == inst.graph.edges
-    assert back.kind == inst.kind
-    assert np.array_equal(back.ham.energy, inst.ham.energy)
-
-
-def test_instance_round_trip_detects_tampered_edges():
-    inst = make_instance("cycle", 4, 0, "maxcut")
-    doc = instance_to_json_dict(inst)
-    doc["edges"] = doc["edges"][:-1]
-    with pytest.raises(ConfigurationError):
-        instance_from_json_dict(doc)
-
+# --- regeneration ------------------------------------------------------------
 
 def test_regeneration_is_deterministic():
     for seed in (0, 1, 2):

@@ -1,6 +1,8 @@
 """Simulator checks against independent dense-matrix oracles."""
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -325,7 +327,7 @@ def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
 # plan kept.
 # ---------------------------------------------------------------------------
 
-PLAN_SIZES = st.integers(2, max(12, qsim.PLAN_MAX_QUBITS))
+PLAN_SIZES = st.integers(2, qsim.PLAN_MAX_QUBITS + 2)
 
 
 @st.composite
@@ -394,3 +396,31 @@ def test_plan_runs_new_angles_without_a_rebuild():
         expected = kernel_probabilities(circuit.with_params(theta))
         assert np.array_equal(exact_probabilities(circuit, np.array(theta)), expected)
     assert qsim._last_plan is plan
+
+
+def test_threads_get_the_plan_of_their_own_circuit():
+    rng = np.random.default_rng(5)
+    circuits = [random_circuit(rng, 2 + i % 3, 6) for i in range(8)]
+    expected = [kernel_probabilities(c) for c in circuits]
+    failures = []
+
+    def simulate(i):
+        try:
+            for _ in range(1500):
+                if not np.array_equal(exact_probabilities(circuits[i]), expected[i]):
+                    failures.append(i)
+        except Exception as exc:  # a plan swapped mid-call can raise anywhere
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=simulate, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
