@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,12 +146,14 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
     for j in range(n):
         x = sim[:, n].copy()
         x[j] += rho_begin
-        fval[j] = fun(x)
-        if fval[j] < fval[n]:
-            fval[j], fval[n] = fval[n], fval[j]
+        fval[j] = f = fun(x)
+        if f < fval[n]:
+            fval[j], fval[n] = fval[n], f
             sim[:, n] = x
             sim[j, : j + 1] = -rho_begin
     simi = np.linalg.inv(sim[:, :n])
+    # views that follow the in-place updates of sim and fval
+    pole, fsteps = sim[:, n], fval[:n]
     nf = n + 1
     near = 1e-4 * rho_end
 
@@ -160,29 +163,28 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
         Steps are at least 0.1 * rho long, so the pole itself is never that close.
         """
         nonlocal nf
-        x = sim[:, n] + d
-        gaps = x[:, None] - (sim[:, n, None] + sim[:, :n])
-        distsq = (gaps * gaps).sum(axis=0)
-        j = distsq.argmin()
-        if distsq[j] <= near * near:
+        j = _near_vertex(sim, d, near)
+        if j is not None:
             return fval[j]
         nf += 1
-        return fun(x)
+        return fun(pole + d)
 
     rho = delta = rho_begin
     converged = False
+    col_sq = None  # _col_sq(sim) while it is known
     for _ in range(10 * maxfun):
-        g = (fval[:n] - fval[n]) @ simi
+        g = (fsteps - fval[n]).dot(simi)
         d = _trstlp(g, delta)
-        dnorm = min(delta, math.sqrt(d @ d))
+        dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
-        prerem = -(d @ g)
+        prerem = -float(d.dot(g))
         trfail = not prerem > _MIN_PREDICTED * rho
         # PRIMA tests the geometry of the simplex as the iteration finds it;
         # the test matters only after a bad step, so it is made only then.
         # A step is bad when it is short or fails, or when ratio <= 0, which
-        # also covers setdrop_tr finding no vertex to drop.
-        geo_delta, col_sq = delta, None
+        # also covers setdrop_tr finding no vertex to drop. ``moved`` says
+        # whether the simplex changed since g was computed.
+        geo_delta, moved = delta, False
         if shortd or trfail:
             delta *= 0.1
             if delta <= _GAMMA3 * rho:
@@ -190,40 +192,52 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
             bad_trstep = True
         else:
             f = value_at(d)
-            actrem = fval[n] - f
+            actrem = float(fval[n]) - f
             ratio = actrem / prerem
             bad_trstep = ratio <= 0
-            if bad_trstep:
+            if bad_trstep and col_sq is None:
                 col_sq = _col_sq(sim)
             delta = _trrad(delta, dnorm, ratio)
             if delta <= _GAMMA3 * rho:
                 delta = rho
-            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi, col_sq)
+            simid = simi.dot(d)
+            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi, col_sq, simid)
             if jdrop_tr is not None:
-                simi = _updatexfc(jdrop_tr, d, f, sim, simi, fval)
+                simi = _updatexfc(jdrop_tr, d, f, sim, simi, fval, simid)
                 if simi is None:  # rounding ruined the simplex
                     break
+                moved = True
             if nf >= maxfun:
                 break
         if not bad_trstep:
+            col_sq = None  # f < fval[n]: the pole moved
             continue
         if col_sq is None:
             col_sq = _col_sq(sim)
-        adequate_geo = col_sq.max() <= 4 * (geo_delta * geo_delta)
+        adequate_geo = max(col_sq) <= 4 * (geo_delta * geo_delta)
+        if moved:  # vertex jdrop_tr moved to the pole plus d; as f >= fval[n], the pole stayed
+            col_sq[jdrop_tr] = _sq_norm(d)
         if not adequate_geo:
-            col_sq = _col_sq(sim)
-            if not col_sq.max() <= 4 * (delta * delta):
+            far = max(col_sq)
+            if not far <= 4 * (delta * delta):
                 # geostep: move the farthest vertex to delta/2 from the pole,
                 # normal to the opposite face, on the model's downhill side
-                jdrop_geo = int(col_sq.argmax())
+                jdrop_geo = col_sq.index(far)
                 d = simi[jdrop_geo]
-                d = (delta / 2) * (d / math.sqrt(d @ d))
-                g = (fval[:n] - fval[n]) @ simi
-                if -(d @ g) < d @ g:
+                d = (delta / 2) * (d / math.sqrt(d.dot(d)))
+                if moved:
+                    g = (fsteps - fval[n]).dot(simi)
+                dg = d.dot(g)
+                if -dg < dg:
                     d = -d
-                simi = _updatexfc(jdrop_geo, d, value_at(d), sim, simi, fval)
+                f, fopt = value_at(d), fval[n]
+                simi = _updatexfc(jdrop_geo, d, f, sim, simi, fval)
                 if simi is None or nf >= maxfun:
                     break
+                if f < fopt:  # the pole moved
+                    col_sq = None
+                else:
+                    col_sq[jdrop_geo] = _sq_norm(d)
         elif max(delta, dnorm) <= rho:
             if rho <= rho_end:
                 converged = True
@@ -236,10 +250,39 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
     return converged
 
 
-def _col_sq(sim: np.ndarray) -> np.ndarray:
+def _near_vertex(sim: np.ndarray, d: np.ndarray, near: float) -> int | None:
+    """The first of the vertices closest to x = pole + d, if its squared distance is at most near^2.
+
+    Such a vertex has a gap of at most near (1 + (n + 1) eps) in every
+    coordinate, unless the gap's square underflows. So the gaps in the
+    coordinate where |d| is largest, taken on Python floats that round as
+    the full check's do, rule out every vertex when none is below
+    max(2 near, 1e-150); the full check then runs only rarely.
+    """
+    n = d.size
+    mags = list(map(abs, d.tolist()))
+    i = mags.index(max(mags))
+    row = sim[i].tolist()
+    pole_i = row[n]
+    x_i = pole_i + d.item(i)
+    if min([abs(x_i - (pole_i + s)) for s in row[:n]]) > max(2 * near, 1e-150):
+        return None
+    x = sim[:, n] + d
+    gaps = x[:, None] - (sim[:, n, None] + sim[:, :n])
+    distsq = np.add.reduce(gaps * gaps, 0)
+    j = int(distsq.argmin())
+    return j if distsq[j] <= near * near else None
+
+
+def _col_sq(sim: np.ndarray) -> list[float]:
     """Squared distance of each vertex from the pole."""
     steps = sim[:, :-1]
-    return (steps * steps).sum(axis=0)
+    return np.add.reduce(steps * steps, 0).tolist()
+
+
+def _sq_norm(d: np.ndarray) -> float:
+    """``_col_sq``'s entry for a vertex at the pole plus d: numpy sums a column top down."""
+    return functools.reduce(operator.add, [v * v for v in d.tolist()])
 
 
 def _trstlp(g: np.ndarray, delta: float) -> np.ndarray:
@@ -257,22 +300,58 @@ def _trstlp(g: np.ndarray, delta: float) -> np.ndarray:
     if big > 1e12:
         cq = (g * max(2 * np.finfo(float).tiny, 1 / big)).tolist()
     n = len(cq)
+    if n == 1:  # no rotation: z = [1]
+        h0 = cq[0]
+        if not abs(h0) > _EPS * _EPS:
+            return np.zeros(1)
+        sdirn = np.array([-1 / h0])
+    else:
+        sdirn = _rotated_direction(cq, n)
+        if sdirn is None:
+            return np.zeros(n)
+    ss = sdirn.dot(sdirn)
+    if ss <= _EPS * delta * delta:
+        return np.zeros(n)
+    sdirn *= math.sqrt(ss * (delta * delta)) / ss
+    return sdirn
+
+
+def _rotated_direction(cq: list, n: int) -> np.ndarray | None:
+    """``trstlp``'s -z / h[0] for n >= 2 coordinates ``cq``, or None when h[0] is about 0."""
     h = cq[:]
     _norm_chain(cq, h, n - 1, math.hypot)
+    # pairs[k] is rotation k's input (cq[k], h[k + 1])
+    flat = [0.0] * (2 * n - 2)
+    flat[::2], flat[1::2] = cq[:-1], h[1:]
+    pairs = np.array(flat).reshape(n - 1, 2)
     # math.hypot can differ from NumPy's hypot in the last bit: check the
     # chain in one call, and redo it with np.hypot from the first miss on
-    exact = np.hypot(cq[:-1], h[1:]).tolist()
-    miss = next((k for k in range(n - 2, -1, -1) if h[k + 1] != 0 and h[k] != exact[k]), None)
-    if miss is not None:
-        h[miss] = exact[miss]
-        _norm_chain(cq, h, miss, lambda a, b: float(np.hypot(a, b)))
-    if not abs(h[0]) > _EPS * _EPS:
-        return np.zeros(n)
-    # PRIMA's np.linalg.norm of each pair is the pair's dot product, as here
-    pairs = np.empty((n - 1, 1, 2))
-    pairs[:, 0, 0] = cq[:-1]
-    pairs[:, 0, 1] = h[1:]
-    r = np.sqrt(pairs @ pairs.transpose(0, 2, 1)).ravel().tolist()
+    exact = np.hypot(pairs[:, 0], pairs[:, 1]).tolist()
+    if exact != h[:-1]:
+        miss = next((k for k in range(n - 2, -1, -1) if h[k + 1] != 0 and h[k] != exact[k]), None)
+        if miss is not None:
+            h[miss] = exact[miss]
+            _norm_chain(cq, h, miss, lambda a, b: float(np.hypot(a, b)))
+            pairs[:, 1] = h[1:]
+    h0 = h[0]
+    if not abs(h0) > _EPS * _EPS:
+        return None
+    # PRIMA's np.linalg.norm of each pair is the square root of the pair's
+    # dot product, as here; math.sqrt and np.sqrt both round correctly
+    stacked = pairs.reshape(n - 1, 1, 2)
+    r = list(map(math.sqrt, (stacked @ stacked.transpose(0, 2, 1)).ravel().tolist()))
+    # The norms h fall from h[0] to |cq[-1]|. When every |cq[k]| exceeds
+    # 2 eps h[0] and 1e-150, no rotation is degenerate (|h[k + 1]| <= eps |cq[k]|
+    # or the reverse) or empty (h[k + 1] == 0), and no r[k] underflows to 0,
+    # so each rotation is c = cq[k] / r[k], s = h[k + 1] / r[k], and
+    # z[m] = s_0 (s_1 (... (s_{m-1} c_m))) with c_{n-1} = 1 is a product down a
+    # column of the factors that _rotation_index(n) lays out.
+    if min(map(abs, cq)) > max(2 * _EPS * h0, 1e-150):
+        factors = []
+        for x0, x1, rk in zip(cq, h[1:], r):
+            factors += (x0 / rk, x1 / rk)
+        factors += (1.0, -1 / h0)
+        return np.multiply.reduce(np.array(factors)[_rotation_index(n)], 0)
     z = [1.0]
     for k in range(n - 2, -1, -1):
         x0, x1 = cq[k], h[k + 1]
@@ -286,11 +365,26 @@ def _trstlp(g: np.ndarray, delta: float) -> np.ndarray:
         else:
             c, s = x0 / r[k], x1 / r[k]
         z = [c] + [s * zi for zi in z]
-    sdirn = (-1 / h[0]) * np.array(z)
-    ss = sdirn @ sdirn
-    if ss <= _EPS * delta * delta:
-        return np.zeros(n)
-    return (math.sqrt(ss * (delta * delta)) / ss) * sdirn
+    return (-1 / h0) * np.array(z)
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_index(n: int) -> np.ndarray:
+    """Where _trstlp's n-coordinate factors [c_0, s_0, ..., c_{n-2}, s_{n-2}, 1, -1/h0] go.
+
+    Column m reads, top down, c_m (1 for m = n - 1), s_{m-1}, ..., s_0,
+    ones, and last -1/h0, so a product down the column, in row order,
+    repeats the rotation loop's multiplications for z[m] and then its
+    scaling by -1/h0.
+    """
+    one, scale = 2 * n - 2, 2 * n - 1
+    index = np.full((n + 1, n), one)
+    index[0] = np.arange(0, 2 * n, 2)
+    for t in range(1, n):
+        index[t, t:] = 2 * np.arange(n - t) + 1
+    index[n] = scale
+    index.flags.writeable = False
+    return index
 
 
 def _norm_chain(cq: list, h: list, top: int, hypot) -> None:
@@ -321,49 +415,62 @@ def _redrho(rho: float, rho_end: float) -> float:
     return math.sqrt(ratio) * rho_end
 
 
-def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq) -> int | None:
+def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq, simid=None) -> int | None:
     """PRIMA ``setdrop_tr``: the vertex that the trust-region point replaces, or None.
 
-    ``col_sq`` holds the squared distances of the vertices from the pole.
+    ``col_sq`` holds the squared distances of the vertices from the pole,
+    and ``simid`` is ``simi @ d`` when the caller has it. The scores are
+    computed one by one on Python floats, which round as NumPy's do.
     """
     n = d.size
-    distsq = np.empty(n + 1)
+    if simid is None:
+        simid = simi.dot(d)
+    weights = simid.tolist()
     if ximproved:
         gaps = sim[:, :n] - d[:, None]
-        distsq[:n] = (gaps * gaps).sum(axis=0)
-        distsq[n] = (d * d).sum()
+        distsq = np.add.reduce(gaps * gaps, 0).tolist()
+        distsq.append(float(np.add.reduce(d * d)))
+        weights.append(1 - float(np.add.reduce(simid)))
     else:
-        distsq[:n] = col_sq
-        distsq[n] = 0.0
+        # PRIMA scores the pole -1 here, below every other vertex, so it is left out
+        distsq = col_sq
     scale = max(rho, delta / 10)
-    simid = simi @ d
-    score = np.empty(n + 1)
-    np.abs(simid, out=score[:n])
-    score[n] = abs(1 - simid.sum()) if ximproved else -1
-    score *= np.maximum(1, distsq / (scale * scale))
-    jdrop = int(score.argmax())
-    if score[jdrop] > 0:
-        return jdrop
-    return int(distsq.argmax()) if ximproved else None
+    scale_sq = scale * scale
+    # PRIMA's max(1, distsq / scale^2), which exceeds 1 only where distsq
+    # does scale^2. PRIMA scores NaN -1: 0 * inf, and q / 0 for q = 0 when
+    # scale^2 underflows. Those score 0 here, which is as far from being
+    # dropped, and leaves no NaN for max().
+    if scale_sq > 0:
+        growth = [q / scale_sq if q > scale_sq else 1.0 for q in distsq]
+    else:
+        growth = [math.inf if q > 0 else 0.0 for q in distsq]
+    score = [m * abs(w) if w else 0.0 for m, w in zip(growth, weights)]
+    best = max(score)
+    if best > 0:
+        return score.index(best)
+    return distsq.index(max(distsq)) if ximproved else None
 
 
-def _updatexfc(j: int, d, f: float, sim, simi, fval):
+def _updatexfc(j: int, d, f: float, sim, simi, fval, simid=None):
     """PRIMA ``updatexfc``: vertex j becomes the pole plus d, with value f.
 
-    ``sim`` and ``fval`` change in place. Returns the updated inverse, or
-    None when rounding has ruined it.
+    ``sim`` and ``fval`` change in place; ``simid`` is ``simi @ d`` when
+    the caller has it. Returns the updated inverse, or None when rounding
+    has ruined it.
     """
     n = fval.size - 1
+    if simid is None:
+        simid = simi.dot(d)
     if j < n:
         sim[:, j] = d
-        row = simi[j] / (simi[j] @ d)
-        simi -= (simi @ d)[:, None] * row
+        row = simi[j]
+        row = row / row.dot(d)
+        simi -= simid[:, None] * row
         simi[j] = row
     else:
         sim[:, n] += d
         sim[:, :n] -= d[:, None]
-        simid = simi @ d
-        simi += simid[:, None] * (simi.sum(axis=0) / (1 - sum(simid)))
+        simi += simid[:, None] * (np.add.reduce(simi, 0) / (1 - sum(simid)))
     simi = _checked_inverse(sim, simi)
     if simi is None:
         return None
@@ -379,13 +486,13 @@ def _updatepole(sim, simi, fval):
     """
     n = fval.size - 1
     jopt = int(fval.argmin())
-    if not fval[jopt] < fval[n]:
+    if jopt == n or not fval[jopt] < fval[n]:
         return simi
     sim[:, n] += sim[:, jopt]
     step = sim[:, jopt].copy()
     sim[:, jopt] = 0
     sim[:, :n] -= step[:, None]
-    simi[jopt] = -simi.sum(axis=0)
+    simi[jopt] = -np.add.reduce(simi, 0)
     simi = _checked_inverse(sim, simi)
     if simi is not None:
         fval[jopt], fval[n] = fval[n], fval[jopt]
@@ -399,18 +506,24 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+def _inverse_error(simi, steps) -> float:
+    """max |simi @ steps - I|, NaN when an entry is NaN (argmax and argmin find NaN first)."""
+    err = simi @ steps
+    err -= _eye(err.shape[0])
+    return max(err.item(err.argmax()), -err.item(err.argmin()))
+
+
 def _checked_inverse(sim, simi):
     """``simi``, re-inverted when ``simi @ sim[:, :n]`` strays from I by more than 0.1; None beyond 1."""
-    n = simi.shape[0]
-    eye = _eye(n)
-    erri = np.abs(simi @ sim[:, :n] - eye).max()
+    steps = sim[:, :-1]
+    erri = _inverse_error(simi, steps)
     if not erri <= 0.1:
         try:
-            test = np.linalg.inv(sim[:, :n])
+            test = np.linalg.inv(steps)
         except np.linalg.LinAlgError:
             test = None
         if test is not None:
-            erri_test = np.abs(test @ sim[:, :n] - eye).max()
+            erri_test = _inverse_error(test, steps)
             if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
                 simi, erri = test, erri_test
     return simi if erri <= 1 else None

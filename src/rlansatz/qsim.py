@@ -319,7 +319,7 @@ def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) ->
     if n_shots < 1:
         raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
     # guard tiny float drift before the multinomial draw
-    p = np.clip(probs, 0.0, None)
+    p = np.maximum(probs, 0.0)
     p = p / p.sum()
     return seeded_generator(rng_seed).multinomial(n_shots, p)
 

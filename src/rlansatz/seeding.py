@@ -102,9 +102,12 @@ def _hash_consts(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarr
     return consts[:-1, None], consts[1:, None]
 
 
-def _hash(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
-    """Calls ``first``, ``first + 1``, ... of SeedSequence's hashmix, call i on row i of ``values``."""
-    before, after = _hash_consts(init, mult, first, len(values))
+def _hash(values: np.ndarray, init: int, mult: int, first: int, calls: int) -> np.ndarray:
+    """Calls ``first``, ..., ``first + calls - 1`` of SeedSequence's hashmix, call i on row i of ``values``.
+
+    A 1-D ``values`` is the row of every call.
+    """
+    before, after = _hash_consts(init, mult, first, calls)
     values = values ^ before
     values *= after
     values ^= values >> _SHIFT
@@ -121,17 +124,17 @@ def _pool(head: np.ndarray) -> np.ndarray:
     """SeedSequence's pool after it mixes an entropy of at most ``_POOL_SIZE`` rows."""
     pool = np.zeros((_POOL_SIZE, head.shape[1]), dtype=np.uint32)
     pool[: len(head)] = head
-    pool = _hash(pool, _INIT_A, _MULT_A, 0)
+    pool = _hash(pool, _INIT_A, _MULT_A, 0, _POOL_SIZE)
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        calls = _hash(np.broadcast_to(pool[src], (len(dst), pool.shape[1])), _INIT_A, _MULT_A, 4 + 3 * src)
+        calls = _hash(pool[src], _INIT_A, _MULT_A, 4 + 3 * src, len(dst))
         pool[dst] = _mix(pool[dst], calls)
     return pool
 
 
 def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
     """``generate_state(n_words, uint32)`` from a mixed pool, one column per lane."""
-    return _hash(pool[[i % _POOL_SIZE for i in range(n_words)]], _INIT_B, _MULT_B, 0)
+    return _hash(pool[[i % _POOL_SIZE for i in range(n_words)]], _INIT_B, _MULT_B, 0, n_words)
 
 
 # -- evaluation seeds ----------------------------------------------------------
@@ -174,7 +177,7 @@ class SeedStream:
             counter_words = np.arange(start, start + BLOCK, dtype=np.uint32)[None, :]
         pool = self._pool
         for j, word in enumerate(counter_words):
-            calls = _hash(np.broadcast_to(word, (_POOL_SIZE, BLOCK)), _INIT_A, _MULT_A, self._first_call + 4 * j)
+            calls = _hash(word, _INIT_A, _MULT_A, self._first_call + 4 * j, _POOL_SIZE)
             pool = _mix(pool, calls)
         s0, s1 = _generate(pool, 2).astype(np.uint64)
         seeds = (s0 << np.uint64(31)) ^ s1

@@ -239,6 +239,114 @@ def test_trust_region_step_matches_prima(prima):
             assert np.array_equal(_trstlp(g, delta), expected), (g, delta)
 
 
+
+@pytest.mark.parametrize("dim", [12, 18, 26])
+def test_cobyla_evaluates_the_points_scipy_cobyla_evaluates_at_matrix_sizes(dim):
+    """The maqaoa sizes of the matrix workload, past the 8 entries from which numpy sums in partial sums."""
+    objective, x0 = spd_sine_objective(dim, dim)
+
+    def estimate(x):
+        return round(objective(x) * 1000) / 1000
+
+    ours = []
+    result = cobyla_minimize(recorded(estimate, ours), x0, OptimizerConfig(max_iterations=400))
+    theirs, _ = scipy_cobyla(estimate, x0, 1.0, 1e-4, 400)
+    assert len(ours) == len(theirs) == result.evaluations
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def test_trust_region_step_matches_prima_on_long_and_degenerate_gradients(prima):
+    """Past 12 coordinates, and where a rotation is degenerate or empty, which the step takes in a loop."""
+    from rlansatz.optimize import _trstlp
+
+    trstlp = prima["cobyla.trustregion"].trstlp
+    rng = np.random.default_rng(8)
+    gradients = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in (12, 18, 26, 30) for _ in range(10)]
+    for n in (2, 3, 5, 12, 26):
+        for _ in range(4):
+            g = rng.normal(size=n)
+            k = int(rng.integers(0, n))
+            gradients.append(np.concatenate([g[:-1], [0.0]]))  # empty rotations: a zero tail
+            gradients.append(np.where(np.arange(n) == k, 1e-20 * g, g))  # |g[k]| <= eps * (norm of the tail)
+            gradients.append(np.where(np.arange(n) > k, 1e-20 * g, g))  # a tail below eps * |g[k]|
+            gradients.append(np.where(np.arange(n) == k, 0.0, g))
+    for g in gradients:
+        for delta in (1.0, 1e-4):
+            expected = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g)
+            assert np.array_equal(_trstlp(g, delta), expected), (g, delta)
+
+
+def test_setdrop_tr_scores_a_nan_as_prima_does(prima):
+    """A zero Lagrange value at a vertex whose weight overflows scores 0 * inf = NaN, which PRIMA never drops."""
+    from rlansatz.optimize import _col_sq, _setdrop_tr
+
+    geometry = prima["cobyla.geometry"]
+    n = 3
+    sim = np.column_stack([np.diag([1e160, 1.0, 1.0]), np.zeros(n)])
+    simi = np.diag([0.0, 1.0, 1.0])  # simi[0] @ d == 0
+    d = np.array([0.5, 0.3, -0.2])
+    for ximproved in (True, False):
+        for delta, rho in ((1.0, 0.1), (1e-170, 1e-171)):  # the second underflows scale^2
+            with np.errstate(all="ignore"):
+                expected = geometry.setdrop_tr(ximproved, d, delta, rho, sim, simi)
+                assert _setdrop_tr(ximproved, d, delta, rho, sim, simi, _col_sq(sim)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_sq_norm_adds_as_numpy_adds_a_column(n, seed):
+    """``_sq_norm`` repeats in Python the column sum of np.add.reduce(steps * steps, 0)."""
+    from rlansatz.optimize import _col_sq, _sq_norm
+
+    rng = np.random.default_rng(seed)
+    sim = rng.normal(size=(n, n + 1)) * 10.0 ** rng.uniform(-8, 8, size=(n, n + 1))
+    j = int(rng.integers(0, n))
+    assert _sq_norm(sim[:, j].copy()) == _col_sq(sim)[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_ndarray_dot_is_matmul_on_the_optimizers_operands(n, seed):
+    """The optimizer calls ``ndarray.dot`` where PRIMA uses matmul: the same BLAS call on contiguous operands."""
+    rng = np.random.default_rng(seed)
+    simi = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6, size=(n, n))
+    d, g = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-6, 6, size=(2, n))
+    assert d.dot(g) == d @ g and d.dot(d) == d @ d and simi[n // 2].dot(d) == simi[n // 2] @ d
+    assert simi.dot(d).tobytes() == (simi @ d).tobytes()
+    assert g.dot(simi).tobytes() == (g @ simi).tobytes()
+
+
+def full_near_vertex(sim, d, near):
+    """The vertex check as PRIMA's port first wrote it: every distance, in full."""
+    n = d.size
+    x = sim[:, n] + d
+    gaps = x[:, None] - (sim[:, n, None] + sim[:, :n])
+    distsq = (gaps * gaps).sum(axis=0)
+    j = int(distsq.argmin())
+    return j if distsq[j] <= near * near else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 26),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([None, 0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 3.0]),
+    near=st.sampled_from([1e-8, 1e-5, 1e-160]),
+)
+def test_near_vertex_finds_what_the_full_check_finds(n, seed, offset, near):
+    """Points at a random step, or ``offset`` * near from a vertex, around poles of any size."""
+    from rlansatz.optimize import _near_vertex
+
+    rng = np.random.default_rng(seed)
+    sim = rng.normal(size=(n, n + 1))
+    sim[:, n] *= 10.0 ** rng.uniform(-3, 6)
+    d = rng.normal(size=n)
+    if offset is not None:
+        direction = rng.normal(size=n)
+        d = sim[:, int(rng.integers(0, n))] + offset * near * direction / np.linalg.norm(direction)
+    assert _near_vertex(sim, d, near) == full_near_vertex(sim, d, near)
+
+
 # --- circuit objectives -----------------------------------------------------
 
 def test_qaoa_on_k3_reaches_good_values_on_most_seeds():

@@ -287,6 +287,7 @@ def test_sample_from_probabilities_is_the_clipped_normalised_multinomial(seed):
     probs = np.random.default_rng(seed + 1).random(32) ** 3
     probs /= probs.sum()
     probs[[3, 17]] = -1e-17  # float drift the clip removes
+    probs[9] = -0.0
     counts = sample_from_probabilities(probs, 1000, seed)
     p = np.clip(probs, 0.0, None)
     expected = np.random.default_rng(seed).multinomial(1000, p / p.sum())
