@@ -135,6 +135,10 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
     pole is already the best vertex wherever PRIMA re-picks it after
     updating the penalty. The filter and the history only chose the
     returned point, which ``fun`` tracks.
+
+    Products of C-contiguous operands call ``ndarray.dot``, which runs the
+    BLAS routine that ``@`` runs (ddot, dgemv) without the matmul ufunc's
+    dispatch; products with a strided operand keep ``@``.
     """
     n = x0.size
     maxfun = max(budget, n + 2)
@@ -171,7 +175,7 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
 
     rho = delta = rho_begin
     converged = False
-    col_sq = None  # _col_sq(sim) while it is known
+    col_sq = None  # _col_sq(sim), kept through updates that keep the pole; None once it moves
     for _ in range(10 * maxfun):
         g = (fsteps - fval[n]).dot(simi)
         d = _trstlp(g, delta)
@@ -210,7 +214,7 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
             if nf >= maxfun:
                 break
         if not bad_trstep:
-            col_sq = None  # f < fval[n]: the pole moved
+            col_sq = None  # f < fval[n], so the new point became the pole
             continue
         if col_sq is None:
             col_sq = _col_sq(sim)
@@ -436,15 +440,14 @@ def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq,
         distsq = col_sq
     scale = max(rho, delta / 10)
     scale_sq = scale * scale
-    # PRIMA's max(1, distsq / scale^2), which exceeds 1 only where distsq
-    # does scale^2. PRIMA scores NaN -1: 0 * inf, and q / 0 for q = 0 when
-    # scale^2 underflows. Those score 0 here, which is as far from being
-    # dropped, and leaves no NaN for max().
+    # PRIMA's score is |w| max(1, q / scale^2), whose quotient exceeds 1 only
+    # where q > scale^2. PRIMA sets a NaN score to -1: 0 * inf, or q / 0 for
+    # q = 0 when scale^2 underflows. It is 0 here; neither is ever dropped,
+    # and max() sees no NaN.
     if scale_sq > 0:
-        growth = [q / scale_sq if q > scale_sq else 1.0 for q in distsq]
+        score = [abs(w) * (q / scale_sq if q > scale_sq else 1.0) if w else 0.0 for w, q in zip(weights, distsq)]
     else:
-        growth = [math.inf if q > 0 else 0.0 for q in distsq]
-    score = [m * abs(w) if w else 0.0 for m, w in zip(growth, weights)]
+        score = [abs(w) * math.inf if w and q > 0 else 0.0 for w, q in zip(weights, distsq)]
     best = max(score)
     if best > 0:
         return score.index(best)
@@ -506,24 +509,26 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _inverse_error(simi, steps) -> float:
-    """max |simi @ steps - I|, NaN when an entry is NaN (argmax and argmin find NaN first)."""
-    err = simi @ steps
-    err -= _eye(err.shape[0])
-    return max(err.item(err.argmax()), -err.item(err.argmin()))
-
-
 def _checked_inverse(sim, simi):
-    """``simi``, re-inverted when ``simi @ sim[:, :n]`` strays from I by more than 0.1; None beyond 1."""
+    """``simi``, re-inverted when ``simi @ sim[:, :n]`` strays from I by more than 0.1; None beyond 1.
+
+    The stray is max |simi @ sim[:, :n] - I|, NaN when an entry is NaN
+    (argmax and argmin find NaN first).
+    """
     steps = sim[:, :-1]
-    erri = _inverse_error(simi, steps)
+    eye = _eye(len(steps))
+    err = simi @ steps
+    err -= eye
+    erri = max(err.item(err.argmax()), -err.item(err.argmin()))
     if not erri <= 0.1:
         try:
             test = np.linalg.inv(steps)
         except np.linalg.LinAlgError:
             test = None
         if test is not None:
-            erri_test = _inverse_error(test, steps)
+            err = test @ steps
+            err -= eye
+            erri_test = max(err.item(err.argmax()), -err.item(err.argmin()))
             if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
                 simi, erri = test, erri_test
     return simi if erri <= 1 else None

@@ -11,15 +11,17 @@ uncommitted files and the repository gains no worktree entries. Pair i of
 a workload runs ``python3 perfbench/run.py --trace 0`` with seed
 ``--first-seed + i`` once on each side; the side that runs first
 alternates from pair to pair, so a drift of the host's speed falls on both
-sides alike. Then each side makes one traced run (``--trace 1``, seed 0)
-per workload for the layer table.
+sides alike. Then each side makes three traced runs (``--trace 1``, seed
+0) per workload, again alternating which side goes first; each metric of
+the layer table is the median of the three, whose values are recorded too.
 
 Per workload the file records, for each end-to-end metric of
 ``BENCHMARK.json``: each side's values, median and quartiles, the ratio of
 the medians and the number of pairs the change won (by the metric's
 ``better`` direction). It also records each side's ``info.fingerprint``
-per seed and both traced metric tables. The machine block holds the core
-count, the python and numpy versions and both git revisions.
+per seed and both traced metric tables, with the values of each traced
+run. The machine block holds the core count, the python and numpy
+versions and both git revisions.
 """
 
 from __future__ import annotations
@@ -133,16 +135,27 @@ def main(argv=None) -> int:
                     "pairs_won": won,
                 }
             fingerprints = {side: [r["fingerprint"] for r in runs[side]] for side in trees}
-            traced = {side: run_bench(trees[side], name, 0, args.seconds, trace=1)["result"] for side in trees}
+            traced = {side: [] for side in trees}
+            for i in range(3):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    traced[side].append(run_bench(trees[side], name, 0, args.seconds, trace=1)["result"])
+            traced_values = {
+                side: {k: [t["metrics"][k]["value"] for t in results] for k in results[0]["metrics"]}
+                for side, results in traced.items()
+            }
             doc["workloads"][name] = {
                 "seeds": seeds,
                 "metrics": metrics,
                 "failed": {side: sum(r["result"]["failed"] for r in runs[side]) for side in trees},
                 "fingerprints": {**fingerprints, "identical": fingerprints["parent"] == fingerprints["change"]},
                 "traced_seed0": {
-                    side: {"failed": t["failed"], **{k: v["value"] for k, v in t["metrics"].items()}}
-                    for side, t in traced.items()
+                    side: {
+                        "failed": sum(t["failed"] for t in traced[side]),
+                        **{k: statistics.median(v) for k, v in values.items()},
+                    }
+                    for side, values in traced_values.items()
                 },
+                "traced_seed0_runs": traced_values,
             }
             args.out.write_text(json.dumps(doc, indent=1) + "\n")  # keep what is done if a later run fails
     return 0
