@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import importlib.util
 import io
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -47,6 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402 - after the BLAS pin
+from bench_pairs import export  # noqa: E402 - a sibling script in tools/
 
 REPO = Path(__file__).resolve().parent.parent
 MATRIX_INI = (
@@ -145,13 +144,6 @@ def replay(pkg, trace: Trace) -> float:
     if result_key(result) != trace.result:
         raise Mismatch("the result differs")
     return elapsed
-
-
-def export(rev: str, dest: Path) -> None:
-    """The committed files of ``rev`` into ``dest``."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def main(argv=None) -> int:
