@@ -22,7 +22,6 @@ from .circuits import (
 from .metrics import EvalReport, approximation_ratio, evaluate_circuit, solution_distribution
 from .optimize import OptimizationResult, OptimizerConfig, cobyla_minimize, optimize_circuit
 from .problems import (
-    DiagonalHamiltonian,
     Graph,
     ProblemInstance,
     ProblemKind,

@@ -102,7 +102,7 @@ class CircuitBuildEnv:
         self.circuit = self.actions.apply(self.circuit, action_id)
         step_key = self.steps + 1  # 0 is the reset observation
         opt_seed = derive_seed(self.seed, self.episode, step_key, OPT_STREAM)
-        result = optimize_circuit(self.circuit, self.inst, cfg.shots, opt_seed, cfg.optimizer)
+        result = optimize_circuit(self.circuit, self.inst.ham, cfg.shots, opt_seed, cfg.optimizer)
 
         # the reward and the observation sample the same optimized circuit
         probs = exact_probabilities(self.circuit)

@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidGateError
 
+MAX_QUBITS = 20  # the simulator's and the brute-force enumeration's limit: 2^20 amplitudes or energies
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -292,7 +294,7 @@ def to_basis_gates(circuit: Circuit) -> Circuit:
 _H_AS_NATIVE_ANGLES = (0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi)  # Rz, Rx, Rz
 
 
-def to_native_gates(circuit: Circuit, simplify: bool = True) -> Circuit:
+def to_native_gates(circuit: Circuit) -> Circuit:
     """Rewrite into {Cx, Rx, Ry, Rz} (up to global phase) and simplify.
 
     H becomes Rz(pi/2) Rx(pi/2) Rz(pi/2); Rzz(theta) on (u, v) becomes
@@ -316,9 +318,7 @@ def to_native_gates(circuit: Circuit, simplify: bool = True) -> Circuit:
             gates.append(cx)
         else:
             gates.append(g)
-    if simplify:
-        gates = simplify_gates(gates)
-    return Circuit(circuit.n_qubits, gates, circuit.params)
+    return Circuit(circuit.n_qubits, simplify_gates(gates), circuit.params)
 
 
 def _is_zero_angle(angle: float) -> bool:

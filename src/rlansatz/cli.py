@@ -64,8 +64,8 @@ def cmd_train(args) -> int:
     if args.workers is not None:
         cfg.train.workers = args.workers
     cfg.train.validate()
-    out = _out_dir(cfg, args)
     inst = cfg.build_instance()
+    out = _out_dir(cfg, args)
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
     result = train(inst, cfg.train, cfg.master_seed)
@@ -125,8 +125,8 @@ def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dic
 
 def cmd_baseline(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     inst = cfg.build_instance()
+    out = _out_dir(cfg, args)
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
     doc = _baseline_report(cfg, inst, args.algorithm, out)
     print(f"{args.algorithm}: mean A.R. {doc['approx_ratio']:.4f} over {doc['n_runs']} runs -> {out}")
@@ -135,8 +135,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_brute_force(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
     inst = cfg.build_instance()
+    out = _out_dir(cfg, args)
     spectrum = inst.spectrum
     doc = {
         "e_min": spectrum.e_min,

@@ -8,6 +8,7 @@ Any key may be omitted; see README.md for the full schema.
 from __future__ import annotations
 
 import configparser
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -15,8 +16,9 @@ from pathlib import Path
 from . import __version__
 from .agent.training import TrainConfig
 from .ansatz import BASELINE_BUILDERS
+from .circuits import MAX_QUBITS
 from .errors import ConfigurationError
-from .problems import DEFAULT_PENALTY, ProblemInstance, ProblemKind, Topology, make_instance
+from .problems import DEFAULT_PENALTY, ProblemInstance, ProblemKind, Topology, build_qubo, generate_graph, make_instance
 
 
 @dataclass
@@ -139,7 +141,10 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
-    """Config with a [matrix] section listing problems/topologies/sizes/algorithms."""
+    """Config with a [matrix] section listing problems/topologies/sizes/algorithms.
+
+    Each cell's size, graph and QUBO (cheap to build) are checked before anything is written.
+    """
     parser = _read(path)
     base = _from_parser(parser)
     if not parser.has_section("matrix"):
@@ -177,6 +182,11 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
     for algorithm in matrix["algorithms"]:
         if algorithm not in BASELINE_BUILDERS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r} in [matrix]")
+    p = base.problem
+    for kind, topology, n in itertools.product(matrix["problems"], matrix["topologies"], matrix["sizes"]):
+        if not 1 <= n <= MAX_QUBITS:
+            raise ConfigurationError(f"matrix size {n} outside [1, {MAX_QUBITS}]")
+        build_qubo(generate_graph(topology, n, p.seed, er_p=p.er_p, rows=p.rows), kind, p.penalty)
     return base, matrix
 
 

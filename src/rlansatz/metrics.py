@@ -71,7 +71,7 @@ def evaluate_circuit(
             init_rng = rng_for(seed, INIT_STREAM, run)
             work.params[:] = init_rng.uniform(-np.pi, np.pi, work.n_params)
         if optimize and work.n_params:
-            optimize_circuit(work, inst, n_shots, derive_seed(seed, OPT_STREAM, run), optimizer)
+            optimize_circuit(work, inst.ham, n_shots, derive_seed(seed, OPT_STREAM, run), optimizer)
         shot_seed = derive_seed(seed, REWARD_STREAM, run)
         estimate = estimate_expectation(sample_shots(work, n_shots, shot_seed), inst.ham)
         estimates.append(estimate)
@@ -100,7 +100,7 @@ def solution_distribution(
     its frequency; frequencies sum to 1.
     """
     counts = sample_shots(circuit, n_shots, derive_seed(seed, REWARD_STREAM))
-    levels, level_of = np.unique(inst.ham.energy, return_inverse=True)
+    levels, level_of = np.unique(inst.ham, return_inverse=True)
     # bincount adds each outcome's frequency in basis order, as a per-outcome loop would
     freq = np.bincount(level_of, weights=counts / n_shots, minlength=len(levels))
     hit = freq > 0

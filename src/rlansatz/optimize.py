@@ -26,7 +26,6 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import ConfigurationError, OptimizationError
-from .problems import ProblemInstance
 from .qsim import estimate_expectation, sample_shots
 from .seeding import OPT_STREAM, SeedStream
 
@@ -536,25 +535,28 @@ def _checked_inverse(sim, simi):
 
 def optimize_circuit(
     circuit: Circuit,
-    inst: ProblemInstance,
+    energy: np.ndarray,
     n_shots: int,
     seed: int,
     optimizer: OptimizerConfig | None = None,
 ) -> OptimizationResult:
     """Tune the circuit's parameters against the shot-estimated expectation.
 
-    The objective re-samples every evaluation with a fresh seed,
-    ``derive_seed(seed, OPT_STREAM, k)`` for evaluation k, mirroring repeated
-    executions on a sampling backend. Warm start: optimization begins at the
-    circuit's current parameters (new gates enter at 0). On return the
-    circuit carries the best parameters found.
+    The expectation is of the diagonal H with the energy vector ``energy``
+    (``ProblemInstance.ham``). The objective re-samples every evaluation
+    with a fresh seed, ``derive_seed(seed, OPT_STREAM, k)`` for evaluation k,
+    mirroring repeated executions on a sampling backend. Warm start:
+    optimization begins at the circuit's current parameters (new gates
+    enter at 0). On return the circuit carries the best parameters found.
     """
+    if energy.shape != (1 << circuit.n_qubits,):
+        raise ConfigurationError(f"{energy.size} energies vs circuit on {circuit.n_qubits} qubits")
     shot_seeds = SeedStream(seed, OPT_STREAM)
     evaluation = itertools.count()
 
     def objective(theta: np.ndarray) -> float:
         shot_seed = shot_seeds[next(evaluation)]
-        return estimate_expectation(sample_shots(circuit, n_shots, shot_seed, params=theta), inst.ham)
+        return estimate_expectation(sample_shots(circuit, n_shots, shot_seed, params=theta), energy)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)
     if circuit.n_params:

@@ -1,10 +1,10 @@
-"""Problem instances: graphs, QUBO matrices, diagonal Hamiltonians, spectra.
+"""Problem instances: graphs, QUBO matrices, energy vectors, spectra.
 
 A problem instance bundles a graph, one of three QUBO formulations
-(maximum cut, maximum clique, minimum vertex cover) and the derived
-per-bitstring energy table plus its brute-force spectrum. Bitstrings are
-little-endian throughout: basis index ``b`` assigns vertex/qubit ``i`` the
-bit ``(b >> i) & 1``.
+(maximum cut, maximum clique, minimum vertex cover), the diagonal
+Hamiltonian as its float64 energy vector, and its brute-force spectrum.
+Bitstrings are little-endian throughout: basis index ``b`` assigns
+vertex/qubit ``i`` the bit ``(b >> i) & 1``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
+from .circuits import MAX_QUBITS
 from .errors import ConfigurationError
 from .seeding import rng_for
 
-MAX_BRUTE_FORCE_QUBITS = 20
 DEFAULT_PENALTY = 2.0
 
 _ENUM_CHUNK = 1 << 16  # rows per block when enumerating 2^n assignments
@@ -239,25 +239,11 @@ def build_qubo(graph: Graph, kind: ProblemKind | str, penalty: float = DEFAULT_P
     return QuboMatrix(n, q, offset)
 
 
-@dataclass(frozen=True)
-class DiagonalHamiltonian:
-    """Per-bitstring energy table: energy[b] is the QUBO value of b's bits."""
-
-    n: int
-    energy: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.energy, dtype=float)
-        if e.shape != (1 << self.n,):
-            raise ConfigurationError(f"energy table must have length 2^{self.n}")
-        object.__setattr__(self, "energy", e)
-
-
-def qubo_to_hamiltonian(qubo: QuboMatrix) -> DiagonalHamiltonian:
-    """Enumerate the QUBO objective over all 2^n assignments (little-endian)."""
+def qubo_to_hamiltonian(qubo: QuboMatrix) -> np.ndarray:
+    """The Hamiltonian's diagonal: ``energy[b]`` is the QUBO value of b's bits, for all 2^n b."""
     n = qubo.n
-    if n > MAX_BRUTE_FORCE_QUBITS:
-        raise ConfigurationError(f"refusing to enumerate 2^{n} assignments (max n={MAX_BRUTE_FORCE_QUBITS})")
+    if n > MAX_QUBITS:
+        raise ConfigurationError(f"refusing to enumerate 2^{n} assignments (max n={MAX_QUBITS})")
     dim = 1 << n
     energy = np.empty(dim)
     shifts = np.arange(n, dtype=np.int64)
@@ -265,7 +251,7 @@ def qubo_to_hamiltonian(qubo: QuboMatrix) -> DiagonalHamiltonian:
         idx = np.arange(start, min(start + _ENUM_CHUNK, dim), dtype=np.int64)
         bits = ((idx[:, None] >> shifts) & 1).astype(float)
         energy[start : start + len(idx)] = np.einsum("bi,ij,bj->b", bits, qubo.q, bits)
-    return DiagonalHamiltonian(n, energy + qubo.offset)
+    return energy + qubo.offset
 
 
 def qubo_to_ising(qubo: QuboMatrix) -> tuple[dict[tuple[int, int], float], np.ndarray, float]:
@@ -318,7 +304,7 @@ _GROUND_STATE_CAP = 16
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact extrema of an energy table plus the feasibility threshold.
+    """Exact extrema of an energy vector plus the feasibility threshold.
 
     ``feasibility_threshold_ar`` is the approximation ratio of the worst
     feasible bitstring: (e_feasible_worst - e_max) / (e_min - e_max). It is
@@ -335,12 +321,14 @@ class Spectrum:
     n_ground: int
 
 
-def brute_force_spectrum(ham: DiagonalHamiltonian, kind: ProblemKind | str, graph: Graph) -> Spectrum:
-    """Exact spectrum by full enumeration of the energy table (n <= 20)."""
+def brute_force_spectrum(energy: np.ndarray, kind: ProblemKind | str, graph: Graph) -> Spectrum:
+    """Exact spectrum by full enumeration of the graph's energy vector (n <= 20)."""
     kind = ProblemKind(kind)
-    if ham.n > MAX_BRUTE_FORCE_QUBITS:
-        raise ConfigurationError(f"brute force supports n <= {MAX_BRUTE_FORCE_QUBITS}")
-    energy = ham.energy
+    n = graph.n_vertices
+    if n > MAX_QUBITS:
+        raise ConfigurationError(f"brute force supports n <= {MAX_QUBITS}")
+    if energy.shape != (1 << n,):
+        raise ConfigurationError(f"energy vector of shape {energy.shape} for a graph on {n} vertices")
     e_min = float(energy.min())
     e_max = float(energy.max())
     degenerate = e_min == e_max
@@ -370,7 +358,7 @@ class ProblemInstance:
     kind: ProblemKind
     penalty: float
     qubo: QuboMatrix
-    ham: DiagonalHamiltonian
+    ham: np.ndarray  # the energy vector, see qubo_to_hamiltonian
     spectrum: Spectrum
 
     @property

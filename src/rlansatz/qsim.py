@@ -1,10 +1,10 @@
 """Dense statevector simulation, shot sampling and expectation estimation.
 
-States and shot samples are plain NumPy arrays. A state is a length-2^n
-complex128 amplitude vector in little-endian basis order (qubit i lives at
-bit i of the index); a shot sample is the int64 vector of per-outcome
-counts. Each gate is applied in place by a kernel specialised to its
-family, working on a reshaped view of the vector in which the gate's qubits
+States, shot samples and Hamiltonians are plain NumPy arrays. A state is
+a length-2^n complex128 amplitude vector in little-endian basis order
+(qubit i lives at bit i of the index), a shot sample the int64 vector of
+per-outcome counts, and a diagonal Hamiltonian its float64 energy vector.
+Each gate is applied in place by a kernel specialised to its family, working on a reshaped view of the vector in which the gate's qubits
 own axes of length 2:
 ``(2^(n-q-1), 2, 2^q)`` for one qubit, ``(..., 2, ..., 2, ...)`` for two. No
 gate operator is ever built. A Pauli rotation ``exp(-i theta/2 P)`` equals
@@ -42,12 +42,9 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import Circuit, GateApplication, GateKind, PARAMETRIC_KINDS, rotation_axes
+from .circuits import MAX_QUBITS, Circuit, GateApplication, GateKind, PARAMETRIC_KINDS, rotation_axes
 from .errors import ConfigurationError, InvalidGateError
-from .problems import DiagonalHamiltonian
 from .seeding import seeded_generator
-
-MAX_QUBITS = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _ALL = slice(None)
@@ -303,11 +300,11 @@ def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None) -> n
     return (amps * amps.conj()).real
 
 
-def exact_expectation(circuit: Circuit, ham: DiagonalHamiltonian, params: np.ndarray | None = None) -> float:
-    """Exact <H> of the final state for a diagonal H (test oracle)."""
-    if ham.n != circuit.n_qubits:
-        raise ConfigurationError(f"hamiltonian on {ham.n} qubits vs circuit on {circuit.n_qubits}")
-    return float(exact_probabilities(circuit, params) @ ham.energy)
+def exact_expectation(circuit: Circuit, energy: np.ndarray, params: np.ndarray | None = None) -> float:
+    """Exact <H> of the final state for the diagonal H with this energy vector (test oracle)."""
+    if energy.shape != (1 << circuit.n_qubits,):
+        raise ConfigurationError(f"{energy.size} energies vs circuit on {circuit.n_qubits} qubits")
+    return float(exact_probabilities(circuit, params) @ energy)
 
 
 def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) -> np.ndarray:
@@ -329,12 +326,12 @@ def sample_shots(circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarr
     return sample_from_probabilities(exact_probabilities(circuit, params), n_shots, rng_seed)
 
 
-def estimate_expectation(counts: np.ndarray, ham: DiagonalHamiltonian) -> float:
+def estimate_expectation(counts: np.ndarray, energy: np.ndarray) -> float:
     """Average energy of the sampled outcomes: sum count(b) * energy(b) / shots.
 
     Equals the shot estimate of <H> because H is diagonal, so each measured
-    basis state contributes exactly its table energy.
+    basis state contributes exactly its energy.
     """
-    if counts.shape != ham.energy.shape:
-        raise ConfigurationError(f"{counts.size} outcome counts vs hamiltonian on {ham.n} qubits")
-    return float(counts @ ham.energy / counts.sum())
+    if counts.shape != energy.shape:
+        raise ConfigurationError(f"{counts.size} outcome counts vs {energy.size} energies")
+    return float(counts @ energy / counts.sum())

@@ -211,7 +211,8 @@ def seeded_generator(seed: int) -> np.random.Generator:
         generator = _THREAD.generator = np.random.default_rng(0)
     words = _BLOCK_WORDS.get(seed)
     if words is None:
-        words = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        entropy = np.array(_words(seed), dtype=np.uint32)  # default_rng(seed)'s words, as derive_seed passes them
+        words = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
     inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
     state = ((inc + ((words[0] << 64) | words[1])) * _PCG64_MULT + inc) & _MASK128
     generator.bit_generator.state = {

@@ -113,7 +113,7 @@ def test_criterion_4_qubo_tables_and_spectra():
             inst = make_instance(topology, n, seed, kind, er_p=er_p)
             for b in range(1 << n):
                 expected = qubo_value(inst.qubo.q, inst.qubo.offset, index_bits(b, n))
-                if inst.ham.energy[b] != pytest.approx(expected, abs=1e-9):
+                if inst.ham[b] != pytest.approx(expected, abs=1e-9):
                     ok = False
                     details.append(f"{kind}/{topology}: energy mismatch at {b}")
                     break
@@ -122,8 +122,8 @@ def test_criterion_4_qubo_tables_and_spectra():
                     ok = False
                     details.append(f"maxcut/{topology}: e_max {inst.spectrum.e_max}")
                 full = (1 << n) - 1
-                flipped = inst.ham.energy[[b ^ full for b in range(1 << n)]]
-                if not np.array_equal(inst.ham.energy, flipped):
+                flipped = inst.ham[[b ^ full for b in range(1 << n)]]
+                if not np.array_equal(inst.ham, flipped):
                     ok = False
                     details.append(f"maxcut/{topology}: flip asymmetry")
     report(
@@ -318,10 +318,10 @@ def test_criterion_11_concentration_of_chain_solutions():
 
     linear = build_linear_ryz(8)
     linear.params[:] = rng_for(seed, INIT_STREAM, 0).uniform(-np.pi, np.pi, linear.n_params)
-    optimize_circuit(linear, inst, 1000, derive_seed(seed, 10))
+    optimize_circuit(linear, inst.ham, 1000, derive_seed(seed, 10))
     qaoa = build_qaoa(inst, 1)
     qaoa.params[:] = rng_for(seed, INIT_STREAM, 1).uniform(-np.pi, np.pi, qaoa.n_params)
-    optimize_circuit(qaoa, inst, 1000, derive_seed(seed, 11))
+    optimize_circuit(qaoa, inst.ham, 1000, derive_seed(seed, 11))
 
     mass_linear = solution_distribution(linear, inst, 1000, derive_seed(seed, 12)).get(e_min, 0.0)
     mass_qaoa = solution_distribution(qaoa, inst, 1000, derive_seed(seed, 13)).get(e_min, 0.0)

@@ -168,15 +168,33 @@ def test_matrix_without_section_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line",
-    ["sizes = eight", "algorithm = linear", "algorithms = qaoa1, qaoa7"],
-    ids=["non-integer-size", "unknown-key", "unknown-algorithm"],
+    "matrix, problem",
+    [
+        ({"sizes": "eight"}, ""),
+        ({"algorithm": "linear"}, ""),
+        ({"algorithms": "qaoa1, qaoa7"}, ""),
+        ({"sizes": "8, 25"}, ""),
+        ({"topologies": "grid2d", "sizes": "7"}, ""),
+        ({"problems": "minvertexcover"}, "penalty = 0.5\n"),
+    ],
+    ids=["non-integer-size", "unknown-key", "unknown-algorithm", "size-above-limit", "prime-grid", "low-penalty"],
 )
-def test_bad_matrix_section_exits_2_before_writing(tmp_path, line):
+def test_bad_matrix_section_exits_2_before_writing(tmp_path, matrix, problem):
     cfg = write_config(tmp_path / "m.ini")
-    cfg.write_text(cfg.read_text() + f"\n[matrix]\nproblems = maxcut\ntopologies = cycle\n{line}\n")
+    section = {"problems": "maxcut", "topologies": "cycle", **matrix}
+    text = cfg.read_text().replace("[problem]\n", f"[problem]\n{problem}")
+    cfg.write_text(text + "\n[matrix]\n" + "".join(f"{key} = {value}\n" for key, value in section.items()))
     out = tmp_path / "grid"
     assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["baseline", "qaoa1"], ["brute-force"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("topology, n", [("cycle", 25), ("grid2d", 7)], ids=["n25", "prime-grid"])
+def test_unbuildable_instance_exits_2_before_writing(tmp_path, command, topology, n):
+    cfg = write_config(tmp_path / "bad.ini", topology=topology, n=n)
+    out = tmp_path / "o"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 2
     assert not out.exists()
 
 

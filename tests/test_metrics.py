@@ -118,6 +118,6 @@ def test_solution_distribution_equals_per_outcome_histogram():
     counts = sample_shots(circuit, 1000, derive_seed(6, REWARD_STREAM))
     expected: dict[float, float] = {}
     for b in np.flatnonzero(counts):
-        e = float(inst.ham.energy[b])
+        e = float(inst.ham[b])
         expected[e] = expected.get(e, 0.0) + counts[b] / 1000
     assert list(hist.items()) == sorted(expected.items())

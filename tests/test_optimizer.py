@@ -356,7 +356,7 @@ def test_qaoa_on_k3_reaches_good_values_on_most_seeds():
         circuit = build_qaoa(inst, 1)
         rng = np.random.default_rng(1000 + seed)
         circuit.params[:] = rng.uniform(-np.pi, np.pi, 2)
-        result = optimize_circuit(circuit, inst, 1000, seed=seed)
+        result = optimize_circuit(circuit, inst.ham, 1000, seed=seed)
         if result.best_value <= -1.3:
             good += 1
     assert good >= 8
@@ -364,7 +364,7 @@ def test_qaoa_on_k3_reaches_good_values_on_most_seeds():
 
 def test_zero_parameter_circuit_returns_single_estimate():
     inst = make_instance("cycle", 3, 0, "maxcut")
-    result = optimize_circuit(h_layer(3), inst, 1000, seed=0)
+    result = optimize_circuit(h_layer(3), inst.ham, 1000, seed=0)
     assert result.evaluations == 1
     assert result.converged
     # uniform sampling averages the K3 table mean of -1.5, within shot noise
@@ -375,7 +375,7 @@ def test_optimized_linear_not_worse_than_start():
     inst = make_instance("erdos_renyi", 8, 3, "maxcut", er_p=0.5)
     circuit = build_linear_ryz(8)
     start_ar = approximation_ratio(exact_expectation(circuit, inst.ham), inst.spectrum)
-    optimize_circuit(circuit, inst, 1000, seed=4)
+    optimize_circuit(circuit, inst.ham, 1000, seed=4)
     end_ar = approximation_ratio(exact_expectation(circuit, inst.ham), inst.spectrum)
     assert end_ar >= start_ar
 
@@ -383,7 +383,7 @@ def test_optimized_linear_not_worse_than_start():
 def test_optimize_circuit_updates_params_to_best():
     inst = make_instance("cycle", 4, 0, "maxcut")
     circuit = build_qaoa(inst, 1)
-    result = optimize_circuit(circuit, inst, 500, seed=9)
+    result = optimize_circuit(circuit, inst.ham, 500, seed=9)
     assert np.array_equal(circuit.params, result.best_params)
 
 
@@ -392,7 +392,7 @@ def test_optimize_circuit_deterministic():
     results = []
     for _ in range(2):
         circuit = build_qaoa(inst, 1)
-        results.append(optimize_circuit(circuit, inst, 500, seed=77))
+        results.append(optimize_circuit(circuit, inst.ham, 500, seed=77))
     assert np.array_equal(results[0].best_params, results[1].best_params)
     assert results[0].best_value == results[1].best_value
     assert results[0].evaluations == results[1].evaluations
@@ -413,7 +413,7 @@ def test_optimize_circuit_warm_start_evaluates_current_params_first():
 
     opt.sample_shots = spy
     try:
-        optimize_circuit(circuit, inst, 200, seed=1, optimizer=OptimizerConfig(max_iterations=5))
+        optimize_circuit(circuit, inst.ham, 200, seed=1, optimizer=OptimizerConfig(max_iterations=5))
     finally:
         opt.sample_shots = original
     assert np.array_equal(seen[0], [0.4, -0.2])

@@ -15,7 +15,6 @@ from rlansatz.problems import (
     qubo_to_hamiltonian,
     qubo_to_ising,
     QuboMatrix,
-    DiagonalHamiltonian,
 )
 
 from _oracles import index_bits, qubo_value
@@ -152,18 +151,18 @@ def test_constrained_kinds_require_penalty_above_one():
 
 def test_zero_qubo_gives_zero_table():
     qubo = QuboMatrix(3, np.zeros((3, 3)))
-    assert np.array_equal(qubo_to_hamiltonian(qubo).energy, np.zeros(8))
+    assert np.array_equal(qubo_to_hamiltonian(qubo), np.zeros(8))
 
 
 def test_single_variable_table():
     qubo = QuboMatrix(1, np.array([[-1.0]]))
-    assert np.array_equal(qubo_to_hamiltonian(qubo).energy, [0.0, -1.0])
+    assert np.array_equal(qubo_to_hamiltonian(qubo), [0.0, -1.0])
 
 
 def test_k3_maxcut_table_entries():
     inst = make_instance("cycle", 3, 0, "maxcut")
-    assert inst.ham.energy[0b000] == 0.0
-    assert inst.ham.energy[0b001] == -2.0
+    assert inst.ham[0b000] == 0.0
+    assert inst.ham[0b001] == -2.0
 
 
 def test_energy_table_matches_qubo_exhaustively():
@@ -171,7 +170,7 @@ def test_energy_table_matches_qubo_exhaustively():
         n = inst.n
         for b in range(1 << n):
             expected = qubo_value(inst.qubo.q, inst.qubo.offset, index_bits(b, n))
-            assert inst.ham.energy[b] == pytest.approx(expected, abs=1e-9), (inst.kind, b)
+            assert inst.ham[b] == pytest.approx(expected, abs=1e-9), (inst.kind, b)
 
 
 def test_maxcut_tables_are_spin_symmetric_with_zero_max():
@@ -181,8 +180,8 @@ def test_maxcut_tables_are_spin_symmetric_with_zero_max():
             continue
         inst = make_instance(topology, n, seed, "maxcut", er_p=er_p)
         assert inst.spectrum.e_max == 0.0
-        flipped = inst.ham.energy[[b ^ full for b in range(1 << n)]]
-        assert np.array_equal(inst.ham.energy, flipped)
+        flipped = inst.ham[[b ^ full for b in range(1 << n)]]
+        assert np.array_equal(inst.ham, flipped)
 
 
 def test_ising_form_reproduces_qubo_values():
@@ -195,7 +194,7 @@ def test_ising_form_reproduces_qubo_values():
             z = [1 - 2 * x for x in bits]
             value = const + sum(h[i] * z[i] for i in range(inst.n))
             value += sum(j * z[i1] * z[i2] for (i1, i2), j in couplings.items())
-            assert value == pytest.approx(inst.ham.energy[b], abs=1e-9)
+            assert value == pytest.approx(inst.ham[b], abs=1e-9)
 
 
 # --- spectra ----------------------------------------------------------------
@@ -219,10 +218,12 @@ def test_k3_minvertexcover_spectrum():
 
 def test_degenerate_spectrum_flagged():
     g = generate_graph("cycle", 3, seed=0)
-    ham = DiagonalHamiltonian(3, np.full(8, 4.2))
+    ham = np.full(8, 4.2)
     s = brute_force_spectrum(ham, "maxcut", g)
     assert s.degenerate
     assert s.feasibility_threshold_ar is None
+    with pytest.raises(ConfigurationError):  # a vector that is not the graph's
+        brute_force_spectrum(np.full(16, 4.2), "maxcut", g)
 
 
 def test_feasibility_masks():
@@ -244,9 +245,9 @@ def test_infeasible_strictly_above_feasible_optimum():
         if inst.kind is ProblemKind.MAX_CUT:
             continue
         mask = feasible_mask(inst.graph, inst.kind)
-        feasible_best = inst.ham.energy[mask].min()
+        feasible_best = inst.ham[mask].min()
         if (~mask).any():
-            assert inst.ham.energy[~mask].min() > feasible_best
+            assert inst.ham[~mask].min() > feasible_best
 
 
 def test_threshold_range():

@@ -57,7 +57,7 @@ def test_reused_generator_draws_what_default_rng_draws(master_seed, k, probs_see
     p = np.random.default_rng(probs_seed).random(64) ** 2
     p /= p.sum()
     seed = SeedStream(master_seed, OPT_STREAM)[k]  # its state was computed with the block
-    for s in (seed, master_seed):  # master_seed's state is computed on its own
+    for s in (seed, master_seed, 2**32, 2**64 + 5):  # the others' states are computed on their own
         expected = np.random.default_rng(s).multinomial(1000, p)
         assert np.array_equal(seeded_generator(s).multinomial(1000, p), expected)
         assert seeded_generator(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
