@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
-from .circuits import Circuit, transpiled_counts
+from .circuits import Circuit, action_space, transpiled_counts
 from .config import RunConfig, load_config, load_matrix_config, write_json
 from .errors import ConfigurationError
 from .metrics import approximation_ratio, evaluate_circuit
@@ -65,6 +65,7 @@ def cmd_train(args) -> int:
         cfg.train.workers = args.workers
     cfg.train.validate()
     inst = cfg.build_instance()
+    action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
@@ -114,12 +115,12 @@ def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dic
         **report.to_json_dict(),
         **(extra or {}),
     }
-    write_json(out / "report.json", doc)
     runs = [
         {"run": i, "ratio": r, "estimate": e}
         for i, (r, e) in enumerate(zip(report.per_run_ratios, report.per_run_estimates))
     ]
     _write_csv(out / "runs.csv", runs)
+    write_json(out / "report.json", doc)  # last: matrix --resume takes a readable report as a finished cell
     return doc
 
 
@@ -171,6 +172,14 @@ def _cell_settings(cfg: RunConfig) -> dict:
     }
 
 
+def _earlier_report(path: Path) -> dict:
+    """A cell's report from an earlier run; empty when it is missing or does not parse."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return {}
+
+
 def cmd_matrix(args) -> int:
     cfg, matrix = load_matrix_config(args.config)
     if args.seed is not None:
@@ -186,7 +195,7 @@ def cmd_matrix(args) -> int:
                     cell = out / f"{kind}_{topology}_{n}_{algorithm}"
                     cell.mkdir(parents=True, exist_ok=True)
                     report_path = cell / "report.json"
-                    doc = json.loads(report_path.read_text()) if args.resume and report_path.is_file() else {}
+                    doc = _earlier_report(report_path) if args.resume else {}
                     if doc.get("settings") != settings:
                         inst = make_instance(topology, n, p.seed, kind, p.penalty, er_p=p.er_p, rows=p.rows)
                         doc = _baseline_report(cfg, inst, algorithm, cell, {"settings": settings})
@@ -216,7 +225,10 @@ def cmd_eval(args) -> int:
     circuit_path = Path(args.circuit)
     if not circuit_path.is_file():
         raise ConfigurationError(f"circuit file not found: {circuit_path}")
-    circuit = Circuit.load(circuit_path)
+    try:
+        circuit = Circuit.load(circuit_path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"malformed circuit file {circuit_path}: {exc}") from exc
     if circuit.n_qubits != inst.n:
         raise ConfigurationError(
             f"circuit on {circuit.n_qubits} qubits vs instance on {inst.n}"

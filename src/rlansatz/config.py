@@ -10,6 +10,8 @@ from __future__ import annotations
 import configparser
 import itertools
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -71,9 +73,16 @@ def _sections(cfg: RunConfig) -> dict[str, list[tuple[object, tuple[str, ...]]]]
     }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 _COERCERS = {
     int: lambda s: int(s),
-    float: lambda s: float(s),
+    float: _finite_float,
     str: lambda s: s.strip(),
 }
 
@@ -191,6 +200,13 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Write ``doc`` next to ``path`` and move it into place, so ``path`` is never left half written."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when writing failed

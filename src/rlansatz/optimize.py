@@ -16,7 +16,6 @@ evaluation ever seen and rejects non-finite objective values.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from .circuits import Circuit
 from .errors import ConfigurationError, OptimizationError
 from .qsim import estimate_expectation, sample_shots
-from .seeding import OPT_STREAM, SeedStream
+from .seeding import OPT_STREAM, seed_stream
 
 
 @dataclass
@@ -37,8 +36,8 @@ class OptimizerConfig:
     rho_end: float = 1e-4
 
     def validate(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 1 <= self.max_iterations <= 1 << 32:  # one seed_stream seed per evaluation
+            raise ConfigurationError(f"max_iterations must be in [1, 2^32], got {self.max_iterations}")
         if not (self.rho_begin > self.rho_end > 0):
             raise ConfigurationError(f"need rho_begin > rho_end > 0, got {self.rho_begin}, {self.rho_end}")
 
@@ -185,9 +184,8 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
         # PRIMA tests the geometry of the simplex as the iteration finds it;
         # the test matters only after a bad step, so it is made only then.
         # A step is bad when it is short or fails, or when ratio <= 0, which
-        # also covers setdrop_tr finding no vertex to drop. ``moved`` says
-        # whether the simplex changed since g was computed.
-        geo_delta, moved = delta, False
+        # also covers setdrop_tr finding no vertex to drop.
+        geo_delta, jdrop_tr = delta, None
         if shortd or trfail:
             delta *= 0.1
             if delta <= _GAMMA3 * rho:
@@ -204,12 +202,11 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
             if delta <= _GAMMA3 * rho:
                 delta = rho
             simid = simi.dot(d)
-            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi, col_sq, simid)
+            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simid, col_sq)
             if jdrop_tr is not None:
                 simi = _updatexfc(jdrop_tr, d, f, sim, simi, fval, simid)
                 if simi is None:  # rounding ruined the simplex
                     break
-                moved = True
             if nf >= maxfun:
                 break
         if not bad_trstep:
@@ -218,7 +215,7 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
         if col_sq is None:
             col_sq = _col_sq(sim)
         adequate_geo = max(col_sq) <= 4 * (geo_delta * geo_delta)
-        if moved:  # vertex jdrop_tr moved to the pole plus d; as f >= fval[n], the pole stayed
+        if jdrop_tr is not None:  # vertex jdrop_tr moved to the pole plus d; as f >= fval[n], the pole stayed
             col_sq[jdrop_tr] = _sq_norm(d)
         if not adequate_geo:
             far = max(col_sq)
@@ -228,13 +225,12 @@ def _cobyla(fun: Callable[[np.ndarray], float], x0: np.ndarray, budget: int, rho
                 jdrop_geo = col_sq.index(far)
                 d = simi[jdrop_geo]
                 d = (delta / 2) * (d / math.sqrt(d.dot(d)))
-                if moved:
-                    g = (fsteps - fval[n]).dot(simi)
+                g = (fsteps - fval[n]).dot(simi)
                 dg = d.dot(g)
                 if -dg < dg:
                     d = -d
                 f, fopt = value_at(d), fval[n]
-                simi = _updatexfc(jdrop_geo, d, f, sim, simi, fval)
+                simi = _updatexfc(jdrop_geo, d, f, sim, simi, fval, simi.dot(d))
                 if simi is None or nf >= maxfun:
                     break
                 if f < fopt:  # the pole moved
@@ -418,16 +414,14 @@ def _redrho(rho: float, rho_end: float) -> float:
     return math.sqrt(ratio) * rho_end
 
 
-def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq, simid=None) -> int | None:
+def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simid, col_sq) -> int | None:
     """PRIMA ``setdrop_tr``: the vertex that the trust-region point replaces, or None.
 
-    ``col_sq`` holds the squared distances of the vertices from the pole,
-    and ``simid`` is ``simi @ d`` when the caller has it. The scores are
-    computed one by one on Python floats, which round as NumPy's do.
+    ``simid`` is ``simi @ d`` and ``col_sq`` holds the squared distances of
+    the vertices from the pole. The scores are computed one by one on
+    Python floats, which round as NumPy's do.
     """
     n = d.size
-    if simid is None:
-        simid = simi.dot(d)
     weights = simid.tolist()
     if ximproved:
         gaps = sim[:, :n] - d[:, None]
@@ -453,16 +447,13 @@ def _setdrop_tr(ximproved: bool, d, delta: float, rho: float, sim, simi, col_sq,
     return distsq.index(max(distsq)) if ximproved else None
 
 
-def _updatexfc(j: int, d, f: float, sim, simi, fval, simid=None):
+def _updatexfc(j: int, d, f: float, sim, simi, fval, simid):
     """PRIMA ``updatexfc``: vertex j becomes the pole plus d, with value f.
 
-    ``sim`` and ``fval`` change in place; ``simid`` is ``simi @ d`` when
-    the caller has it. Returns the updated inverse, or None when rounding
-    has ruined it.
+    ``sim`` and ``fval`` change in place; ``simid`` is ``simi @ d``.
+    Returns the updated inverse, or None when rounding has ruined it.
     """
     n = fval.size - 1
-    if simid is None:
-        simid = simi.dot(d)
     if j < n:
         sim[:, j] = d
         row = simi[j]
@@ -551,12 +542,10 @@ def optimize_circuit(
     """
     if energy.shape != (1 << circuit.n_qubits,):
         raise ConfigurationError(f"{energy.size} energies vs circuit on {circuit.n_qubits} qubits")
-    shot_seeds = SeedStream(seed, OPT_STREAM)
-    evaluation = itertools.count()
+    shot_seeds = seed_stream(seed, OPT_STREAM)
 
     def objective(theta: np.ndarray) -> float:
-        shot_seed = shot_seeds[next(evaluation)]
-        return estimate_expectation(sample_shots(circuit, n_shots, shot_seed, params=theta), energy)
+        return estimate_expectation(sample_shots(circuit, n_shots, next(shot_seeds), params=theta), energy)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)
     if circuit.n_params:

@@ -8,11 +8,11 @@ from its master seed alone and parallel consumers never share RNG state.
 ``derive_seed`` is the definition. An optimization derives one seed per
 objective evaluation, ``derive_seed(seed, OPT_STREAM, k)`` for k = 0, 1,
 ..., and samples each evaluation's shots from ``default_rng`` of that seed.
-``SeedStream`` computes those seeds in blocks of ``BLOCK`` counters, and
-with them the PCG64 state that ``default_rng`` would start each seed's
-generator in: numpy's SeedSequence mixing and PCG64 seeding are fixed
-integer arithmetic (O'Neill 2014), so they run on uint32 vectors, one
-lane per counter, with the same bits. ``seeded_generator`` sets a seed's
+``seed_stream`` yields those seeds in order, computed in blocks of
+``BLOCK`` counters, and with them the PCG64 state that ``default_rng``
+would start each seed's generator in: numpy's SeedSequence mixing and
+PCG64 seeding are fixed integer arithmetic (O'Neill 2014), so they run on
+uint32 vectors, one lane per counter, with the same bits. ``seeded_generator`` sets a seed's
 state into a reused ``Generator``, one per thread, instead of building a
 new one.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from typing import Iterator
 
 import numpy as np
 
@@ -144,42 +145,23 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-class SeedStream:
-    """``derive_seed(master_seed, *path, k)`` for k = 0, 1, ..., computed in blocks of ``BLOCK``.
+def seed_stream(master_seed: int, *path: int) -> Iterator[int]:
+    """``derive_seed(master_seed, *path, k)`` for k = 0, 1, ..., 2^32 - 1, computed in blocks of ``BLOCK``.
 
     The entropy of every seed in the stream is one prefix followed by the
-    counter's words, so numpy mixes the prefix once, and a block mixes its
-    counters in on uint32 vectors. Each block also computes the words each
-    of its seeds' own SeedSequence generates for PCG64, which
+    counter's one word, so numpy mixes the prefix once, and a block mixes
+    its counters in on a uint32 vector. Each block also computes the words
+    each of its seeds' own SeedSequence generates for PCG64, which
     ``seeded_generator`` reads. An optimization uses about 43 of its
-    1000-evaluation budget, so a block is computed only when a counter
+    1000-evaluation budget, so a block is computed only when the stream
     reaches it.
     """
-
-    def __init__(self, master_seed: int, *path: int):
-        prefix = _entropy(master_seed, (*path, 0))[:-1]  # at least _POOL_SIZE words; the counter's go last
-        self._pool = np.random.SeedSequence(np.array(prefix, dtype=np.uint32)).pool[:, None]
-        self._first_call = 4 * len(prefix)  # the hash calls the prefix took: 4 + 12 + 4 per word past the pool
-        self._start = -BLOCK
-        self._seeds: list[int] = []
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k - self._start < BLOCK:
-            self._start = k - k % BLOCK
-            self._seeds = self._block(self._start)
-        return self._seeds[k - self._start]
-
-    def _block(self, start: int) -> list[int]:
-        # BLOCK divides 2^32, so every counter of a block has as many words as the first
-        if start >> 32:
-            counter_words = np.array([_words(k) for k in range(start, start + BLOCK)], dtype=np.uint32).T
-        else:
-            counter_words = np.arange(start, start + BLOCK, dtype=np.uint32)[None, :]
-        pool = self._pool
-        for j, word in enumerate(counter_words):
-            calls = _hash(word, _INIT_A, _MULT_A, self._first_call + 4 * j, _POOL_SIZE)
-            pool = _mix(pool, calls)
-        s0, s1 = _generate(pool, 2).astype(np.uint64)
+    prefix = _entropy(master_seed, (*path, 0))[:-1]  # at least _POOL_SIZE words; the counter's goes last
+    prefix_pool = np.random.SeedSequence(np.array(prefix, dtype=np.uint32)).pool[:, None]
+    first_call = 4 * len(prefix)  # the hash calls the prefix took: 4 + 12 + 4 per word past the pool
+    for start in range(0, 1 << 32, BLOCK):
+        calls = _hash(np.arange(start, start + BLOCK, dtype=np.uint32), _INIT_A, _MULT_A, first_call, _POOL_SIZE)
+        s0, s1 = _generate(_mix(prefix_pool, calls), 2).astype(np.uint64)
         seeds = (s0 << np.uint64(31)) ^ s1
         # each seed's SeedSequence mixes its words [low, high]
         words = _generate(_pool(np.array([seeds & _MASK32, seeds >> np.uint64(32)], dtype=np.uint32)), 8)
@@ -187,10 +169,10 @@ class SeedStream:
         seeds = seeds.tolist()
         _BLOCK_WORDS.clear()
         _BLOCK_WORDS.update(zip(seeds, (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist()))
-        return seeds
+        yield from seeds
 
 
-# Per seed of the last block a SeedStream computed, the four uint64 words
+# Per seed of the last block a seed_stream computed, the four uint64 words
 # its SeedSequence generates for PCG64: a cache of a pure function of the
 # seed, so what it holds changes no draw, only how fast it is set up.
 _BLOCK_WORDS: dict[int, list[int]] = {}

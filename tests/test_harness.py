@@ -257,10 +257,24 @@ def test_eval_wrong_size_circuit_exits_2(tmp_path):
     other = write_config(tmp_path / "other.ini", n=6)
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    code = main(
-        ["eval", "--config", str(other), "--circuit", str(run / "best_circuit.json"), "--out", str(tmp_path / "e")]
-    )
+    saved = run / "best_circuit.json"
+    code = main(["eval", "--config", str(other), "--circuit", str(saved), "--out", str(tmp_path / "e")])
     assert code == 2
+    # malformed files: an unknown gate kind, a qubit out of range, JSON cut short
+    text = saved.read_text()
+    doc = json.loads(text)
+    unknown_kind = {**doc, "gates": [{**doc["gates"][0], "kind": "toffoli"}, *doc["gates"][1:]]}
+    far_qubit = {**doc, "gates": [{**doc["gates"][0], "qubits": [7]}, *doc["gates"][1:]]}
+    for name, body in [
+        ("unknown_kind", json.dumps(unknown_kind)),
+        ("far_qubit", json.dumps(far_qubit)),
+        ("cut_short", text[: len(text) // 2]),
+    ]:
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(body)
+        code = main(["eval", "--config", str(cfg), "--circuit", str(bad), "--out", str(tmp_path / "e")])
+        assert code == 2, name
+    assert not (tmp_path / "e").exists()
 
 
 # --- every INI key reaches the object that uses it --------------------------
@@ -399,7 +413,14 @@ def test_unknown_keys_exit_2(tmp_path, body):
 
 @pytest.mark.parametrize(
     "optimizer",
-    ["rho_begin = 1e-5\nrho_end = 1e-4", "rho_end = 0", "rho_begin = 1e-4\nrho_end = 1e-4", "max_iterations = 0"],
+    [
+        "rho_begin = 1e-5\nrho_end = 1e-4",
+        "rho_end = 0",
+        "rho_begin = 1e-4\nrho_end = 1e-4",
+        "max_iterations = 0",
+        "rho_begin = inf",
+        "max_iterations = 4294967297",
+    ],
 )
 def test_bad_optimizer_settings_exit_2_at_load(tmp_path, optimizer):
     from rlansatz.config import load_config
@@ -453,6 +474,54 @@ def test_train_rejects_uneven_worker_split_before_writing(tmp_path, ini_workers,
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert not (out / "config.json").exists()
+
+
+def test_train_rejects_one_vertex_instance_before_writing(tmp_path):
+    cfg = write_config(tmp_path / "one.ini", topology="grid2d", n=1)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind, setting",
+    [(["train"], "maxcut", "[rl]\nbeta = nan"), (["baseline", "qaoa1"], "minvertexcover", "[problem]\npenalty = nan")],
+    ids=["beta-train", "penalty-baseline"],
+)
+def test_non_finite_float_exits_2_before_writing(tmp_path, command, kind, setting):
+    cfg = write_config(tmp_path / "nan.ini", kind=kind)
+    section, line = setting.split("\n")
+    cfg.write_text(cfg.read_text().replace(f"{section}\n", f"{section}\n{line}\n"))
+    out = tmp_path / "o"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 2
+    assert not out.exists()
+
+
+def test_matrix_resume_recomputes_a_report_cut_short(tmp_path):
+    cfg = write_config(tmp_path / "m.ini", n=4)
+    cfg.write_text(cfg.read_text() + "\n[matrix]\nproblems = maxcut\nsizes = 4\nalgorithms = qaoa1, linear\n")
+    out = tmp_path / "grid"
+    assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 0
+    cut, kept = out / "maxcut_cycle_4_qaoa1" / "report.json", out / "maxcut_cycle_4_linear" / "report.json"
+    fresh, table = cut.read_bytes(), (out / "matrix.csv").read_bytes()
+    kept_stamps = {p: p.stat().st_mtime_ns for p in (kept, kept.with_name("runs.csv"))}
+    cut.write_bytes(fresh[: len(fresh) // 2])
+    assert main(["matrix", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert cut.read_bytes() == fresh
+    assert (out / "matrix.csv").read_bytes() == table
+    assert {p: p.stat().st_mtime_ns for p in kept_stamps} == kept_stamps
+
+
+def test_write_json_keeps_the_earlier_file_when_serializing_fails(tmp_path):
+    from rlansatz.config import write_json
+
+    path = tmp_path / "report.json"
+    write_json(path, {"approx_ratio": 0.5})
+    earlier = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"approx_ratio": 0.75, "circuit": object()})
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_matrix_uses_problem_rows(tmp_path):

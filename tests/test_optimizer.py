@@ -195,10 +195,10 @@ def test_simplex_updates_match_prima(prima):
         rho = delta * 10 ** rng.uniform(-2, 0)
         for ximproved in (True, False):
             expected = geometry.setdrop_tr(ximproved, d, delta, rho, sim, simi)
-            assert _setdrop_tr(ximproved, d, delta, rho, sim, simi, _col_sq(sim)) == expected
+            assert _setdrop_tr(ximproved, d, delta, rho, sim, simi.dot(d), _col_sq(sim)) == expected
         j = int(rng.integers(0, n + 1))
         sim_o, fval_o = sim.copy(), fval.copy()
-        simi_o = _updatexfc(j, d, f, sim_o, simi.copy(), fval_o)
+        simi_o = _updatexfc(j, d, f, sim_o, simi.copy(), fval_o, simi.dot(d))
         no_constraints = (np.zeros(0), _EPS, 0.0, d, f, np.zeros((0, n + 1)), np.zeros(n + 1))
         sim_p, simi_p, fval_p, _, _, info = update.updatexfc(j, *no_constraints, fval.copy(), sim.copy(), simi.copy())
         if info != 0:  # PRIMA's DAMAGING_ROUNDING: the run stops
@@ -228,6 +228,7 @@ def test_trust_region_step_matches_prima(prima):
     rng = np.random.default_rng(3)
     gradients = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in range(1, 12) for _ in range(20)]
     gradients += [np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]), np.array([3e12, -1.0, 4e11])]
+    gradients += [np.array([0.0]), np.array([1e-40]), np.array([-3e12])]  # one coordinate: zero, below eps^2, rescaled
     rounds_apart = []
     while len(rounds_apart) < 5:
         a, b = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, size=2)
@@ -289,7 +290,7 @@ def test_setdrop_tr_scores_a_nan_as_prima_does(prima):
         for delta, rho in ((1.0, 0.1), (1e-170, 1e-171)):  # the second underflows scale^2
             with np.errstate(all="ignore"):
                 expected = geometry.setdrop_tr(ximproved, d, delta, rho, sim, simi)
-                assert _setdrop_tr(ximproved, d, delta, rho, sim, simi, _col_sq(sim)) == expected
+                assert _setdrop_tr(ximproved, d, delta, rho, sim, simi.dot(d), _col_sq(sim)) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Counter-based seed derivation."""
 
+import itertools
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlansatz.seeding import BLOCK, OPT_STREAM, SeedStream, derive_seed, seeded_generator
+from rlansatz.seeding import BLOCK, OPT_STREAM, derive_seed, seed_stream, seeded_generator
 
 
 def seed_sequence_seed(master_seed, *path):
@@ -31,24 +32,24 @@ def test_derive_seed_rejects_negative_seeds(args):
 
 # The evaluation seed stream and the reused generator: the bits of the definitions.
 
-COUNTERS = st.lists(
-    st.one_of(st.integers(0, 4 * BLOCK), st.sampled_from([BLOCK - 1, BLOCK, 2**32 - 1, 2**32, 2**64 + BLOCK])),
-    min_size=1,
-    max_size=8,
+def first_seeds(master_seed, *path, count):
+    return list(itertools.islice(seed_stream(master_seed, *path), count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**140),
+    prefix=st.lists(st.integers(0, 2**70), max_size=4),
+    count=st.one_of(st.integers(1, 4 * BLOCK + 5), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])),
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(master_seed=st.integers(0, 2**140), prefix=st.lists(st.integers(0, 2**70), max_size=4), counters=COUNTERS)
-def test_seed_stream_is_derive_seed(master_seed, prefix, counters):
-    stream = SeedStream(master_seed, *prefix)
-    for k in counters:
-        assert stream[k] == derive_seed(master_seed, *prefix, k)
+def test_seed_stream_is_derive_seed(master_seed, prefix, count):
+    expected = [derive_seed(master_seed, *prefix, k) for k in range(count)]
+    assert first_seeds(master_seed, *prefix, count=count) == expected
 
 
 def test_seed_stream_crosses_block_boundaries_in_order():
-    stream = SeedStream(2024, OPT_STREAM)
-    assert [stream[k] for k in range(3 * BLOCK + 5)] == [derive_seed(2024, OPT_STREAM, k) for k in range(3 * BLOCK + 5)]
+    count = 3 * BLOCK + 5
+    assert first_seeds(2024, OPT_STREAM, count=count) == [derive_seed(2024, OPT_STREAM, k) for k in range(count)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -56,7 +57,7 @@ def test_seed_stream_crosses_block_boundaries_in_order():
 def test_reused_generator_draws_what_default_rng_draws(master_seed, k, probs_seed):
     p = np.random.default_rng(probs_seed).random(64) ** 2
     p /= p.sum()
-    seed = SeedStream(master_seed, OPT_STREAM)[k]  # its state was computed with the block
+    seed = first_seeds(master_seed, OPT_STREAM, count=k + 1)[k]  # its state was computed with the block
     for s in (seed, master_seed, 2**32, 2**64 + 5):  # the others' states are computed on their own
         expected = np.random.default_rng(s).multinomial(1000, p)
         assert np.array_equal(seeded_generator(s).multinomial(1000, p), expected)
