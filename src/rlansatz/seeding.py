@@ -12,9 +12,9 @@ objective evaluation, ``derive_seed(seed, OPT_STREAM, k)`` for k = 0, 1,
 ``BLOCK`` counters, and with them the PCG64 state that ``default_rng``
 would start each seed's generator in: numpy's SeedSequence mixing and
 PCG64 seeding are fixed integer arithmetic (O'Neill 2014), so they run on
-uint32 vectors, one lane per counter, with the same bits. ``seeded_generator`` sets a seed's
-state into a reused ``Generator``, one per thread, instead of building a
-new one.
+uint32 vectors, one lane per counter, with the same bits.
+``seeded_generator`` sets a seed's state into a reused ``Generator``, one
+per thread, instead of building a new one.
 """
 
 from __future__ import annotations
