@@ -200,7 +200,11 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` next to ``path`` and move it into place, so ``path`` is never left half written."""
+    """Write ``doc`` next to ``path`` and move it into place.
+
+    An interrupted process never leaves ``path`` half written. The file is
+    not synced to disk, so an OS crash or power loss can still cut it short.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:

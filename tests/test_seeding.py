@@ -1,5 +1,6 @@
 """Counter-based seed derivation."""
 
+import builtins
 import itertools
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlansatz import seeding
 from rlansatz.seeding import BLOCK, OPT_STREAM, derive_seed, seed_stream, seeded_generator
 
 
@@ -36,7 +38,7 @@ def first_seeds(master_seed, *path, count):
     return list(itertools.islice(seed_stream(master_seed, *path), count))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     master_seed=st.integers(0, 2**140),
     prefix=st.lists(st.integers(0, 2**70), max_size=4),
@@ -50,6 +52,21 @@ def test_seed_stream_is_derive_seed(master_seed, prefix, count):
 def test_seed_stream_crosses_block_boundaries_in_order():
     count = 3 * BLOCK + 5
     assert first_seeds(2024, OPT_STREAM, count=count) == [derive_seed(2024, OPT_STREAM, k) for k in range(count)]
+
+
+@pytest.mark.parametrize("master_seed, prefix", [(0, ()), (2024, (OPT_STREAM,)), (2**140, (2**70, 0, 5, 1))])
+def test_seed_stream_ends_with_the_last_one_word_counters(monkeypatch, master_seed, prefix):
+    # Start the stream at its last block, counters 2^32 - BLOCK ... 2^32 - 1, instead of reading 2^32 - BLOCK seeds.
+    def last_block_range(*args):
+        if args == (0, 1 << 32, BLOCK):
+            return builtins.range((1 << 32) - BLOCK, 1 << 32, BLOCK)
+        return builtins.range(*args)
+
+    expected = [derive_seed(master_seed, *prefix, k) for k in range((1 << 32) - BLOCK, 1 << 32)]
+    monkeypatch.setattr(seeding, "range", last_block_range, raising=False)
+    assert first_seeds(master_seed, *prefix, count=BLOCK + 1) == expected  # and the stream ends there
+    for s in (expected[0], expected[-1]):  # their states were computed with the block
+        assert seeded_generator(s).bit_generator.state == np.random.default_rng(s).bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
