@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+
 
 def _orthogonal(rows: int, cols: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
@@ -83,22 +85,19 @@ class Mlp:
 class Adam:
     """Adaptive moment estimation over a fixed list of parameter arrays."""
 
-    def __init__(self, arrays: list[np.ndarray], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, arrays: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)

@@ -38,14 +38,6 @@ class PpoModel:
     policy: Mlp
     value: Mlp
 
-    @property
-    def obs_dim(self) -> int:
-        return self.policy.sizes[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.policy.sizes[-1]
-
 
 def build_model(obs_dim: int, n_actions: int, seed: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN) -> PpoModel:
     policy = Mlp((obs_dim, *hidden, n_actions), rng_for(seed, 0), final_scale=FINAL_LAYER_SCALE)
@@ -57,13 +49,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.atleast_2d(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def policy_forward(model: PpoModel, obs: np.ndarray) -> np.ndarray:
-    """Action probabilities (positive, summing to 1) for one observation or a batch."""
-    single = np.asarray(obs).ndim == 1
-    probs = np.exp(log_softmax(model.policy.forward(obs)))
-    return probs[0] if single else probs
 
 
 def sample_action(model: PpoModel, obs: np.ndarray, rng: np.random.Generator) -> tuple[int, float, float]:

@@ -14,7 +14,6 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -101,10 +100,6 @@ class GateApplication:
         elif self.param_index is not None or self.angle is not None:
             raise InvalidGateError(f"{self.kind.value} takes no parameter")
 
-    @property
-    def is_parametric(self) -> bool:
-        return self.param_index is not None
-
     def resolved_angle(self, params: np.ndarray | None) -> float | None:
         if self.kind not in PARAMETRIC_KINDS:
             return None
@@ -141,12 +136,6 @@ class Circuit:
     def copy(self) -> "Circuit":
         return Circuit(self.n_qubits, list(self.gates), self.params.copy())
 
-    def with_params(self, params) -> "Circuit":
-        params = np.asarray(params, dtype=float)
-        if params.shape != self.params.shape:
-            raise InvalidGateError(f"expected {self.params.shape} parameters, got {params.shape}")
-        return Circuit(self.n_qubits, list(self.gates), params)
-
     def appended(self, kind: GateKind, qubits: tuple[int, ...], value: float = 0.0) -> "Circuit":
         """New circuit with one more independently parametrized gate (at ``value``)."""
         gate = GateApplication(kind, qubits, param_index=len(self.params))
@@ -167,26 +156,37 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Circuit":
+        """Inverse of ``to_json_dict``; a value of the wrong JSON type raises ValueError."""
         gates = [
             GateApplication(
                 GateKind(g["kind"]),
-                tuple(g["qubits"]),
-                param_index=g.get("param_index"),
-                coeff=float(g.get("coeff", 1.0)),
-                angle=g.get("angle"),
+                tuple(_json_int(q, "qubit") for q in g["qubits"]),
+                param_index=_optional(_json_int, g.get("param_index"), "param_index"),
+                coeff=_json_float(g.get("coeff", 1.0), "coeff"),
+                angle=_optional(_json_float, g.get("angle"), "angle"),
             )
             for g in doc["gates"]
         ]
-        return cls(int(doc["n_qubits"]), gates, np.asarray(doc["params"], dtype=float))
+        if not isinstance(doc["params"], list):
+            raise ValueError(f"params must be a list, got {doc['params']!r}")
+        params = [_json_float(p, "param") for p in doc["params"]]
+        return cls(_json_int(doc["n_qubits"], "n_qubits"), gates, np.asarray(params, dtype=float))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
-    @classmethod
-    def load(cls, path) -> "Circuit":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, 1.7 would truncate
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _optional(check, value, what: str):
+    return None if value is None else check(value, what)
 
 
 def h_layer(n_qubits: int) -> Circuit:
@@ -267,13 +267,6 @@ def _decompose_double(gate: GateApplication) -> list[GateApplication]:
     out.append(core)
     out.extend(g for g in (post_a, post_b) if g is not None)
     return out
-
-
-def decompose_double_rotation(kind: GateKind, theta: float, qubits: tuple[int, int] = (0, 1)) -> list[GateApplication]:
-    """Fixed-angle decomposition of one double rotation into {H, Rx, Rzz}."""
-    if kind not in DOUBLE_ROTATIONS:
-        raise InvalidGateError(f"{kind} is not a double rotation")
-    return _decompose_double(GateApplication(kind, qubits, angle=float(theta)))
 
 
 def to_basis_gates(circuit: Circuit) -> Circuit:

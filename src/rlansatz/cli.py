@@ -23,7 +23,7 @@ from pathlib import Path
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
 from .circuits import Circuit, action_space, transpiled_counts
-from .config import RunConfig, load_config, load_matrix_config, write_json
+from .config import RunConfig, load_config, load_matrix_config, write_json, write_text
 from .errors import ConfigurationError
 from .metrics import approximation_ratio, evaluate_circuit
 from .problems import instance_to_json_dict, make_instance
@@ -59,6 +59,10 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _write_config(out: Path, cfg: RunConfig, inst) -> None:
+    write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
+
+
 def cmd_train(args) -> int:
     cfg = _load(args)
     if args.workers is not None:
@@ -67,12 +71,12 @@ def cmd_train(args) -> int:
     inst = cfg.build_instance()
     action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)
-    write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
+    _write_config(out, cfg, inst)
 
     result = train(inst, cfg.train, cfg.master_seed)
     _write_csv(out / "steps.csv", result.steps)
     _write_csv(out / "epochs.csv", result.history)
-    result.best_circuit.save(out / "best_circuit.json")
+    write_text(out / "best_circuit.json", json.dumps(result.best_circuit.to_json_dict(), indent=2))
 
     # fresh shot re-estimate of the best circuit at its trained parameters
     est_seed = derive_seed(cfg.master_seed, REWARD_STREAM)
@@ -112,7 +116,7 @@ def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dic
         "algorithm": algorithm,
         "n_params": circuit.n_params,
         "feasibility_threshold_ar": inst.spectrum.feasibility_threshold_ar,
-        **report.to_json_dict(),
+        **asdict(report),
         **(extra or {}),
     }
     runs = [
@@ -128,7 +132,7 @@ def cmd_baseline(args) -> int:
     cfg = _load(args)
     inst = cfg.build_instance()
     out = _out_dir(cfg, args)
-    write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
+    _write_config(out, cfg, inst)
     doc = _baseline_report(cfg, inst, args.algorithm, out)
     print(f"{args.algorithm}: mean A.R. {doc['approx_ratio']:.4f} over {doc['n_runs']} runs -> {out}")
     return 0
@@ -226,7 +230,7 @@ def cmd_eval(args) -> int:
     if not circuit_path.is_file():
         raise ConfigurationError(f"circuit file not found: {circuit_path}")
     try:
-        circuit = Circuit.load(circuit_path)
+        circuit = Circuit.from_json_dict(json.loads(circuit_path.read_text()))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed circuit file {circuit_path}: {exc}") from exc
     if circuit.n_qubits != inst.n:
@@ -247,7 +251,7 @@ def cmd_eval(args) -> int:
     doc = {
         "circuit": str(circuit_path),
         "exact_approx_ratio": approximation_ratio(exact_expectation(circuit, inst.ham), inst.spectrum, clamp=True),
-        **report.to_json_dict(),
+        **asdict(report),
     }
     write_json(out / "eval_report.json", doc)
     print(f"A.R. {report.approx_ratio:.4f} -> {out / 'eval_report.json'}")

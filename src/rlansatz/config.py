@@ -199,8 +199,8 @@ def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
     return base, matrix
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` next to ``path`` and move it into place.
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` next to ``path`` and move it into place.
 
     An interrupted process never leaves ``path`` half written. The file is
     not synced to disk, so an OS crash or power loss can still cut it short.
@@ -208,9 +208,12 @@ def write_json(path: str | Path, doc: dict) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # left only when writing failed
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """``doc`` as indented JSON plus a newline, through ``write_text``."""
+    write_text(path, json.dumps(doc, indent=2) + "\n")

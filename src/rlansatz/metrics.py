@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class EvalReport:
     n_runs: int
     per_run_ratios: tuple[float, ...]
     per_run_estimates: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_circuit(

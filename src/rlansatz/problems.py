@@ -59,13 +59,6 @@ class Graph:
                 raise ConfigurationError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
-
     def non_edges(self) -> list[tuple[int, int]]:
         present = set(self.edges)
         n = self.n_vertices

@@ -15,7 +15,7 @@ import pytest
 from rlansatz.agent.networks import Mlp
 from rlansatz.agent.ppo import log_softmax, policy_loss_and_grads, value_loss_and_grads
 from rlansatz.ansatz import build_linear_ryz, build_qaoa
-from rlansatz.circuits import DOUBLE_ROTATIONS, decompose_double_rotation
+from rlansatz.circuits import DOUBLE_ROTATIONS, Circuit, GateApplication, to_basis_gates
 from rlansatz.cli import main as cli_main
 from rlansatz.metrics import evaluate_circuit, solution_distribution
 from rlansatz.optimize import OptimizerConfig, cobyla_minimize, optimize_circuit
@@ -75,7 +75,7 @@ def test_criterion_2_double_rotation_decompositions():
     worst = 0.0
     for kind in DOUBLE_ROTATIONS:
         for theta in thetas:
-            gates = decompose_double_rotation(kind, float(theta))
+            gates = to_basis_gates(Circuit(2, [GateApplication(kind, (0, 1), angle=float(theta))])).gates
             u = gate_list_unitary(gates, 2)
             expected = rotation_unitary(kind.value[1:], (0, 1), float(theta), 2)
             worst = max(worst, phase_aligned_distance(u, expected))

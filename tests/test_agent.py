@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 
 import rlansatz.agent.env as env_module
-from rlansatz.agent import (
-    Adam,
+from rlansatz.agent.env import CircuitBuildEnv, EnvConfig
+from rlansatz.agent.networks import Adam, Mlp
+from rlansatz.agent.ppo import (
     Batch,
-    CircuitBuildEnv,
-    EnvConfig,
-    Mlp,
     PpoHyperparams,
     Segment,
     build_model,
     compute_returns_and_advantages,
+    log_softmax,
     normalize_advantages,
-    policy_forward,
     policy_loss_and_grads,
     ppo_update,
     sample_action,
-    train,
     value_loss_and_grads,
-    TrainConfig,
 )
-from rlansatz.agent.ppo import log_softmax
+from rlansatz.agent.training import TrainConfig, train
 from rlansatz.optimize import OptimizationResult, OptimizerConfig
 from rlansatz.problems import make_instance
 
@@ -62,6 +58,11 @@ def test_adam_zero_gradient_is_noop():
 
 
 # --- policy head ------------------------------------------------------------
+
+def policy_forward(model, obs):
+    """Action probabilities for one observation."""
+    return np.exp(log_softmax(model.policy.forward(obs)))[0]
+
 
 def test_policy_forward_sums_to_one():
     model = build_model(4, 7, seed=3)
@@ -130,9 +131,9 @@ def test_advantage_normalization_statistics():
 # --- ppo update -------------------------------------------------------------
 
 def make_batch(model, n, rng, advantages=None):
-    obs = rng.random((n, model.obs_dim))
+    obs = rng.random((n, model.policy.sizes[0]))
     logits = log_softmax(model.policy.forward(obs))
-    actions = np.array([rng.choice(model.n_actions, p=np.exp(row)) for row in logits])
+    actions = np.array([rng.choice(model.policy.sizes[-1], p=np.exp(row)) for row in logits])
     logp_old = logits[np.arange(n), actions]
     return Batch(
         observations=obs,
@@ -346,7 +347,7 @@ def test_real_step_reward_identity_and_gate_growth():
     n_gates_before = len(env.circuit.gates)
     obs, reward, _, info = env.step(7)
     assert len(env.circuit.gates) == n_gates_before + 1
-    assert env.circuit.gates[-1].is_parametric
+    assert env.circuit.gates[-1].param_index is not None
     assert reward == -info.expectation - env.config.beta * info.depth
     assert abs(obs.sum() - 1.0) <= 1e-9
 

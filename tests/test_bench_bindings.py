@@ -7,10 +7,16 @@ A moved import (say ``agent.env`` calling ``qsim.sample_shots`` through the
 module) leaves an expected binding unwrapped, which otherwise shows only
 after a full traced benchmark run. These tests resolve each binding
 directly. They load the two benchmark files and change nothing in them.
+
+The package's top level and ``rlansatz.agent`` re-export only what README's
+library example and ``perfbench/*.py`` import from them, so each of those
+names is checked too, read from the files as they stand.
 """
 
+import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -64,3 +70,32 @@ def test_expected_binding_is_wrapped_by_the_tracer(binding):
         return
     value = getattr(module, attrs[0])
     assert any(value is fn for fn in WRAPPED_FUNCTIONS), f"{binding} is not a function the tracer wraps"
+
+
+def _package_imports(source: str, where: str) -> list[tuple[str, str, str]]:
+    """(file, module, name) for each name a ``from rlansatz[.agent] import`` takes."""
+    return [
+        (where, node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in ("rlansatz", "rlansatz.agent")
+        for alias in node.names
+    ]
+
+
+README_CODE = "\n".join(re.findall(r"```python\n(.*?)```", (PERFBENCH.parent / "README.md").read_text(), re.S))
+PACKAGE_IMPORTS = sorted(
+    set(_package_imports(README_CODE, "README.md")).union(
+        *(_package_imports(path.read_text(), f"perfbench/{path.name}") for path in PERFBENCH.glob("*.py"))
+    )
+)
+
+
+def test_the_readme_and_benchmark_imports_are_found():
+    names = {(module, name) for _, module, name in PACKAGE_IMPORTS}
+    assert {("rlansatz", "action_space"), ("rlansatz", "build_baseline"), ("rlansatz", "build_qaoa")} <= names
+    assert {("rlansatz.agent", "TrainConfig"), ("rlansatz.agent", "train")} <= names
+
+
+@pytest.mark.parametrize("where,module,name", PACKAGE_IMPORTS)
+def test_name_imported_from_the_package_resolves(where, module, name):
+    assert hasattr(importlib.import_module(module), name), f"{where} imports {name} from {module}, which lacks it"

@@ -74,7 +74,7 @@ def test_train_writes_all_artifacts(tmp_path):
     assert len(rows) == 16
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["approx_ratio"] <= 1.0
-    circuit = Circuit.load(out / "best_circuit.json")
+    circuit = Circuit.from_json_dict(json.loads((out / "best_circuit.json").read_text()))
     assert circuit.n_qubits == 4
 
 
@@ -230,7 +230,7 @@ def test_eval_zero_runs_exits_2_before_creating_output(tmp_path):
 
     cfg = write_config(tmp_path / "toy.ini")
     circuit = tmp_path / "qaoa1.json"
-    build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).save(circuit)
+    circuit.write_text(json.dumps(build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).to_json_dict()))
     out = tmp_path / "ev"
     code = main(["eval", "--config", str(cfg), "--circuit", str(circuit), "--out", str(out), "--runs", "0"])
     assert code == 2
@@ -260,15 +260,27 @@ def test_eval_wrong_size_circuit_exits_2(tmp_path):
     saved = run / "best_circuit.json"
     code = main(["eval", "--config", str(other), "--circuit", str(saved), "--out", str(tmp_path / "e")])
     assert code == 2
-    # malformed files: an unknown gate kind, a qubit out of range, JSON cut short
+    # malformed files: an unknown gate kind, a qubit out of range, JSON cut short,
+    # and values of the wrong JSON type, which must not be coerced
     text = saved.read_text()
     doc = json.loads(text)
-    unknown_kind = {**doc, "gates": [{**doc["gates"][0], "kind": "toffoli"}, *doc["gates"][1:]]}
-    far_qubit = {**doc, "gates": [{**doc["gates"][0], "qubits": [7]}, *doc["gates"][1:]]}
+    first, *middle, last = doc["gates"]
+    unknown_kind = {**doc, "gates": [{**first, "kind": "toffoli"}, *middle, last]}
+    far_qubit = {**doc, "gates": [{**first, "qubits": [7]}, *middle, last]}
+    fractional_qubit = {**doc, "gates": [{**first, "qubits": [1.7]}, *middle, last]}
+    bool_qubit = {**doc, "gates": [{**first, "qubits": [True]}, *middle, last]}
+    fractional_index = {**doc, "gates": [first, *middle, {**last, "param_index": 1.5}]}
+    string_angle = {**doc, "gates": [first, *middle, {"kind": last["kind"], "qubits": last["qubits"], "angle": "0.5"}]}
     for name, body in [
         ("unknown_kind", json.dumps(unknown_kind)),
         ("far_qubit", json.dumps(far_qubit)),
         ("cut_short", text[: len(text) // 2]),
+        ("fractional_qubit", json.dumps(fractional_qubit)),
+        ("bool_qubit", json.dumps(bool_qubit)),
+        ("fractional_index", json.dumps(fractional_index)),
+        ("string_angle", json.dumps(string_angle)),
+        ("nested_params", json.dumps({**doc, "params": [[p] for p in doc["params"]]})),
+        ("nan_param", json.dumps({**doc, "params": [float("nan")] * len(doc["params"])})),
     ]:
         bad = tmp_path / f"{name}.json"
         bad.write_text(body)
@@ -444,7 +456,7 @@ def test_optimizer_keys_reach_matrix_and_eval(tmp_path, consumers, command):
     text = cfg.read_text().replace("max_iterations = 40\n", "max_iterations = 30\nrho_begin = 0.5\nrho_end = 0.001\n")
     cfg.write_text(text + "\n[matrix]\nsizes = 4\n")
     circuit = tmp_path / "qaoa1.json"
-    build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).save(circuit)
+    circuit.write_text(json.dumps(build_qaoa(make_instance("cycle", 4, 1, "maxcut"), 1).to_json_dict()))
     extra = {"matrix": [], "eval": ["--circuit", str(circuit), "--reoptimize"]}[command]
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
     loop = consumers["_cobyla"]

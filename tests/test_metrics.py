@@ -75,7 +75,7 @@ def test_evaluate_circuit_threshold_flag_constrained():
 
 def test_evaluate_keep_params_without_optimization():
     inst = make_instance("cycle", 4, 0, "maxcut")
-    circuit = build_linear_ryz(4).with_params([0.3, -0.4, 0.8])
+    circuit = Circuit(4, build_linear_ryz(4).gates, [0.3, -0.4, 0.8])
     report = evaluate_circuit(
         circuit, inst, n_runs=3, n_shots=500, seed=2, random_init=False, optimize=False
     )
@@ -102,7 +102,7 @@ def test_solution_distribution_uniform_matches_degeneracies():
 
 def test_solution_distribution_frequencies_sum_to_one():
     inst = make_instance("star", 5, 0, "maxclique")
-    circuit = build_qaoa(inst, 1).with_params([0.7, 0.2])
+    circuit = Circuit(inst.n, build_qaoa(inst, 1).gates, [0.7, 0.2])
     hist = solution_distribution(circuit, inst, n_shots=1000, seed=5)
     assert abs(sum(hist.values()) - 1.0) <= 1e-9
     assert all(f > 0 for f in hist.values())
@@ -113,7 +113,7 @@ def test_solution_distribution_equals_per_outcome_histogram():
     from rlansatz.seeding import REWARD_STREAM, derive_seed
 
     inst = make_instance("three_regular", 8, 2, "minvertexcover")
-    circuit = build_qaoa(inst, 1).with_params([0.9, -0.4])
+    circuit = Circuit(inst.n, build_qaoa(inst, 1).gates, [0.9, -0.4])
     hist = solution_distribution(circuit, inst, n_shots=1000, seed=6)
     counts = sample_shots(circuit, 1000, derive_seed(6, REWARD_STREAM))
     expected: dict[float, float] = {}

@@ -18,8 +18,8 @@ from rlansatz.circuits import (
     GateApplication,
     GateKind,
     TWO_QUBIT_KINDS,
-    decompose_double_rotation,
     h_layer,
+    to_basis_gates,
 )
 from rlansatz.errors import ConfigurationError, InvalidGateError
 from rlansatz.problems import make_instance
@@ -137,7 +137,7 @@ def test_double_rotation_decomposition_identity_on_theta_grid():
     for kind in DOUBLE_ROTATIONS:
         axes = kind.value[1:]
         for theta in THETA_GRID:
-            gates = decompose_double_rotation(kind, float(theta))
+            gates = to_basis_gates(Circuit(2, [GateApplication(kind, (0, 1), angle=float(theta))])).gates
             u = gate_list_unitary(gates, 2)
             expected = rotation_unitary(axes, (0, 1), float(theta), 2)
             assert phase_aligned_distance(u, expected) <= 1e-10, (kind, theta)
@@ -145,7 +145,7 @@ def test_double_rotation_decomposition_identity_on_theta_grid():
 
 def test_decomposition_identity_reversed_qubit_pair():
     for kind in (GateKind.RYZ, GateKind.RXY, GateKind.RZX):
-        gates = decompose_double_rotation(kind, 1.234, qubits=(1, 0))
+        gates = to_basis_gates(Circuit(2, [GateApplication(kind, (1, 0), angle=1.234)])).gates
         u = gate_list_unitary(gates, 2)
         expected = rotation_unitary(kind.value[1:], (1, 0), 1.234, 2)
         assert phase_aligned_distance(u, expected) <= 1e-10
@@ -409,7 +409,7 @@ def test_plan_runs_new_angles_without_a_rebuild():
     exact_probabilities(circuit)
     plan = qsim._last_plan
     for theta in ([0.5, 1.5], [-2.0, 0.1]):
-        expected = kernel_probabilities(circuit.with_params(theta))
+        expected = kernel_probabilities(Circuit(circuit.n_qubits, circuit.gates, theta))
         assert np.array_equal(exact_probabilities(circuit, np.array(theta)), expected)
     assert qsim._last_plan is plan
 
