@@ -231,7 +231,7 @@ def cmd_eval(args) -> int:
         raise ConfigurationError(f"circuit file not found: {circuit_path}")
     try:
         circuit = Circuit.from_json_dict(json.loads(circuit_path.read_text()))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigurationError(f"malformed circuit file {circuit_path}: {exc}") from exc
     if circuit.n_qubits != inst.n:
         raise ConfigurationError(

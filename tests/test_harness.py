@@ -271,6 +271,7 @@ def test_eval_wrong_size_circuit_exits_2(tmp_path):
     bool_qubit = {**doc, "gates": [{**first, "qubits": [True]}, *middle, last]}
     fractional_index = {**doc, "gates": [first, *middle, {**last, "param_index": 1.5}]}
     string_angle = {**doc, "gates": [first, *middle, {"kind": last["kind"], "qubits": last["qubits"], "angle": "0.5"}]}
+    huge_coeff = {**doc, "gates": [first, *middle, {**last, "coeff": 10**400}]}
     for name, body in [
         ("unknown_kind", json.dumps(unknown_kind)),
         ("far_qubit", json.dumps(far_qubit)),
@@ -279,6 +280,7 @@ def test_eval_wrong_size_circuit_exits_2(tmp_path):
         ("bool_qubit", json.dumps(bool_qubit)),
         ("fractional_index", json.dumps(fractional_index)),
         ("string_angle", json.dumps(string_angle)),
+        ("huge_coeff", json.dumps(huge_coeff)),
         ("nested_params", json.dumps({**doc, "params": [[p] for p in doc["params"]]})),
         ("nan_param", json.dumps({**doc, "params": [float("nan")] * len(doc["params"])})),
     ]:
