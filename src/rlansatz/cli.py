@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -37,13 +38,14 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    """One line per row dict; the header is the first row's keys."""
+    """One line per row dict, through ``write_text``; the header is the first row's keys."""
     columns = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+    text = io.StringIO()
+    writer = csv.writer(text)  # ends each line with \r\n
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in columns])
+    write_text(path, text.getvalue())
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:

@@ -204,11 +204,12 @@ def write_text(path: str | Path, text: str) -> None:
 
     An interrupted process never leaves ``path`` half written. The file is
     not synced to disk, so an OS crash or power loss can still cut it short.
+    Line endings are written as they are in ``text``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # left only when writing failed

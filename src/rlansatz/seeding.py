@@ -7,7 +7,9 @@ from its master seed alone and parallel consumers never share RNG state.
 
 ``derive_seed`` is the definition. An optimization derives one seed per
 objective evaluation, ``derive_seed(seed, OPT_STREAM, k)`` for k = 0, 1,
-..., and samples each evaluation's shots from ``default_rng`` of that seed.
+..., and draws each evaluation's shots from the state ``default_rng`` of
+that seed starts in (a multinomial, or the uniforms of an inverse-CDF draw
+from ``qsim.CDF_MIN_QUBITS`` qubits on).
 ``seed_stream`` yields those seeds in order, computed in blocks of
 ``BLOCK`` counters, and with them the PCG64 state that ``default_rng``
 would start each seed's generator in: numpy's SeedSequence mixing and

@@ -151,3 +151,31 @@ def scipy_cobyla(objective, x0, rho_begin, rho_end, budget):
     options = {"rhobeg": rho_begin, "tol": rho_end, "maxiter": max(budget, len(x0) + 2)}
     result = minimize(recorded, x0, method="COBYLA", options=options)
     return points[:budget], result
+
+
+def running_sum(values) -> list[float]:
+    """Left-to-right running sum of floats, the order in which ``np.cumsum`` adds."""
+    out = []
+    for x in values:
+        out.append(x if not out else out[-1] + x)
+    return out
+
+
+def inverse_cdf_counts(probs, uniforms) -> np.ndarray:
+    """Counts of the outcomes the uniforms select by inverse CDF, one shot at a time.
+
+    Negative entries count as 0. Each uniform, scaled by the total, selects
+    the first outcome whose running sum exceeds it, or the last outcome with
+    positive probability when none does. The shots are walked in increasing
+    order, each continuing from where the previous one stopped.
+    """
+    p = [x if x > 0.0 else 0.0 for x in map(float, probs)]
+    cdf = running_sum(p)
+    last = max(i for i, x in enumerate(p) if x > 0.0)
+    counts = np.zeros(len(p), dtype=np.int64)
+    i = 0
+    for value in sorted(float(u) * cdf[-1] for u in uniforms):
+        while i < len(cdf) and cdf[i] <= value:
+            i += 1
+        counts[min(i, last)] += 1
+    return counts

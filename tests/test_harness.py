@@ -538,6 +538,19 @@ def test_write_json_keeps_the_earlier_file_when_serializing_fails(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_write_csv_keeps_the_earlier_file_when_a_row_fails(tmp_path):
+    from rlansatz.cli import _write_csv
+
+    path = tmp_path / "runs.csv"
+    _write_csv(path, [{"run": 0, "estimate": 0.5}])
+    earlier = path.read_bytes()
+    assert earlier == b"run,estimate\r\n0,0.5\r\n"
+    with pytest.raises(KeyError):
+        _write_csv(path, [{"run": 0, "estimate": 0.25}, {"run": 1}])
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_matrix_uses_problem_rows(tmp_path):
     cfg = write_config(tmp_path / "rows.ini", n=4, topology="grid2d")
     text = cfg.read_text().replace("seed = 1\n", "seed = 1\nrows = 1\n", 1)

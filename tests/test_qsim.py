@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rlansatz import qsim
@@ -37,9 +37,11 @@ from _oracles import (
     circuit_unitary,
     gate_list_unitary,
     gate_unitary,
+    inverse_cdf_counts,
     phase_aligned_distance,
     random_circuit,
     rotation_unitary,
+    running_sum,
 )
 
 THETA_GRID = np.arange(16) * (np.pi / 4.0) - 2.0 * np.pi
@@ -293,7 +295,8 @@ def test_apply_gate_matches_oracle_unitary_property(kind, data):
 
 
 # ---------------------------------------------------------------------------
-# Sampling contract: the exact multinomial draw and the dense estimate.
+# Sampling contract: the multinomial below 2^CDF_MIN_QUBITS outcomes, the
+# inverse-CDF draw from there on, and the dense estimate.
 # ---------------------------------------------------------------------------
 
 
@@ -308,6 +311,128 @@ def test_sample_from_probabilities_is_the_clipped_normalised_multinomial(seed):
     expected = np.random.default_rng(seed).multinomial(1000, p / p.sum())
     assert counts.dtype == np.int64
     assert np.array_equal(counts, expected)
+
+
+CDF_SIZE = 1 << qsim.CDF_MIN_QUBITS
+
+
+def drifted_probabilities(seed, size):
+    """Random probabilities with exact zeros, trailing zeros and float drift below 0."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(size) ** 3
+    probs[rng.choice(size, size // 8, replace=False)] = 0.0
+    probs[-5:] = 0.0
+    probs /= probs.sum()
+    probs[rng.choice(size - 5, 4, replace=False)] = -1e-17
+    probs[-2] = -0.0
+    return probs
+
+
+def test_cdf_crossover_keeps_the_multinomial_up_to_eight_qubits():
+    # the n=6 and n=8 benchmark runs, the acceptance criteria and their logs keep their bits
+    assert 8 < qsim.CDF_MIN_QUBITS <= 10
+
+
+@pytest.mark.parametrize("n", sorted({qsim.CDF_MIN_QUBITS, 10, 14}))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_inverse_cdf_draw_matches_the_per_shot_oracle(n, seed):
+    probs = drifted_probabilities(seed + n, 1 << n)
+    counts = sample_from_probabilities(probs, 1000, seed)
+    uniforms = np.random.default_rng(seed).random(1000)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, inverse_cdf_counts(probs, uniforms))
+
+
+def test_oracle_running_sum_is_numpy_cumsum_bit_for_bit():
+    values = np.random.default_rng(4).random(1 << 12) ** 5
+    assert np.cumsum(values).tolist() == running_sum(values.tolist())
+
+
+def test_inverse_cdf_draw_fits_the_exact_probabilities():
+    from scipy.stats import chisquare
+
+    probs = exact_probabilities(random_circuit(np.random.default_rng(3), 10, 40))
+    counts = sample_from_probabilities(probs, 100_000, 17)
+    expected = 100_000 * probs / probs.sum()
+    small = expected < 5  # pooled, so every bin expects at least 5
+    observed = np.append(counts[~small], counts[small].sum())
+    pooled = np.append(expected[~small], expected[small].sum())
+    assert pooled[-1] >= 5
+    assert chisquare(observed, pooled).pvalue > 1e-3
+
+
+def test_inverse_cdf_clamps_a_value_at_the_total_to_the_last_positive_outcome(monkeypatch):
+    class AtTheTotal:
+        def random(self, n):
+            return np.ones(n)
+
+    probs = np.zeros(CDF_SIZE)
+    probs[[2, CDF_SIZE - 9]] = 0.5
+    monkeypatch.setattr(qsim, "seeded_generator", lambda seed: AtTheTotal())
+    counts = sample_from_probabilities(probs, 10, 0)
+    assert counts[CDF_SIZE - 9] == 10 and counts.sum() == 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(["sparse", "trailing zeros", "first only", "dense"]),
+    data=st.data(),
+    n_shots=st.integers(1, 2000),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_inverse_cdf_never_counts_a_zero_probability_outcome(shape, data, n_shots, seed):
+    probs = np.zeros(CDF_SIZE)
+    weights = st.floats(min_value=5e-324, max_value=1e300 / CDF_SIZE)
+    if shape == "first only":
+        probs[0] = data.draw(weights)
+    elif shape == "dense":
+        probs[:] = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(CDF_SIZE)
+        probs[data.draw(st.lists(st.integers(0, CDF_SIZE - 1), max_size=CDF_SIZE // 2))] = 0.0
+    else:
+        end = CDF_SIZE if shape == "sparse" else data.draw(st.integers(1, CDF_SIZE - 1))
+        support = data.draw(st.lists(st.integers(0, end - 1), min_size=1, max_size=40, unique=True))
+        probs[support] = data.draw(st.lists(weights, min_size=len(support), max_size=len(support)))
+    assume(probs.sum() > 0)
+    counts = sample_from_probabilities(probs, n_shots, seed)
+    assert counts.shape == (CDF_SIZE,) and counts.sum() == n_shots
+    assert not counts[probs == 0].any()
+
+
+def test_inverse_cdf_draws_survive_perturbations_of_2e_16():
+    # numpy's binomial flips on such changes; a uniform lands within 2e-13 of a
+    # running-sum boundary about once in 10^9 draws of 1000 shots
+    rng = np.random.default_rng(2026)
+    size = 1 << 10
+    assert size >= CDF_SIZE
+    for seed in range(300):
+        probs = exact_probabilities(random_circuit(rng, 10, 12))
+        perturbed = probs + rng.uniform(-1.5e-16, 1.5e-16, size)  # plus rounding
+        assert 0 < np.max(np.abs(perturbed - probs)) <= 2e-16
+        assert np.array_equal(sample_from_probabilities(perturbed, 1000, seed), sample_from_probabilities(probs, 1000, seed))
+
+
+@pytest.mark.parametrize("size", [32, CDF_SIZE])
+@pytest.mark.parametrize(
+    "case",
+    ["zeros", "drift only", "nan", "inf", "-inf", "overflowing sum"],
+)
+def test_sample_from_probabilities_rejects_degenerate_vectors_before_drawing(size, case, monkeypatch):
+    probs = np.full(size, 1.0 / size)
+    if case == "zeros":
+        probs[:] = 0.0
+    elif case == "drift only":
+        probs[:] = -1e-17
+    elif case == "overflowing sum":
+        probs[:] = 1e308
+    else:
+        probs[size // 2] = float(case)
+
+    def no_draw(seed):
+        raise AssertionError("drew from a degenerate vector")
+
+    monkeypatch.setattr(qsim, "seeded_generator", no_draw)
+    with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="cannot sample"):
+        sample_from_probabilities(probs, 1000, 0)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 99])

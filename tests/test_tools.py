@@ -1,0 +1,27 @@
+"""Smoke tests of the crossover scripts behind ``qsim.PLAN_MAX_QUBITS`` and ``qsim.CDF_MIN_QUBITS``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("plan_crossover.py", ["--sizes", "4-5", "--rounds", "2"]),
+        ("sample_crossover.py", ["--sizes", "4-5", "--rounds", "2", "--draws", "2", "--shots", "50"]),
+    ],
+)
+def test_crossover_script_prints_one_row_per_size_and_family(script, args):
+    done = subprocess.run([sys.executable, str(TOOLS / script), *args], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, columns, *rows = done.stdout.splitlines()
+    assert "numpy" in header and columns.split()[:2] == ["n", "family"]
+    assert [row.split()[:2] for row in rows] == [["4", "qaoa2"], ["4", "agent"], ["5", "qaoa2"], ["5", "agent"]]
+    # n = 4 is timed for both families; a 3-regular graph needs an even n
+    assert all(len(row.split()) == 5 and "-" not in row.split()[2:] for row in rows[:2])
+    assert rows[2].split()[2:] == ["-", "-", "-"]
