@@ -341,11 +341,12 @@ def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) ->
     """
     if n_shots < 1:
         raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-    lowest = probs.min()
+    # the ufuncs' reductions are what .min() and .sum() run, without their Python wrappers
+    lowest = np.minimum.reduce(probs)
     # guard tiny float drift; np.maximum also turns -0.0 into 0.0, so it runs
     # whenever an entry is not positive, for the multinomial's bits
     p = probs if lowest > 0.0 else np.maximum(probs, 0.0)
-    total = p.sum()
+    total = np.add.reduce(p)
     if not (lowest > -math.inf and 0.0 < total < math.inf):  # a NaN fails both
         raise ConfigurationError(
             f"cannot sample: probabilities must be finite with a positive, finite sum (sum {total}, min {lowest})"
@@ -357,7 +358,10 @@ def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) ->
 
 
 def _inverse_cdf_counts(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Counts of the outcomes the uniforms in [0, 1) select from the non-negative ``p``; scales and sorts them in place."""
+    """Counts of the outcomes the uniforms in [0, 1) select from the non-negative ``p``.
+
+    Scales and sorts ``uniforms`` in place.
+    """
     cdf = np.cumsum(p)
     uniforms *= cdf[-1]
     uniforms.sort()  # each search then starts where the last one ended
