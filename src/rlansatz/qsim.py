@@ -278,9 +278,9 @@ PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's
 # multinomial, which walks all 2^n outcomes (see sample_from_probabilities).
-# The crossover, from tools/sample_crossover.py (2 vCPU, numpy 2.4.6, 1000
-# shots): multinomial time over inverse-CDF time was 0.64-0.87 at n = 6-8,
-# 0.90 and 1.00 at n = 9, 1.21-1.30 at n = 10 and about 4.1 at n = 14.
+# The crossover, from three runs of tools/sample_crossover.py (2 vCPU, numpy
+# 2.4.6, 1000 shots): multinomial time over inverse-CDF time was 0.59-0.87 at
+# n = 6-8, 0.90-1.00 at n = 9, 1.15-1.30 at n = 10 and 4.1-4.6 at n = 14.
 CDF_MIN_QUBITS = 10
 
 _last_plan: _Plan | None = None
@@ -346,23 +346,28 @@ def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) ->
     # guard tiny float drift; np.maximum also turns -0.0 into 0.0, so it runs
     # whenever an entry is not positive, for the multinomial's bits
     p = probs if lowest > 0.0 else np.maximum(probs, 0.0)
-    total = np.add.reduce(p)
+    if p.size < 1 << CDF_MIN_QUBITS:
+        total = np.add.reduce(p)
+        _check_sampleable(lowest, total)
+        return seeded_generator(rng_seed).multinomial(n_shots, p / total)
+    cdf = np.cumsum(p)
+    _check_sampleable(lowest, cdf[-1])
+    return _inverse_cdf_counts(p, cdf, seeded_generator(rng_seed).random(n_shots))
+
+
+def _check_sampleable(lowest: float, total: float) -> None:
+    """Raise unless the smallest entry is finite and the clipped entries' sum is positive and finite."""
     if not (lowest > -math.inf and 0.0 < total < math.inf):  # a NaN fails both
         raise ConfigurationError(
             f"cannot sample: probabilities must be finite with a positive, finite sum (sum {total}, min {lowest})"
         )
-    generator = seeded_generator(rng_seed)
-    if p.size < 1 << CDF_MIN_QUBITS:
-        return generator.multinomial(n_shots, p / total)
-    return _inverse_cdf_counts(p, generator.random(n_shots))
 
 
-def _inverse_cdf_counts(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Counts of the outcomes the uniforms in [0, 1) select from the non-negative ``p``.
+def _inverse_cdf_counts(p: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Counts of the outcomes the uniforms in [0, 1) select from the non-negative ``p`` and its ``np.cumsum``.
 
     Scales and sorts ``uniforms`` in place.
     """
-    cdf = np.cumsum(p)
     uniforms *= cdf[-1]
     uniforms.sort()  # each search then starts where the last one ended
     index = np.searchsorted(cdf, uniforms, side="right")

@@ -9,7 +9,7 @@ For each qubit count n it times the two draws of
 first, on the same seeds and the same probabilities:
 
 * ``multinomial``: ``seeded_generator(seed).multinomial(shots, p / p.sum())``
-* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, seeded_generator(seed).random(shots))``
+* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, np.cumsum(p), seeded_generator(seed).random(shots))``
 
 The probabilities are those of the two circuit families
 ``tools/plan_crossover.py`` times (qaoa2 on a 3-regular maxcut instance,
@@ -44,7 +44,7 @@ def multinomial(p: np.ndarray, shots: int, seeds: range) -> None:
 
 def inverse_cdf(p: np.ndarray, shots: int, seeds: range) -> None:
     for seed in seeds:
-        qsim._inverse_cdf_counts(p, seeded_generator(seed).random(shots))
+        qsim._inverse_cdf_counts(p, np.cumsum(p), seeded_generator(seed).random(shots))
 
 
 def seconds(draw, p: np.ndarray, shots: int, seeds: range) -> float:
