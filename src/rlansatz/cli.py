@@ -17,9 +17,14 @@ import argparse
 import csv
 import io
 import json
+import os
+import platform
+import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
@@ -65,6 +70,29 @@ def _write_config(out: Path, cfg: RunConfig, inst) -> None:
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
 
+def _git_rev(directory: Path) -> str | None:
+    """The commit checked out around ``directory``, or None outside a git checkout or without git."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=directory, capture_output=True, text=True, timeout=10
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _write_run_info(out: Path) -> None:
+    """Provenance of a training run; kept out of config.json, which reruns compare byte for byte."""
+    info = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "git_rev": _git_rev(Path(__file__).resolve().parent),
+    }
+    write_json(out / "run_info.json", info)
+
+
 def cmd_train(args) -> int:
     cfg = _load(args)
     if args.workers is not None:
@@ -74,6 +102,7 @@ def cmd_train(args) -> int:
     action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)
     _write_config(out, cfg, inst)
+    _write_run_info(out)
 
     result = train(inst, cfg.train, cfg.master_seed)
     _write_csv(out / "steps.csv", result.steps)

@@ -25,10 +25,16 @@ instead of applying those gates.
 An optimization runs one gate list dozens of times with new angles, so
 ``run_circuit`` compiles the list into a plan (``_Plan``) once and reruns
 it: the plan tabulates each rotation's record over the 2^n basis states
-and runs the kernels' arithmetic, in the same order and with the same bits,
-as gathers over the whole vector. Only the last plan is kept. Above
-``PLAN_MAX_QUBITS`` the gathers cost more than the kernels, which then run
-every time.
+and runs the kernels' arithmetic, in the same order, as gathers over the
+whole vector. Below ``2^CDF_MIN_QUBITS`` outcomes, where the multinomial
+draw turns a change in the last bit of a probability into other shots,
+that gives the kernels' bits. From there on the plan also compiles each
+run of consecutive Rz and Rzz gates (a QAOA cost layer) into one table of
+its distinct phases, applied in one pass; its amplitudes then agree with
+the kernels' to float rounding, and the inverse-CDF draw moves only when
+a shot lands within that rounding of a running-sum boundary. Only the last
+plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost more than the
+kernels, which then run every time.
 
 Shots are drawn from the exact probabilities: by numpy's multinomial below
 ``2^CDF_MIN_QUBITS`` outcomes, and from there on by inverse CDF (sorted
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -207,7 +213,18 @@ class _Plan:
     order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
     indices where the sign is -1; any other adds ``sign * partner[index]``
     (no sign when no block is negated). H and Cx after the opening layer,
-    and a diagonal gate on all n qubits (see below), keep their kernels.
+    and a diagonal gate on all n qubits (see ``_tabulated_step``), keep
+    their kernels. Below ``2^CDF_MIN_QUBITS`` outcomes that gives the
+    kernels' bits.
+
+    From ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse
+    CDF, each maximal run of consecutive Rz and Rzz gates is one
+    ``_DiagonalRun`` instead: the amplitudes agree with the kernels' to
+    float rounding (within 1e-12 in the tests), not bit for bit.
+
+    A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
+    ``(apply, None, None, None)`` for a kernel or a diagonal run, which the
+    run calls as ``apply(psi, theta)``.
     """
 
     def __init__(self, n: int, gates: list[GateApplication]):
@@ -215,32 +232,19 @@ class _Plan:
         self.gates = tuple(gates)
         uniform = _opens_with_h_layer(gates, n)
         self.start = _start_state(n, uniform)
-        tables: dict[tuple, tuple] = {}  # repeated gates share them
-        self.steps = []
-        for gate in gates[n:] if uniform else gates:
+        body = gates[n:] if uniform else gates
+        for gate in body:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-            phase, diagonal, flips, negated = _ROTATIONS.get(gate.kind, (None, False, None, None))
-            # H and Cx keep their kernels, and so does a diagonal gate on all n
-            # qubits, for the same bits: its kernel multiplies blocks of one
-            # amplitude, which numpy does without the fused multiply-add it
-            # uses on longer arrays.
-            if flips is None or (diagonal and len(gate.qubits) == n):
-                self.steps.append((gate, None, None, None))
+        fuse = n >= CDF_MIN_QUBITS
+        tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
+        self.steps = []
+        for fused, group in groupby(body, key=lambda g: fuse and g.kind in _DIAGONAL_KINDS):
+            if fused:
+                self.steps.append((_DiagonalRun(n, list(group), tables), None, None, None))
                 continue
-            key = (gate.kind, gate.qubits)
-            if key not in tables:
-                sign = np.ones(1 << n)
-                for block in negated:
-                    _gate_view(sign, n, gate.qubits)[block] = -1.0
-                if diagonal:
-                    tables[key] = (np.flatnonzero(sign < 0), None)
-                else:
-                    index = np.arange(1 << n)
-                    view = _gate_view(index, n, gate.qubits)
-                    view[...] = view[flips]  # numpy reads an overlapping source from a copy
-                    tables[key] = (index, sign if negated else None)
-            self.steps.append((gate, *tables[key], None if diagonal else phase))
+            for gate in group:
+                self.steps.append(_tabulated_step(n, gate, tables))
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
         """True for the same gate objects; gates are frozen, so they have the same structure."""
@@ -251,8 +255,8 @@ class _Plan:
         psi = self.start.copy()
         values = theta.tolist()
         for gate, table, sign, phase in self.steps:
-            if table is None:
-                _apply(psi, self.n, gate.kind, gate.qubits, gate.resolved_angle(theta))
+            if table is None:  # here ``gate`` is a kernel's or a diagonal run's callable
+                gate(psi, theta)
                 continue
             angle = gate.angle
             if angle is None:
@@ -271,9 +275,90 @@ class _Plan:
         return psi
 
 
-# The crossover, from tools/plan_crossover.py (2 vCPU, numpy 2.4.6): kernel
-# time over plan time was 0.95 on qaoa2 and 1.07 on agent circuits at n = 14,
-# 0.94 on agent circuits at n = 15, and 0.72 and 0.99 at n = 16.
+_DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, _, _) in _ROTATIONS.items() if diagonal)
+
+
+def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.ndarray:
+    """+1 per basis state, -1 in the negated blocks of the gate view on ``qubits``."""
+    sign = np.ones(1 << n)
+    for block in negated:
+        _gate_view(sign, n, qubits)[block] = -1.0
+    return sign
+
+
+def _tabulated_step(n: int, gate: GateApplication, tables: dict) -> tuple:
+    """The plan step of one gate: its kernel, or its rotation's tables (see ``_Plan``)."""
+    phase, diagonal, flips, negated = _ROTATIONS.get(gate.kind, (None, False, None, None))
+    # H and Cx keep their kernels, and so does a diagonal gate on all n
+    # qubits, for the same bits: its kernel multiplies blocks of one
+    # amplitude, which numpy does without the fused multiply-add it
+    # uses on longer arrays.
+    if flips is None or (diagonal and len(gate.qubits) == n):
+        kind, qubits = gate.kind, gate.qubits
+        return (lambda psi, theta: _apply(psi, n, kind, qubits, gate.resolved_angle(theta))), None, None, None
+    key = (gate.kind, gate.qubits)
+    if key not in tables:
+        sign = _sign_vector(n, gate.qubits, negated)
+        if diagonal:
+            tables[key] = (np.flatnonzero(sign < 0), None)
+        else:
+            index = np.arange(1 << n)
+            view = _gate_view(index, n, gate.qubits)
+            view[...] = view[flips]  # numpy reads an overlapping source from a copy
+            tables[key] = (index, sign if negated else None)
+    return (gate, *tables[key], None if diagonal else phase)
+
+
+class _DiagonalRun:
+    """A run of consecutive diagonal rotations compiled into one phase table.
+
+    The run multiplies amplitude b by ``exp(-i phase[b])``, where
+    ``phase[b]`` sums ``0.5 * angle * sign[b]`` over its gates. Per
+    parameter the sum is ``theta[p]`` times a weight vector, the sum of the
+    gates' ``0.5 * coeff * sign``; the fixed angles add one constant vector.
+    Most basis states share their column of weights with others (the
+    2^n states of a cost layer take only as many phases as the cost has
+    levels), so the step keeps the distinct columns and an index of each
+    state's column. A call computes the distinct phases from ``theta`` and
+    scales the whole vector by their ``exp`` gathered through the index.
+    Runs with the same gates up to the parameter numbering share tables.
+    """
+
+    __slots__ = ("params", "weights", "fixed", "index")
+
+    def __init__(self, n: int, gates: list[GateApplication], tables: dict):
+        slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
+        key = []
+        for g in gates:
+            if g.angle is None:
+                key.append((g.kind, g.qubits, slot.setdefault(g.param_index, len(slot)), g.coeff))
+            else:
+                key.append((g.kind, g.qubits, None, g.angle))
+        self.params = np.array(list(slot), dtype=np.intp)
+        key = tuple(key)
+        if key not in tables:
+            rows = np.zeros((len(slot) + 1, 1 << n))  # the last row takes the fixed angles
+            for kind, qubits, row, value in key:
+                rows[-1 if row is None else row] += 0.5 * value * _sign_vector(n, qubits, _ROTATIONS[kind][3])
+            columns = np.ascontiguousarray(rows.T)
+            # one void scalar per column: np.unique sorts those far faster than rows with axis=0
+            keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
+            _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+            distinct = rows[:, first]
+            tables[key] = (np.ascontiguousarray(distinct[:-1]), distinct[-1].copy(), index)
+        self.weights, self.fixed, self.index = tables[key]
+
+    def __call__(self, psi: np.ndarray, theta: np.ndarray) -> None:
+        phases = theta[self.params] @ self.weights
+        phases += self.fixed
+        psi *= np.exp(-1j * phases)[self.index]
+
+
+# The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
+# 2.4.6): kernel time over plan time was, on qaoa2 / agent circuits, 4.01 /
+# 2.16 at n = 10, 2.79 / 1.53 at n = 12, 1.93 / 1.25 at n = 14, - / 0.99 at
+# n = 15 and 1.31 / 1.04 at n = 16. Agent circuits, mostly rotations that
+# fold into no phase table, stop gaining after n = 14.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's

@@ -89,6 +89,29 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
+def diagonal_phases(n: int, gates, theta) -> np.ndarray:
+    """Per basis state b, the phase phi[b] of the Rz and Rzz gates: they multiply amplitude b by exp(-i phi[b]).
+
+    phi[b] sums, over the gates, half the gate's angle times its Z-parity
+    sign: -1 when b has an odd number of 1 bits on the gate's qubits, else
+    +1. The bits are read with plain Python ints.
+    """
+    halves = []
+    for gate in gates:
+        if gate.kind.value not in ("rz", "rzz"):
+            raise ValueError(f"{gate.kind.value} is not diagonal")
+        angle = gate.angle if gate.angle is not None else gate.coeff * float(theta[gate.param_index])
+        halves.append((0.5 * angle, gate.qubits))
+    phases = []
+    for b in range(1 << n):
+        total = 0.0
+        for half, qubits in halves:
+            odd = sum((b >> q) & 1 for q in qubits) % 2
+            total += -half if odd else half
+        phases.append(total)
+    return np.array(phases)
+
+
 def qubo_value(q: np.ndarray, offset: float, bits) -> float:
     """x^T Q x + offset by explicit loops."""
     total = offset

@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import platform
+import shutil
+import subprocess
 
+import numpy as np
 import pytest
 
+from rlansatz import cli
 from rlansatz.cli import main
 from rlansatz.circuits import Circuit
 
@@ -85,6 +91,31 @@ def test_train_rerun_is_byte_identical(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
     assert (out1 / "epochs.csv").read_bytes() == (out2 / "epochs.csv").read_bytes()
+
+
+def test_train_writes_provenance_to_run_info_not_config(tmp_path):
+    cfg = write_config(tmp_path / "toy.ini")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    info = json.loads((out / "run_info.json").read_text())
+    assert set(info) == {"python", "numpy", "platform", "cpu_count", "git_rev"}
+    assert (info["python"], info["numpy"]) == (platform.python_version(), np.__version__)
+    assert info["cpu_count"] == os.cpu_count() and info["platform"]
+    assert info["git_rev"] is None or len(info["git_rev"]) >= 40
+    assert not set(info) & set(json.loads((out / "config.json").read_text()))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_rev_is_null_outside_a_checkout_and_the_head_inside_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # git looks no further up
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    assert cli._git_rev(checkout) is None
+    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+    assert cli._git_rev(checkout) == head
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -21,7 +21,9 @@ from rlansatz.circuits import (
     h_layer,
     to_basis_gates,
 )
+from rlansatz.ansatz import build_baseline
 from rlansatz.errors import ConfigurationError, InvalidGateError
+from rlansatz.metrics import evaluate_circuit
 from rlansatz.problems import make_instance
 from rlansatz.qsim import (
     apply_gate,
@@ -35,6 +37,7 @@ from rlansatz.qsim import (
 from _oracles import (
     circuit_probabilities,
     circuit_unitary,
+    diagonal_phases,
     gate_list_unitary,
     gate_unitary,
     inverse_cdf_counts,
@@ -465,11 +468,13 @@ def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
 
 
 # ---------------------------------------------------------------------------
-# The compiled gate plan: the view kernels' bits, the oracles' values, one
-# plan kept.
+# The compiled gate plan: the view kernels' bits below 2^CDF_MIN_QUBITS
+# outcomes, their draws from there on, the oracles' values, one plan kept.
 # ---------------------------------------------------------------------------
 
-PLAN_SIZES = st.integers(2, qsim.PLAN_MAX_QUBITS + 2)
+PLAN_SIZES = st.integers(2, qsim.CDF_MIN_QUBITS - 1)  # where the bits decide the multinomial's draws
+FUSED_SIZES = st.integers(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 2)
+DIAGONAL = (GateKind.RZ, GateKind.RZZ)
 
 
 @st.composite
@@ -496,6 +501,98 @@ def test_plan_probabilities_equal_the_kernels_bit_for_bit(kind, data):
     expected = kernel_probabilities(circuit)
     assert np.array_equal((amps * amps.conj()).real, expected)
     assert np.array_equal(exact_probabilities(circuit), expected)
+
+
+def diagonal_runs(plan):
+    return [op for op, table, _, _ in plan.steps if isinstance(op, qsim._DiagonalRun)]
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_fused_plans_draw_the_kernels_shots(kind, data):
+    circuit = data.draw(plan_circuits(data.draw(FUSED_SIZES), kind))
+    n = circuit.n_qubits
+    plan = qsim._Plan(n, circuit.gates)
+    amps = plan.run(circuit.params)
+    kernels = qsim._run_kernels(n, circuit.gates, circuit.params)
+    assert np.max(np.abs(amps - kernels)) <= 1e-12
+    for seed in (0, 1, 2):
+        counts = sample_from_probabilities((amps * amps.conj()).real, 1000, seed)
+        assert np.array_equal(counts, sample_from_probabilities(kernel_probabilities(circuit), 1000, seed))
+    # without diagonal gates nothing is fused, and the plan keeps the kernels' bits
+    unfused = Circuit(n, [g for g in circuit.gates if g.kind not in DIAGONAL], circuit.params)
+    plan = qsim._Plan(n, unfused.gates)
+    assert diagonal_runs(plan) == []
+    assert np.array_equal(plan.run(unfused.params), qsim._run_kernels(n, unfused.gates, unfused.params))
+
+
+def cost_layer(rng, n, parameters, angles):
+    """Rzz on a random 3-regular-like edge set plus Rz on every third qubit, in random order.
+
+    ``parameters``: "shared" (parameter 0, random coeffs), "per gate" (one
+    parameter each) or "fixed" (fixed angles); "mixed" draws each gate's form.
+    """
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n // 2)}
+    sites = [((q,), GateKind.RZ) for q in range(0, n, 3)] + [(pair, GateKind.RZZ) for pair in sorted(pairs)]
+    gates = []
+    for i in rng.permutation(len(sites)):
+        qubits, kind = sites[i]
+        form = parameters if parameters != "mixed" else ("shared", "per gate", "fixed")[rng.integers(3)]
+        if form == "fixed":
+            gates.append(GateApplication(kind, qubits, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
+        else:
+            index = 0 if form == "shared" else len(angles)
+            if form != "shared" or not angles:
+                angles.append(float(rng.uniform(-np.pi, np.pi)))
+            gates.append(GateApplication(kind, qubits, param_index=index, coeff=float(rng.uniform(-3, 3))))
+    return gates
+
+
+@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 3))
+@pytest.mark.parametrize("parameters", ["shared", "per gate", "fixed", "mixed", "repeated"])
+def test_diagonal_runs_match_the_phase_oracle(n, parameters):
+    rng = np.random.default_rng([n, len(parameters)])
+    angles = []
+    if parameters == "repeated":
+        # the same layer on parameters 0, 1 and 0 again, apart by an Rx of angle 0
+        layer = cost_layer(rng, n, "shared", angles)
+        angles.append(float(rng.uniform(-np.pi, np.pi)))
+        again = [GateApplication(g.kind, g.qubits, param_index=1, coeff=g.coeff) for g in layer]
+        apart = GateApplication(GateKind.RX, (n - 1,), angle=0.0)
+        runs = [layer, again, layer]
+        gates = [*layer, apart, *again, apart, *layer]
+    else:
+        runs = [cost_layer(rng, n, parameters, angles)]
+        gates = runs[0]
+    circuit = Circuit(n, h_layer(n).gates + gates, np.array(angles))
+    plan = qsim._Plan(n, circuit.gates)
+    fused = diagonal_runs(plan)
+    assert len(fused) == len(runs)
+    assert len({id(run.index) for run in fused}) == 1  # the repeated runs share one table
+    phases = diagonal_phases(n, [g for run in runs for g in run], circuit.params)
+    expected = np.exp(-1j * phases) / np.sqrt(1 << n)
+    assert np.max(np.abs(plan.run(circuit.params) - expected)) <= 1e-12
+    assert np.max(np.abs(exact_probabilities(circuit) - 1.0 / (1 << n))) <= 1e-12
+
+
+@pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
+def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypatch):
+    inst = make_instance("three_regular", 12, 1, "maxcut")
+    circuit = build_baseline(algorithm, inst)
+
+    def protocol():
+        return [evaluate_circuit(circuit, inst, 2, 1000, seed).per_run_estimates for seed in (0, 1)]
+
+    fused = protocol()
+    assert diagonal_runs(qsim._last_plan)
+
+    def kernels(circuit, params=None):
+        theta = circuit.params if params is None else np.asarray(params, dtype=float)
+        return qsim._run_kernels(circuit.n_qubits, circuit.gates, theta)
+
+    monkeypatch.setattr(qsim, "run_circuit", kernels)
+    assert protocol() == fused
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
