@@ -213,7 +213,7 @@ class _Plan:
     order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
     indices where the sign is -1; any other adds ``sign * partner[index]``
     (no sign when no block is negated). H and Cx after the opening layer,
-    and a diagonal gate on all n qubits (see ``_tabulated_step``), keep
+    and a diagonal gate on all n qubits (see ``_gate_step``), keep
     their kernels. Below ``2^CDF_MIN_QUBITS`` outcomes that gives the
     kernels' bits.
 
@@ -236,7 +236,7 @@ class _Plan:
         for gate in body:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-        fuse = n >= CDF_MIN_QUBITS
+        fuse = n >= CDF_MIN_QUBITS  # so no diagonal gate acts on all n qubits (see _gate_step)
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
         for fused, group in groupby(body, key=lambda g: fuse and g.kind in _DIAGONAL_KINDS):
@@ -244,7 +244,7 @@ class _Plan:
                 self.steps.append((_DiagonalRun(n, list(group), tables), None, None, None))
                 continue
             for gate in group:
-                self.steps.append(_tabulated_step(n, gate, tables))
+                self.steps.append(_gate_step(n, gate, tables))
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
         """True for the same gate objects; gates are frozen, so they have the same structure."""
@@ -286,7 +286,7 @@ def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.nd
     return sign
 
 
-def _tabulated_step(n: int, gate: GateApplication, tables: dict) -> tuple:
+def _gate_step(n: int, gate: GateApplication, tables: dict) -> tuple:
     """The plan step of one gate: its kernel, or its rotation's tables (see ``_Plan``)."""
     phase, diagonal, flips, negated = _ROTATIONS.get(gate.kind, (None, False, None, None))
     # H and Cx keep their kernels, and so does a diagonal gate on all n
@@ -316,8 +316,8 @@ class _DiagonalRun:
     ``phase[b]`` sums ``0.5 * angle * sign[b]`` over its gates. Per
     parameter the sum is ``theta[p]`` times a weight vector, the sum of the
     gates' ``0.5 * coeff * sign``; the fixed angles add one constant vector.
-    Most basis states share their column of weights with others (the
-    2^n states of a cost layer take only as many phases as the cost has
+    Basis states share columns of weights (on one shared parameter, the
+    2^n states of a cost layer take only as many columns as the cost has
     levels), so the step keeps the distinct columns and an index of each
     state's column. A call computes the distinct phases from ``theta`` and
     scales the whole vector by their ``exp`` gathered through the index.

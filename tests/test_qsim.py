@@ -504,7 +504,7 @@ def test_plan_probabilities_equal_the_kernels_bit_for_bit(kind, data):
 
 
 def diagonal_runs(plan):
-    return [op for op, table, _, _ in plan.steps if isinstance(op, qsim._DiagonalRun)]
+    return [op for op, *_ in plan.steps if isinstance(op, qsim._DiagonalRun)]
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
@@ -528,7 +528,7 @@ def test_fused_plans_draw_the_kernels_shots(kind, data):
 
 
 def cost_layer(rng, n, parameters, angles):
-    """Rzz on a random 3-regular-like edge set plus Rz on every third qubit, in random order.
+    """Rzz on about 3n/2 random pairs plus Rz on every third qubit, in random order.
 
     ``parameters``: "shared" (parameter 0, random coeffs), "per gate" (one
     parameter each) or "fixed" (fixed angles); "mixed" draws each gate's form.
