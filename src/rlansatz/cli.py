@@ -70,15 +70,24 @@ def _write_config(out: Path, cfg: RunConfig, inst) -> None:
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
 
-def _git_rev(directory: Path) -> str | None:
-    """The commit checked out around ``directory``, or None outside a git checkout or without git."""
+def _git_rev(package: Path) -> str | None:
+    """HEAD of the git checkout that holds ``package`` as its ``src/<package>``, else None.
+
+    None outside a checkout and without git, and also when the checkout
+    around ``package`` is some other project's (the package installed into
+    an environment inside it): that HEAD says nothing of this code.
+    """
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=directory, capture_output=True, text=True, timeout=10
+            ["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=package, capture_output=True, text=True, timeout=10
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) != 2:
+        return None
+    top, rev = lines
+    return rev if (Path(top) / "src" / package.name).resolve() == package.resolve() else None
 
 
 def _write_run_info(out: Path) -> None:

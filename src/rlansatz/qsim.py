@@ -29,12 +29,12 @@ and runs the kernels' arithmetic, in the same order, as gathers over the
 whole vector. Below ``2^CDF_MIN_QUBITS`` outcomes, where the multinomial
 draw turns a change in the last bit of a probability into other shots,
 that gives the kernels' bits. From there on the plan also compiles each
-run of consecutive Rz and Rzz gates (a QAOA cost layer) into one table of
-its distinct phases, applied in one pass; its amplitudes then agree with
-the kernels' to float rounding, and the inverse-CDF draw moves only when
-a shot lands within that rounding of a running-sum boundary. Only the last
-plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost more than the
-kernels, which then run every time.
+run of two or more consecutive Rz and Rzz gates (a QAOA cost layer) into
+one table of its distinct phases, applied in one pass; its amplitudes then
+agree with the kernels' to float rounding, and the inverse-CDF draw moves
+only when a shot lands within that rounding of a running-sum boundary.
+Only the last plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost
+more than the kernels, which then run every time.
 
 Shots are drawn from the exact probabilities: by numpy's multinomial below
 ``2^CDF_MIN_QUBITS`` outcomes, and from there on by inverse CDF (sorted
@@ -218,9 +218,10 @@ class _Plan:
     kernels' bits.
 
     From ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse
-    CDF, each maximal run of consecutive Rz and Rzz gates is one
-    ``_DiagonalRun`` instead: the amplitudes agree with the kernels' to
-    float rounding (within 1e-12 in the tests), not bit for bit.
+    CDF, each maximal run of two or more consecutive Rz and Rzz gates is
+    one ``_DiagonalRun`` instead: the amplitudes agree with the kernels' to
+    float rounding (within 1e-12 in the tests), not bit for bit. A lone Rz
+    or Rzz keeps its own table, which costs less to build and as much to run.
 
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
     ``(apply, None, None, None)`` for a kernel or a diagonal run, which the
@@ -240,8 +241,9 @@ class _Plan:
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
         for fused, group in groupby(body, key=lambda g: fuse and g.kind in _DIAGONAL_KINDS):
-            if fused:
-                self.steps.append((_DiagonalRun(n, list(group), tables), None, None, None))
+            group = list(group)
+            if fused and len(group) > 1:  # one gate has nothing to fold, and its table is cheaper
+                self.steps.append((_DiagonalRun(n, group, tables), None, None, None))
                 continue
             for gate in group:
                 self.steps.append(_gate_step(n, gate, tables))
@@ -316,12 +318,16 @@ class _DiagonalRun:
     ``phase[b]`` sums ``0.5 * angle * sign[b]`` over its gates. Per
     parameter the sum is ``theta[p]`` times a weight vector, the sum of the
     gates' ``0.5 * coeff * sign``; the fixed angles add one constant vector.
-    Basis states share columns of weights (on one shared parameter, the
-    2^n states of a cost layer take only as many columns as the cost has
-    levels), so the step keeps the distinct columns and an index of each
-    state's column. A call computes the distinct phases from ``theta`` and
-    scales the whole vector by their ``exp`` gathered through the index.
-    Runs with the same gates up to the parameter numbering share tables.
+    A state's column depends only on its bits on the m qubits the run
+    touches, so the columns are tabulated over those 2^m bit patterns, and
+    many patterns share a column (on one shared parameter, a cost layer
+    takes only as many columns as the cost has levels). The step keeps the
+    distinct columns and, per basis state, the index of its column. A short
+    run on a few qubits thus costs a few passes over 2^n integers to build,
+    not a sort of 2^n columns. A call computes the distinct phases from
+    ``theta`` and scales the whole vector by their ``exp`` gathered through
+    the index. Runs with the same gates up to the parameter numbering share
+    tables.
     """
 
     __slots__ = ("params", "weights", "fixed", "index")
@@ -337,13 +343,23 @@ class _DiagonalRun:
         self.params = np.array(list(slot), dtype=np.intp)
         key = tuple(key)
         if key not in tables:
-            rows = np.zeros((len(slot) + 1, 1 << n))  # the last row takes the fixed angles
+            touched = sorted({q for g in gates for q in g.qubits})
+            local = {q: j for j, q in enumerate(touched)}
+            m = len(touched)
+            rows = np.zeros((len(slot) + 1, 1 << m))  # the last row takes the fixed angles
             for kind, qubits, row, value in key:
-                rows[-1 if row is None else row] += 0.5 * value * _sign_vector(n, qubits, _ROTATIONS[kind][3])
+                signs = _sign_vector(m, tuple(local[q] for q in qubits), _ROTATIONS[kind][3])
+                rows[-1 if row is None else row] += 0.5 * value * signs
             columns = np.ascontiguousarray(rows.T)
             # one void scalar per column: np.unique sorts those far faster than rows with axis=0
             keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
             _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+            if m < n:
+                states = np.arange(1 << n)
+                code = np.zeros_like(states)
+                for j, q in enumerate(touched):
+                    code |= ((states >> q) & 1) << j
+                index = index[code]
             distinct = rows[:, first]
             tables[key] = (np.ascontiguousarray(distinct[:-1]), distinct[-1].copy(), index)
         self.weights, self.fixed, self.index = tables[key]
@@ -355,10 +371,12 @@ class _DiagonalRun:
 
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
-# 2.4.6): kernel time over plan time was, on qaoa2 / agent circuits, 4.01 /
-# 2.16 at n = 10, 2.79 / 1.53 at n = 12, 1.93 / 1.25 at n = 14, - / 0.99 at
-# n = 15 and 1.31 / 1.04 at n = 16. Agent circuits, mostly rotations that
-# fold into no phase table, stop gaining after n = 14.
+# 2.4.6): for one optimization, a build and 42 runs, kernel time over plan
+# time was, on qaoa2 / maqaoa / agent circuits, 3.46 / 2.54 / 2.28 at
+# n = 10, 2.51 / 1.55 / 1.60 at n = 12, 1.61 / 0.97 / 1.16 at n = 14,
+# - / - / 1.06 at n = 15 and 1.23 / 0.85 / 1.02 at n = 16. Past n = 14 agent
+# circuits, mostly rotations that fold into no phase table, gain a few
+# percent at most, and maqaoa's build costs more than its runs save.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's

@@ -6,6 +6,7 @@ import os
 import platform
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,16 +107,27 @@ def test_train_writes_provenance_to_run_info_not_config(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_git_rev_is_null_outside_a_checkout_and_the_head_inside_one(tmp_path, monkeypatch):
+def test_git_rev_is_the_head_only_of_the_checkout_that_holds_the_package(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # git looks no further up
+    source = Path(cli.__file__).resolve().parent
+
+    def commit(repo):
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+        return subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+
     checkout = tmp_path / "checkout"
-    checkout.mkdir()
-    assert cli._git_rev(checkout) is None
-    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
-    head = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
-    assert cli._git_rev(checkout) == head
+    package = shutil.copytree(source, checkout / "src" / "rlansatz")
+    assert cli._git_rev(package) is None  # no checkout yet
+    head = commit(checkout)
+    assert cli._git_rev(package) == head
+    # installed into an environment inside an unrelated project: its HEAD is not this code's
+    project = tmp_path / "project"
+    installed = shutil.copytree(source, project / ".venv" / "lib" / "site-packages" / "rlansatz")
+    commit(project)
+    assert cli._git_rev(installed) is None
+    assert cli._git_rev(project / ".venv") is None
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -272,7 +284,6 @@ def test_importing_the_cli_does_not_import_scipy():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import rlansatz
 

@@ -520,8 +520,10 @@ def test_fused_plans_draw_the_kernels_shots(kind, data):
     for seed in (0, 1, 2):
         counts = sample_from_probabilities((amps * amps.conj()).real, 1000, seed)
         assert np.array_equal(counts, sample_from_probabilities(kernel_probabilities(circuit), 1000, seed))
-    # without diagonal gates nothing is fused, and the plan keeps the kernels' bits
-    unfused = Circuit(n, [g for g in circuit.gates if g.kind not in DIAGONAL], circuit.params)
+    # with an Rx(0) after each diagonal gate no run has two gates to fold, and the plan keeps the kernels' bits
+    apart = GateApplication(GateKind.RX, (0,), angle=0.0)
+    separated = [h for g in circuit.gates for h in ((g, apart) if g.kind in DIAGONAL else (g,))]
+    unfused = Circuit(n, separated, circuit.params)
     plan = qsim._Plan(n, unfused.gates)
     assert diagonal_runs(plan) == []
     assert np.array_equal(plan.run(unfused.params), qsim._run_kernels(n, unfused.gates, unfused.params))
@@ -550,7 +552,7 @@ def cost_layer(rng, n, parameters, angles):
 
 
 @pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 3))
-@pytest.mark.parametrize("parameters", ["shared", "per gate", "fixed", "mixed", "repeated"])
+@pytest.mark.parametrize("parameters", ["shared", "per gate", "fixed", "mixed", "repeated", "few qubits"])
 def test_diagonal_runs_match_the_phase_oracle(n, parameters):
     rng = np.random.default_rng([n, len(parameters)])
     angles = []
@@ -562,6 +564,17 @@ def test_diagonal_runs_match_the_phase_oracle(n, parameters):
         apart = GateApplication(GateKind.RX, (n - 1,), angle=0.0)
         runs = [layer, again, layer]
         gates = [*layer, apart, *again, apart, *layer]
+    elif parameters == "few qubits":
+        # a run on four of the n qubits, in no order, tabulated over their 2^4 bit patterns
+        a, b, c, d = rng.choice(n, 4, replace=False).tolist()
+        angles += rng.uniform(-np.pi, np.pi, 2).tolist()
+        runs = [[
+            GateApplication(GateKind.RZZ, (b, a), param_index=0, coeff=1.5),
+            GateApplication(GateKind.RZ, (c,), angle=0.7),
+            GateApplication(GateKind.RZZ, (d, c), param_index=1, coeff=-0.5),
+            GateApplication(GateKind.RZ, (a,), param_index=0),
+        ]]
+        gates = runs[0]
     else:
         runs = [cost_layer(rng, n, parameters, angles)]
         gates = runs[0]

@@ -21,7 +21,9 @@ def test_crossover_script_prints_one_row_per_size_and_family(script, args):
     assert done.returncode == 0, done.stderr
     header, columns, *rows = done.stdout.splitlines()
     assert "numpy" in header and columns.split()[:2] == ["n", "family"]
-    assert [row.split()[:2] for row in rows] == [["4", "qaoa2"], ["4", "agent"], ["5", "qaoa2"], ["5", "agent"]]
-    # n = 4 is timed for both families; a 3-regular graph needs an even n
-    assert all(len(row.split()) == 5 and "-" not in row.split()[2:] for row in rows[:2])
-    assert rows[2].split()[2:] == ["-", "-", "-"]
+    families = ["qaoa2", "maqaoa", "agent"] if script == "plan_crossover.py" else ["qaoa2", "agent"]
+    assert [row.split()[:2] for row in rows] == [[n, f] for n in ("4", "5") for f in families]
+    # n = 4 is timed for every family; a 3-regular graph needs an even n
+    width = 7 if script == "plan_crossover.py" else 5  # n, family and the timed columns
+    assert all(len(row.split()) == width and "-" not in row.split()[2:] for row in rows[: len(families)])
+    assert rows[len(families)].split()[2:] == ["-"] * (width - 2)

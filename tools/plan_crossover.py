@@ -2,23 +2,25 @@
 
 Usage (from the repository root):
 
-    python3 tools/plan_crossover.py [--sizes 10-16] [--rounds 60]
+    python3 tools/plan_crossover.py [--sizes 10-16] [--rounds 60] [--runs 42]
 
-For each qubit count n it times ``qsim._run_kernels`` and ``_Plan.run``
-back to back, alternating which runs first, on the two circuit families
-the benchmark sends through ``qsim``:
+For each qubit count n it builds a ``qsim._Plan`` and times the build,
+then times ``qsim._run_kernels`` and ``_Plan.run`` back to back,
+alternating which runs first, on the circuit families the benchmark and
+the protocols send through ``qsim``:
 
-* ``qaoa2``: the qaoa2 circuit of a 3-regular maxcut instance (graph
-  seed 1), as in ``baseline_qaoa2_n14``. A 3-regular graph needs an even n,
-  so odd n print ``-``.
+* ``qaoa2`` and ``maqaoa``: the baseline circuits of a 3-regular maxcut
+  instance (graph seed 1), qaoa2 as in ``baseline_qaoa2_n14``. A 3-regular
+  graph needs an even n, so odd n print ``-``.
 * ``agent``: what the agent builds in ``train_cycle6``: an H layer plus 2n
   actions drawn uniformly from the action set, with random angles. Each
   round takes the next of four such circuits.
 
-A plan is built once per optimization and then run dozens of times, so its
-build is not timed. Per family and n the line shows the median kernel and
-plan times and the median over rounds of their ratio; a ratio above 1
-means the plan is faster.
+Per family and n the line shows the median kernel, plan and build times,
+the median over rounds of kernel time over plan time, and the same ratio
+for one optimization, which builds the plan once and runs it ``--runs``
+times: ``runs * kernels / (build + runs * plan)``. A ratio above 1 means
+the plan is faster.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from rlansatz.circuits import action_space, h_layer  # noqa: E402
 from rlansatz.problems import make_instance  # noqa: E402
 
 
-def qaoa2_circuits(n: int) -> list:
+def baseline_circuits(algorithm: str, n: int) -> list:
     if n % 2:
         return []
-    circuit = build_baseline("qaoa2", make_instance("three_regular", n, 1, "maxcut"))
+    circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
     circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
     return [circuit]
 
@@ -66,15 +68,19 @@ def seconds(run, theta) -> float:
     return time.perf_counter() - start
 
 
-def measure(circuits: list, rounds: int) -> tuple[float, float, float]:
-    """Median kernel seconds, median plan seconds, median kernel/plan ratio."""
-    runs = []
-    for c in circuits:
-        plan = qsim._Plan(c.n_qubits, c.gates)
-        runs.append((lambda theta, c=c: qsim._run_kernels(c.n_qubits, c.gates, theta), plan.run, c.params))
-    kernels, plans, ratios = [], [], []
+def measure(circuits: list, rounds: int) -> tuple[float, float, float, float]:
+    """Median kernel, plan and build seconds, and the median kernel/plan ratio."""
+    kernels, plans, builds, ratios = [], [], [], []
     for r in range(rounds):
-        kernel_run, plan_run, theta = runs[r % len(runs)]
+        c = circuits[r % len(circuits)]
+        start = time.perf_counter()
+        plan_run = qsim._Plan(c.n_qubits, c.gates).run
+        builds.append(time.perf_counter() - start)
+        theta = c.params
+
+        def kernel_run(theta, c=c):
+            return qsim._run_kernels(c.n_qubits, c.gates, theta)
+
         if r % 2:
             p = seconds(plan_run, theta)
             k = seconds(kernel_run, theta)
@@ -84,25 +90,34 @@ def measure(circuits: list, rounds: int) -> tuple[float, float, float]:
         kernels.append(k)
         plans.append(p)
         ratios.append(k / p)
-    return statistics.median(kernels), statistics.median(plans), statistics.median(ratios)
+    return statistics.median(kernels), statistics.median(plans), statistics.median(builds), statistics.median(ratios)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="10-16", help="qubit counts, as LO-HI")
     parser.add_argument("--rounds", type=int, default=60, help="timed runs per family and n")
+    parser.add_argument("--runs", type=int, default=42, help="plan runs per build in one optimization")
     args = parser.parse_args(argv)
     lo, hi = (int(x) for x in args.sizes.split("-"))
-    print(f"PLAN_MAX_QUBITS = {qsim.PLAN_MAX_QUBITS}; numpy {np.__version__}; kernel/plan > 1: the plan is faster")
-    print(f"{'n':>3} {'family':>6} {'kernels ms':>11} {'plan ms':>9} {'kernel/plan':>12}")
+    families = (
+        ("qaoa2", lambda n: baseline_circuits("qaoa2", n)),
+        ("maqaoa", lambda n: baseline_circuits("maqaoa", n)),
+        ("agent", agent_circuits),
+    )
+    print(f"PLAN_MAX_QUBITS = {qsim.PLAN_MAX_QUBITS}; numpy {np.__version__}; ratios > 1: the plan is faster")
+    print(f"{'n':>3} {'family':>6} {'kernels ms':>11} {'plan ms':>9} {'build ms':>9} {'kernel/plan':>12} "
+          f"{'per ' + str(args.runs) + ' runs':>12}")
     for n in range(lo, hi + 1):
-        for family, build in (("qaoa2", qaoa2_circuits), ("agent", agent_circuits)):
+        for family, build in families:
             circuits = build(n)
             if not circuits:
-                print(f"{n:>3} {family:>6} {'-':>11} {'-':>9} {'-':>12}", flush=True)
+                print(f"{n:>3} {family:>6} {'-':>11} {'-':>9} {'-':>9} {'-':>12} {'-':>12}", flush=True)
                 continue
-            kernel, plan, ratio = measure(circuits, args.rounds)
-            print(f"{n:>3} {family:>6} {kernel * 1e3:>11.3f} {plan * 1e3:>9.3f} {ratio:>12.2f}", flush=True)
+            kernel, plan, built, ratio = measure(circuits, args.rounds)
+            optimization = args.runs * kernel / (built + args.runs * plan)
+            print(f"{n:>3} {family:>6} {kernel * 1e3:>11.3f} {plan * 1e3:>9.3f} {built * 1e3:>9.3f} "
+                  f"{ratio:>12.2f} {optimization:>12.2f}", flush=True)
     return 0
 
 

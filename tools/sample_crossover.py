@@ -32,7 +32,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plan_crossover import agent_circuits, qaoa2_circuits  # noqa: E402  (this script's own directory)
+from plan_crossover import agent_circuits, baseline_circuits  # noqa: E402  (this script's own directory)
 from rlansatz import qsim  # noqa: E402
 from rlansatz.seeding import seeded_generator  # noqa: E402
 
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
           "multinomial/inverse CDF > 1: the inverse CDF is faster")
     print(f"{'n':>3} {'family':>6} {'multinomial us':>15} {'inverse CDF us':>15} {'ratio':>6}")
     for n in range(lo, hi + 1):
-        for family, build in (("qaoa2", qaoa2_circuits), ("agent", agent_circuits)):
+        for family, build in (("qaoa2", lambda n: baseline_circuits("qaoa2", n)), ("agent", agent_circuits)):
             distributions = [qsim.exact_probabilities(c) for c in build(n)]
             if not distributions:
                 print(f"{n:>3} {family:>6} {'-':>15} {'-':>15} {'-':>6}", flush=True)
