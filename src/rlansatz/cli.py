@@ -70,24 +70,29 @@ def _write_config(out: Path, cfg: RunConfig, inst) -> None:
     write_json(out / "config.json", {**cfg.snapshot(), "instance": instance_to_json_dict(inst)})
 
 
-def _git_rev(package: Path) -> str | None:
-    """HEAD of the git checkout that holds ``package`` as its ``src/<package>``, else None.
-
-    None outside a checkout and without git, and also when the checkout
-    around ``package`` is some other project's (the package installed into
-    an environment inside it): that HEAD says nothing of this code.
-    """
+def _git(package: Path, *args: str) -> list[str] | None:
+    """The output lines of ``git args`` run in ``package``, or None when it fails or git is missing."""
     try:
-        done = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=package, capture_output=True, text=True, timeout=10
-        )
+        done = subprocess.run(["git", *args], cwd=package, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    lines = done.stdout.splitlines()
-    if done.returncode != 0 or len(lines) != 2:
-        return None
-    top, rev = lines
-    return rev if (Path(top) / "src" / package.name).resolve() == package.resolve() else None
+    return done.stdout.splitlines() if done.returncode == 0 else None
+
+
+def _git_state(package: Path) -> dict:
+    """``git_rev``, the HEAD of the git checkout that holds ``package`` as its ``src/<package>``, and ``git_dirty``.
+
+    ``git_dirty`` is true when a tracked file of that checkout differs from
+    HEAD. Both are None outside a checkout and without git, and also when
+    the checkout around ``package`` is some other project's (the package
+    installed into an environment inside it): that HEAD says nothing of
+    this code.
+    """
+    lines = _git(package, "rev-parse", "--show-toplevel", "HEAD")
+    if lines is None or len(lines) != 2 or (Path(lines[0]) / "src" / package.name).resolve() != package.resolve():
+        return {"git_rev": None, "git_dirty": None}
+    changes = _git(package, "status", "--porcelain", "--untracked-files=no")
+    return {"git_rev": lines[1], "git_dirty": None if changes is None else bool(changes)}
 
 
 def _write_run_info(out: Path) -> None:
@@ -97,7 +102,7 @@ def _write_run_info(out: Path) -> None:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "git_rev": _git_rev(Path(__file__).resolve().parent),
+        **_git_state(Path(__file__).resolve().parent),
     }
     write_json(out / "run_info.json", info)
 

@@ -30,9 +30,12 @@ whole vector. Below ``2^CDF_MIN_QUBITS`` outcomes, where the multinomial
 draw turns a change in the last bit of a probability into other shots,
 that gives the kernels' bits. From there on the plan also compiles each
 run of two or more consecutive Rz and Rzz gates (a QAOA cost layer) into
-one table of its distinct phases, applied in one pass; its amplitudes then
-agree with the kernels' to float rounding, and the inverse-CDF draw moves
-only when a shot lands within that rounding of a running-sum boundary.
+one table of its distinct phases, applied in one pass, and each run of Rx
+gates that touches all n qubits (a QAOA mixer layer) into a few small
+matrix products over blocks of qubits. Its amplitudes then agree with the
+kernels' to float rounding (within 1e-12 in the tests), and the
+inverse-CDF draw moves only when a shot lands within that rounding of a
+running-sum boundary.
 Only the last plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost
 more than the kernels, which then run every time.
 
@@ -219,13 +222,17 @@ class _Plan:
 
     From ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse
     CDF, each maximal run of two or more consecutive Rz and Rzz gates is
-    one ``_DiagonalRun`` instead: the amplitudes agree with the kernels' to
-    float rounding (within 1e-12 in the tests), not bit for bit. A lone Rz
-    or Rzz keeps its own table, which costs less to build and as much to run.
+    one ``_DiagonalRun`` instead, and each maximal run of consecutive Rx
+    gates that touches all n qubits one ``_RxLayer``: the amplitudes agree
+    with the kernels' to float rounding (within 1e-12 in the tests), not
+    bit for bit. A lone Rz or Rzz keeps its own table, which costs less to
+    build and as much to run, and so does each gate of an Rx run that
+    misses a qubit.
 
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
-    ``(apply, None, None, None)`` for a kernel or a diagonal run, which the
-    run calls as ``apply(psi, theta)``.
+    ``(apply, None, None, None)`` for a kernel or a fused run, which the
+    run calls as ``psi = apply(psi, theta)``: a kernel or a diagonal run
+    returns the vector it changed in place, an Rx layer a new one.
     """
 
     def __init__(self, n: int, gates: list[GateApplication]):
@@ -238,12 +245,23 @@ class _Plan:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
         fuse = n >= CDF_MIN_QUBITS  # so no diagonal gate acts on all n qubits (see _gate_step)
+
+        def fold(gate: GateApplication) -> type | None:
+            """The fused step a run of such gates may form."""
+            if fuse and gate.kind in _DIAGONAL_KINDS:
+                return _DiagonalRun
+            return _RxLayer if fuse and gate.kind is GateKind.RX else None
+
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
-        for fused, group in groupby(body, key=lambda g: fuse and g.kind in _DIAGONAL_KINDS):
+        for step, group in groupby(body, key=fold):
             group = list(group)
-            if fused and len(group) > 1:  # one gate has nothing to fold, and its table is cheaper
-                self.steps.append((_DiagonalRun(n, group, tables), None, None, None))
+            # one diagonal gate has nothing to fold, and its table is cheaper;
+            # an Rx run that misses a qubit is no tensor product over all n
+            if (step is _DiagonalRun and len(group) > 1) or (
+                step is _RxLayer and len({g.qubits for g in group}) == n
+            ):
+                self.steps.append((step(n, group, tables), None, None, None))
                 continue
             for gate in group:
                 self.steps.append(_gate_step(n, gate, tables))
@@ -257,8 +275,8 @@ class _Plan:
         psi = self.start.copy()
         values = theta.tolist()
         for gate, table, sign, phase in self.steps:
-            if table is None:  # here ``gate`` is a kernel's or a diagonal run's callable
-                gate(psi, theta)
+            if table is None:  # here ``gate`` is a kernel's or a fused run's callable
+                psi = gate(psi, theta)
                 continue
             angle = gate.angle
             if angle is None:
@@ -297,7 +315,12 @@ def _gate_step(n: int, gate: GateApplication, tables: dict) -> tuple:
     # uses on longer arrays.
     if flips is None or (diagonal and len(gate.qubits) == n):
         kind, qubits = gate.kind, gate.qubits
-        return (lambda psi, theta: _apply(psi, n, kind, qubits, gate.resolved_angle(theta))), None, None, None
+
+        def kernel(psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            _apply(psi, n, kind, qubits, gate.resolved_angle(theta))
+            return psi
+
+        return kernel, None, None, None
     key = (gate.kind, gate.qubits)
     if key not in tables:
         sign = _sign_vector(n, gate.qubits, negated)
@@ -364,19 +387,96 @@ class _DiagonalRun:
             tables[key] = (np.ascontiguousarray(distinct[:-1]), distinct[-1].copy(), index)
         self.weights, self.fixed, self.index = tables[key]
 
-    def __call__(self, psi: np.ndarray, theta: np.ndarray) -> None:
+    def __call__(self, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         phases = theta[self.params] @ self.weights
         phases += self.fixed
         psi *= np.exp(-1j * phases)[self.index]
+        return psi
+
+
+# The largest block of qubits an _RxLayer applies as one matrix. One Rx
+# layer took, with blocks of at most 2 / 3 / 4 / 5 / 6 qubits (2 vCPU, numpy
+# 2.4.6, median us): 39 / 35 / 34 / 52 / 55 at n = 10, 91 / 76 / 99 / 103 / 212
+# at n = 12 and 306 / 244 / 228 / 286 / 272 at n = 14. Whole plan runs of
+# qaoa2 / maqaoa took 0.77 / 0.86 times as long with 3 as with 4 at n = 12,
+# and 1.00-1.03 times at n = 10 and 14.
+RX_BLOCK_QUBITS = 3
+
+
+def _rx_blocks(n: int) -> list[int]:
+    """Sizes of the fewest blocks of at most RX_BLOCK_QUBITS contiguous qubits that cover n, as even as can be."""
+    count = -(-n // RX_BLOCK_QUBITS)
+    return [n // count + (i < n % count) for i in range(count)]
+
+
+class _RxLayer:
+    """A run of Rx gates that touches all n qubits, compiled into a few small matrix products.
+
+    Rx gates commute, so the run is the tensor product over the qubits q of
+    Rx(a_q), where a_q sums the run's angles on q. Per parameter the half
+    angles are ``theta[p]`` times a weight vector over the qubits, the sum
+    of the gates' ``0.5 * coeff``; the fixed angles add one constant vector.
+    The qubits split into blocks of at most ``RX_BLOCK_QUBITS`` contiguous
+    qubits (``_rx_blocks``). A block's 2^k x 2^k matrix has at (a, b) the
+    product over its qubits of cos(a_q/2) where bits a and b agree and
+    -i sin(a_q/2) where they differ. A call builds all blocks' entries in
+    one gather through a table of ``a ^ b`` and applies each block as one
+    matrix product, ``M @ psi.reshape(-1, 2^k).T``: that acts on the low k
+    qubits and moves them to the top of the index, so after the last block
+    the qubits are back in their order. The call returns the new vector.
+    """
+
+    __slots__ = ("params", "weights", "fixed", "index", "blocks")
+
+    def __init__(self, n: int, gates: list[GateApplication], tables: dict):
+        slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
+        for g in gates:
+            if g.angle is None:
+                slot.setdefault(g.param_index, len(slot))
+        self.params = np.array(list(slot), dtype=np.intp)
+        self.weights = np.zeros((len(slot), n))
+        self.fixed = np.zeros(n)
+        for g in gates:
+            (q,) = g.qubits
+            if g.angle is None:
+                self.weights[slot[g.param_index], q] += 0.5 * g.coeff
+            else:
+                self.fixed[q] += 0.5 * g.angle
+        key = ("rx layer", n)
+        if key not in tables:
+            # factor j of entry (a, b) of a block from qubit ``start`` reads the
+            # factor vector at 2n (the constant 1) past the block's k qubits,
+            # else at bit j of a ^ b times n plus qubit start + j
+            columns, blocks, start, offset = [], [], 0, 0
+            for k in _rx_blocks(n):
+                flips = (np.arange(1 << k)[:, None] ^ np.arange(1 << k)).ravel()
+                factor = np.full((RX_BLOCK_QUBITS, flips.size), 2 * n)
+                for j in range(k):
+                    factor[j] = ((flips >> j) & 1) * n + start + j
+                columns.append(factor)
+                blocks.append((offset, 1 << k))
+                start, offset = start + k, offset + flips.size
+            tables[key] = (np.concatenate(columns, axis=1), tuple(blocks))
+        self.index, self.blocks = tables[key]
+
+    def __call__(self, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        half = theta[self.params] @ self.weights
+        half += self.fixed
+        factors = np.concatenate((np.cos(half), -1j * np.sin(half), (1.0,)))
+        entries = np.multiply.reduce(factors[self.index], axis=0)
+        for offset, size in self.blocks:
+            block = entries[offset : offset + size * size].reshape(size, size)
+            psi = (block @ psi.reshape(-1, size).T).ravel()
+        return psi
 
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
 # 2.4.6): for one optimization, a build and 42 runs, kernel time over plan
-# time was, on qaoa2 / maqaoa / agent circuits, 3.46 / 2.54 / 2.28 at
-# n = 10, 2.51 / 1.55 / 1.60 at n = 12, 1.61 / 0.97 / 1.16 at n = 14,
-# - / - / 1.06 at n = 15 and 1.23 / 0.85 / 1.02 at n = 16. Past n = 14 agent
-# circuits, mostly rotations that fold into no phase table, gain a few
-# percent at most, and maqaoa's build costs more than its runs save.
+# time was, on qaoa2 / maqaoa / agent circuits, 4.95 / 3.26 / 2.31 at
+# n = 10, 4.01 / 1.83 / 1.64 at n = 12, 3.69 / 1.25 / 1.09 at n = 14,
+# - / - / 0.94 at n = 15 and 4.35 / 1.66 / 0.89 at n = 16. Past n = 14 the
+# QAOA circuits, whose layers fold, would still gain, but agent circuits,
+# mostly rotations that fold into nothing, run slower than their kernels.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's

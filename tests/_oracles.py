@@ -25,6 +25,20 @@ def kron_chain(factors):
     return out
 
 
+def kron_chain_apply(factors, state: np.ndarray) -> np.ndarray:
+    """kron_chain(factors) @ state without the 2^n x 2^n matrix.
+
+    The state is reshaped to n axes of length 2, qubit i on axis n-1-i, and
+    each 2x2 factor is contracted with its qubit's axis.
+    """
+    n = len(factors)
+    tensor = state.reshape((2,) * n)
+    for i, f in enumerate(factors):
+        axis = n - 1 - i
+        tensor = np.moveaxis(np.tensordot(f, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.reshape(-1)
+
+
 def embedded_operator(op_by_qubit: dict, n: int) -> np.ndarray:
     return kron_chain([op_by_qubit.get(q, I2) for q in range(n)])
 

@@ -99,10 +99,11 @@ def test_train_writes_provenance_to_run_info_not_config(tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     info = json.loads((out / "run_info.json").read_text())
-    assert set(info) == {"python", "numpy", "platform", "cpu_count", "git_rev"}
+    assert set(info) == {"python", "numpy", "platform", "cpu_count", "git_rev", "git_dirty"}
     assert (info["python"], info["numpy"]) == (platform.python_version(), np.__version__)
     assert info["cpu_count"] == os.cpu_count() and info["platform"]
     assert info["git_rev"] is None or len(info["git_rev"]) >= 40
+    assert info["git_dirty"] in ((None,) if info["git_rev"] is None else (True, False))
     assert not set(info) & set(json.loads((out / "config.json").read_text()))
 
 
@@ -114,20 +115,27 @@ def test_git_rev_is_the_head_only_of_the_checkout_that_holds_the_package(tmp_pat
     def commit(repo):
         git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
         subprocess.run([*git, "init", "-q"], check=True)
-        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "files"], check=True)
         return subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
 
+    unknown = {"git_rev": None, "git_dirty": None}
     checkout = tmp_path / "checkout"
-    package = shutil.copytree(source, checkout / "src" / "rlansatz")
-    assert cli._git_rev(package) is None  # no checkout yet
+    package = shutil.copytree(source, checkout / "src" / "rlansatz", ignore=shutil.ignore_patterns("__pycache__"))
+    assert cli._git_state(package) == unknown  # no checkout yet
     head = commit(checkout)
-    assert cli._git_rev(package) == head
+    assert cli._git_state(package) == {"git_rev": head, "git_dirty": False}
+    (checkout / "notes.txt").write_text("untracked\n")  # an untracked file leaves the tracked code as committed
+    assert cli._git_state(package) == {"git_rev": head, "git_dirty": False}
+    with (package / "qsim.py").open("a") as tracked:
+        tracked.write("\n")
+    assert cli._git_state(package) == {"git_rev": head, "git_dirty": True}
     # installed into an environment inside an unrelated project: its HEAD is not this code's
     project = tmp_path / "project"
     installed = shutil.copytree(source, project / ".venv" / "lib" / "site-packages" / "rlansatz")
     commit(project)
-    assert cli._git_rev(installed) is None
-    assert cli._git_rev(project / ".venv") is None
+    assert cli._git_state(installed) == unknown
+    assert cli._git_state(project / ".venv") == unknown
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

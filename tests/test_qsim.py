@@ -41,6 +41,8 @@ from _oracles import (
     gate_list_unitary,
     gate_unitary,
     inverse_cdf_counts,
+    kron_chain,
+    kron_chain_apply,
     phase_aligned_distance,
     random_circuit,
     rotation_unitary,
@@ -507,6 +509,21 @@ def diagonal_runs(plan):
     return [op for op, *_ in plan.steps if isinstance(op, qsim._DiagonalRun)]
 
 
+def rx_layers(plan):
+    return [op for op, *_ in plan.steps if isinstance(op, qsim._RxLayer)]
+
+
+@pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_baseline_plans_equal_the_kernels_bit_for_bit(algorithm, n):
+    circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
+    circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    plan = qsim._Plan(n, circuit.gates)
+    assert diagonal_runs(plan) == [] and rx_layers(plan) == []  # nothing folds below 2^CDF_MIN_QUBITS outcomes
+    amps = plan.run(circuit.params)
+    assert np.array_equal((amps * amps.conj()).real, kernel_probabilities(circuit))
+
+
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -589,6 +606,77 @@ def test_diagonal_runs_match_the_phase_oracle(n, parameters):
     assert np.max(np.abs(exact_probabilities(circuit) - 1.0 / (1 << n))) <= 1e-12
 
 
+def rx_run(n, rng, parameters):
+    """Rx gates on all n qubits, and the parameter vector they read.
+
+    ``parameters``: "shared" (parameter 0 with coeff 2, as in qaoa), "per
+    qubit" (one parameter each, as in maqaoa), "fixed" (fixed angles),
+    "repeated" (a second gate on one qubit, on its own parameter) or
+    "unsorted" (shared, on the qubits in random order).
+    """
+    theta = rng.uniform(-np.pi, np.pi, n + 1)
+    order = rng.permutation(n).tolist() if parameters == "unsorted" else range(n)
+    if parameters == "per qubit":
+        return [GateApplication(GateKind.RX, (q,), param_index=q) for q in order], theta
+    if parameters == "fixed":
+        return [GateApplication(GateKind.RX, (q,), angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))) for q in order], theta
+    gates = [GateApplication(GateKind.RX, (q,), param_index=0, coeff=2.0) for q in order]
+    if parameters == "repeated":
+        gates.insert(int(rng.integers(n)), GateApplication(GateKind.RX, (int(rng.integers(n)),), param_index=1, coeff=-0.5))
+    return gates, theta
+
+
+def rx_run_unitaries(n, gates, theta):
+    """Per qubit, the dense 2x2 unitary of the run's gates on it, in order, from the oracles."""
+    factors = [np.eye(2, dtype=complex) for _ in range(n)]
+    for g in gates:
+        (q,) = g.qubits
+        factors[q] = gate_list_unitary([GateApplication(g.kind, (0,), g.param_index, g.coeff, g.angle)], 1, theta) @ factors[q]
+    return factors
+
+
+def test_kron_chain_apply_is_the_kron_chain_product():
+    rng = np.random.default_rng(4)
+    factors = [rotation_unitary(axis, (0,), float(rng.uniform(-np.pi, np.pi)), 1) for axis in "xyzx"]
+    state = random_state(4, 4)
+    assert np.max(np.abs(kron_chain_apply(factors, state) - kron_chain(factors) @ state)) <= 1e-14
+
+
+RX_SIZES = range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 3)
+
+
+@pytest.mark.parametrize("n", RX_SIZES)
+@pytest.mark.parametrize("parameters", ["shared", "per qubit", "fixed", "repeated", "unsorted"])
+def test_rx_layers_match_the_dense_oracle(n, parameters):
+    assert any(size % qsim.RX_BLOCK_QUBITS for size in RX_SIZES)  # some n splits into unequal blocks
+    rng = np.random.default_rng([n, len(parameters)])
+    gates, theta = rx_run(n, rng, parameters)
+    (layer,) = rx_layers(qsim._Plan(n, gates))
+    assert sum(qsim._rx_blocks(n)) == n
+    state = random_state(n, n)
+    expected = kron_chain_apply(rx_run_unitaries(n, gates, theta), state)
+    assert np.max(np.abs(layer(state.copy(), theta) - expected)) <= 1e-12
+    # in a circuit, after a layer of Ry gates that makes the state no Rx eigenstate
+    ry = [GateApplication(GateKind.RY, (q,), angle=float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+    circuit = Circuit(n, h_layer(n).gates + ry + gates, theta)
+    assert len(rx_layers(qsim._Plan(n, circuit.gates))) == 1
+    kernels = qsim._run_kernels(n, circuit.gates, theta)
+    assert np.max(np.abs(run_circuit(circuit) - kernels)) <= 1e-12
+
+
+def test_an_rx_run_that_misses_a_qubit_builds_no_rx_layer():
+    n = qsim.CDF_MIN_QUBITS
+    rng = np.random.default_rng(8)
+    gates, theta = rx_run(n, rng, "per qubit")
+    missing = [g for g in gates if g.qubits != (3,)]
+    split = gates[:5] + [GateApplication(GateKind.RZ, (0,), angle=0.3)] + gates[5:]  # two runs, each missing qubits
+    for body in (missing, split):
+        circuit = Circuit(n, h_layer(n).gates + body, theta)
+        plan = qsim._Plan(n, circuit.gates)
+        assert rx_layers(plan) == []
+        assert np.array_equal(plan.run(theta), qsim._run_kernels(n, circuit.gates, theta))
+
+
 @pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
 def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypatch):
     inst = make_instance("three_regular", 12, 1, "maxcut")
@@ -598,7 +686,7 @@ def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypat
         return [evaluate_circuit(circuit, inst, 2, 1000, seed).per_run_estimates for seed in (0, 1)]
 
     fused = protocol()
-    assert diagonal_runs(qsim._last_plan)
+    assert diagonal_runs(qsim._last_plan) and rx_layers(qsim._last_plan)
 
     def kernels(circuit, params=None):
         theta = circuit.params if params is None else np.asarray(params, dtype=float)
