@@ -35,7 +35,13 @@ gates that touches all n qubits (a QAOA mixer layer) into a few small
 matrix products over blocks of qubits. Its amplitudes then agree with the
 kernels' to float rounding (within 1e-12 in the tests), and the
 inverse-CDF draw moves only when a shot lands within that rounding of a
-running-sum boundary.
+running-sum boundary. From there on, too, a circuit that opens with the H
+layer and has only rotations with an even count of y and z factors after
+it (Rx, Rxx, Ryy, Rzz, Ryz and Rzy: MaxCut's QAOA family and the paper's
+Ryz chain) commutes with the global bit flip X^n, so its state keeps
+``psi(b) = psi(~b)``. The plan runs such a circuit on the first 2^(n-1)
+amplitudes only, those with qubit n-1 at 0, and rebuilds the full vector
+at the end. Its per-gate steps still give the kernels' bits.
 Only the last plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost
 more than the kernels, which then run every time.
 
@@ -72,12 +78,14 @@ def _block(bits: tuple) -> tuple:
     return (_ALL, bits[0]) if len(bits) == 1 else (_ALL, bits[0], _ALL, bits[1])
 
 
-def _rotation(axes: str) -> tuple[complex, bool, tuple, list[tuple]]:
+def _rotation(axes: str) -> tuple[complex, bool, tuple, list[tuple], bool]:
     """The generator P of a rotation, described once for the kernels and the plan.
 
     P's phase, whether P is diagonal (pure z), the gate-view index ``flips``
     that reverses the axes of P's x and y qubits, and the blocks that P's y
     and z factors negate: P psi = phase * psi[flips], negated blocks negated.
+    Last, whether P has an even count of y and z factors, so that it
+    commutes with the global bit flip X^n and keeps psi(b) = psi(~b).
     """
     actions = [_PAULI_ACTION[a] for a in axes]
     phase = math.prod(phase for phase, _, _ in actions)
@@ -88,7 +96,8 @@ def _rotation(axes: str) -> tuple[complex, bool, tuple, list[tuple]]:
         for bits in product((0, 1), repeat=len(axes))
         if math.prod(sign**b for b, (_, sign, _) in zip(bits, actions)) < 0
     ]
-    return phase, diagonal, flips, negated
+    flip_even = sum(sign < 0 for _, sign, _ in actions) % 2 == 0
+    return phase, diagonal, flips, negated, flip_even
 
 
 _ROTATIONS = {kind: _rotation(rotation_axes(kind)) for kind in PARAMETRIC_KINDS}
@@ -138,7 +147,7 @@ def _apply(psi: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], ang
         on[:, :, 1] = target_zero
         return
     half = 0.5 * angle
-    phase, diagonal, flips, negated = _ROTATIONS[kind]
+    phase, diagonal, flips, negated, _ = _ROTATIONS[kind]
     if diagonal:
         psi *= complex(math.cos(half), -math.sin(half))
         odd = complex(math.cos(angle), math.sin(angle))
@@ -229,6 +238,20 @@ class _Plan:
     build and as much to run, and so does each gate of an Rx run that
     misses a qubit.
 
+    Also from ``2^CDF_MIN_QUBITS`` outcomes on, a circuit that opens with
+    the H layer and has after it only rotations whose ``_ROTATIONS`` record
+    is flip-even (an even count of y and z factors) runs in half mode
+    (``half``): its state keeps ``psi(b) = psi(~b)``, so every step acts on
+    ``psi[:2^(n-1)]`` alone and reads amplitude b >= 2^(n-1) as
+    ``psi[2^n - 1 - b]``. The tables cover the first half, with each
+    partner index past it mapped to its complement; a ``_DiagonalRun``
+    keeps the first half of its index; an ``_RxLayer`` applies its blocks to
+    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector. The run
+    returns ``psi`` followed by ``psi[::-1]``. Half mode does each per-gate
+    step's arithmetic on the same amplitudes as the full plan, so it keeps
+    their bits, and needs no kernel step: H and Cx rule it out, and no
+    diagonal gate acts on all n qubits.
+
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
     ``(apply, None, None, None)`` for a kernel or a fused run, which the
     run calls as ``psi = apply(psi, theta)``: a kernel or a diagonal run
@@ -245,6 +268,10 @@ class _Plan:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
         fuse = n >= CDF_MIN_QUBITS  # so no diagonal gate acts on all n qubits (see _gate_step)
+        # from the uniform state, gates that commute with the global bit flip keep psi(b) = psi(~b)
+        self.half = half = fuse and uniform and all(g.kind in _FLIP_EVEN_KINDS for g in body)
+        if half:
+            self.start = self.start[: 1 << (n - 1)].copy()
 
         def fold(gate: GateApplication) -> type | None:
             """The fused step a run of such gates may form."""
@@ -261,10 +288,10 @@ class _Plan:
             if (step is _DiagonalRun and len(group) > 1) or (
                 step is _RxLayer and len({g.qubits for g in group}) == n
             ):
-                self.steps.append((step(n, group, tables), None, None, None))
+                self.steps.append((step(n, group, tables, half), None, None, None))
                 continue
             for gate in group:
-                self.steps.append(_gate_step(n, gate, tables))
+                self.steps.append(_gate_step(n, gate, tables, half))
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
         """True for the same gate objects; gates are frozen, so they have the same structure."""
@@ -292,10 +319,11 @@ class _Plan:
             if sign is not None:
                 partner *= sign
             psi += partner
-        return psi
+        return np.concatenate((psi, psi[::-1])) if self.half else psi
 
 
-_DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, _, _) in _ROTATIONS.items() if diagonal)
+_DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, *_) in _ROTATIONS.items() if diagonal)
+_FLIP_EVEN_KINDS = frozenset(kind for kind, (*_, flip_even) in _ROTATIONS.items() if flip_even)
 
 
 def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.ndarray:
@@ -306,9 +334,13 @@ def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.nd
     return sign
 
 
-def _gate_step(n: int, gate: GateApplication, tables: dict) -> tuple:
-    """The plan step of one gate: its kernel, or its rotation's tables (see ``_Plan``)."""
-    phase, diagonal, flips, negated = _ROTATIONS.get(gate.kind, (None, False, None, None))
+def _gate_step(n: int, gate: GateApplication, tables: dict, half: bool) -> tuple:
+    """The plan step of one gate: its kernel, or its rotation's tables (see ``_Plan``).
+
+    With ``half``, the tables cover the first 2^(n-1) amplitudes, and a
+    partner b >= 2^(n-1) reads amplitude 2^n - 1 - b instead.
+    """
+    phase, diagonal, flips, negated, _ = _ROTATIONS.get(gate.kind, (None, False, None, None, False))
     # H and Cx keep their kernels, and so does a diagonal gate on all n
     # qubits, for the same bits: its kernel multiplies blocks of one
     # amplitude, which numpy does without the fused multiply-add it
@@ -324,12 +356,17 @@ def _gate_step(n: int, gate: GateApplication, tables: dict) -> tuple:
     key = (gate.kind, gate.qubits)
     if key not in tables:
         sign = _sign_vector(n, gate.qubits, negated)
+        if half:
+            sign = sign[: 1 << (n - 1)].copy()
         if diagonal:
             tables[key] = (np.flatnonzero(sign < 0), None)
         else:
             index = np.arange(1 << n)
             view = _gate_view(index, n, gate.qubits)
             view[...] = view[flips]  # numpy reads an overlapping source from a copy
+            if half:
+                index = index[: sign.size]
+                index = np.where(index < sign.size, index, (1 << n) - 1 - index)
             tables[key] = (index, sign if negated else None)
     return (gate, *tables[key], None if diagonal else phase)
 
@@ -355,7 +392,7 @@ class _DiagonalRun:
 
     __slots__ = ("params", "weights", "fixed", "index")
 
-    def __init__(self, n: int, gates: list[GateApplication], tables: dict):
+    def __init__(self, n: int, gates: list[GateApplication], tables: dict, half: bool):
         slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
         key = []
         for g in gates:
@@ -378,11 +415,13 @@ class _DiagonalRun:
             keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
             _, first, index = np.unique(keys, return_index=True, return_inverse=True)
             if m < n:
-                states = np.arange(1 << n)
+                states = np.arange(1 << (n - 1 if half else n))
                 code = np.zeros_like(states)
                 for j, q in enumerate(touched):
                     code |= ((states >> q) & 1) << j
                 index = index[code]
+            elif half:
+                index = index[: 1 << (n - 1)].copy()
             distinct = rows[:, first]
             tables[key] = (np.ascontiguousarray(distinct[:-1]), distinct[-1].copy(), index)
         self.weights, self.fixed, self.index = tables[key]
@@ -423,12 +462,15 @@ class _RxLayer:
     one gather through a table of ``a ^ b`` and applies each block as one
     matrix product, ``M @ psi.reshape(-1, 2^k).T``: that acts on the low k
     qubits and moves them to the top of the index, so after the last block
-    the qubits are back in their order. The call returns the new vector.
+    the qubits are back in their order. In the plan's half mode the blocks
+    cover qubits 0 .. n-2, and qubit n-1's Rx, whose partner of amplitude b
+    is ``psi[2^(n-1) - 1 - b]``, takes ``psi * cos + psi[::-1] * (-i sin)``.
+    The call returns the new vector.
     """
 
-    __slots__ = ("params", "weights", "fixed", "index", "blocks")
+    __slots__ = ("params", "weights", "fixed", "index", "blocks", "half")
 
-    def __init__(self, n: int, gates: list[GateApplication], tables: dict):
+    def __init__(self, n: int, gates: list[GateApplication], tables: dict, half: bool):
         slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
         for g in gates:
             if g.angle is None:
@@ -442,13 +484,14 @@ class _RxLayer:
                 self.weights[slot[g.param_index], q] += 0.5 * g.coeff
             else:
                 self.fixed[q] += 0.5 * g.angle
+        self.half = half
         key = ("rx layer", n)
         if key not in tables:
             # factor j of entry (a, b) of a block from qubit ``start`` reads the
             # factor vector at 2n (the constant 1) past the block's k qubits,
             # else at bit j of a ^ b times n plus qubit start + j
             columns, blocks, start, offset = [], [], 0, 0
-            for k in _rx_blocks(n):
+            for k in _rx_blocks(n - 1 if half else n):
                 flips = (np.arange(1 << k)[:, None] ^ np.arange(1 << k)).ravel()
                 factor = np.full((RX_BLOCK_QUBITS, flips.size), 2 * n)
                 for j in range(k):
@@ -460,13 +503,18 @@ class _RxLayer:
         self.index, self.blocks = tables[key]
 
     def __call__(self, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        half = theta[self.params] @ self.weights
-        half += self.fixed
-        factors = np.concatenate((np.cos(half), -1j * np.sin(half), (1.0,)))
+        half_angles = theta[self.params] @ self.weights
+        half_angles += self.fixed
+        factors = np.concatenate((np.cos(half_angles), -1j * np.sin(half_angles), (1.0,)))
         entries = np.multiply.reduce(factors[self.index], axis=0)
         for offset, size in self.blocks:
             block = entries[offset : offset + size * size].reshape(size, size)
             psi = (block @ psi.reshape(-1, size).T).ravel()
+        if self.half:  # qubit n-1, whose 1 half is the 0 half reversed
+            n = half_angles.size
+            flipped = psi[::-1] * factors[2 * n - 1]
+            psi *= factors[n - 1]
+            psi += flipped
         return psi
 
 
@@ -500,8 +548,16 @@ def _plan_for(n: int, gates: list[GateApplication]) -> _Plan:
 
 
 def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:
-    """Amplitudes of the circuit's final state from |0...0>; ``params`` overrides circuit.params."""
-    theta = circuit.params if params is None else np.asarray(params, dtype=float)
+    """Amplitudes of the circuit's final state from |0...0>; ``params`` overrides circuit.params.
+
+    Raises ``ConfigurationError`` when ``params`` is not of shape ``(circuit.n_params,)``.
+    """
+    if params is None:
+        theta = circuit.params
+    else:
+        theta = np.asarray(params, dtype=float)
+        if theta.shape != circuit.params.shape:
+            raise ConfigurationError(f"params of shape {theta.shape} for a circuit of {circuit.n_params} parameters")
     n = circuit.n_qubits
     if not (1 <= n <= MAX_QUBITS):
         raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")

@@ -17,11 +17,14 @@ from rlansatz.circuits import (
     DOUBLE_ROTATIONS,
     GateApplication,
     GateKind,
+    PARAMETRIC_KINDS,
     TWO_QUBIT_KINDS,
+    action_space,
     h_layer,
+    rotation_axes,
     to_basis_gates,
 )
-from rlansatz.ansatz import build_baseline
+from rlansatz.ansatz import build_baseline, build_linear_ryz
 from rlansatz.errors import ConfigurationError, InvalidGateError
 from rlansatz.metrics import evaluate_circuit
 from rlansatz.problems import make_instance
@@ -82,6 +85,22 @@ def test_zero_state_rejects_bad_sizes():
         run_circuit(Circuit(0))
     with pytest.raises(ConfigurationError):
         run_circuit(Circuit(21))
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_params_of_another_shape_are_rejected(n):
+    inst = make_instance("three_regular", n, 1, "maxcut")
+    circuit = build_baseline("qaoa1", inst)
+    assert circuit.n_params == 2
+    for bad in ([0.3], [0.3, 0.2, 0.1], [[0.3, 0.2]]):
+        for call in (run_circuit, exact_probabilities):
+            with pytest.raises(ConfigurationError, match="shape"):
+                call(circuit, np.array(bad))
+        with pytest.raises(ConfigurationError, match="shape"):
+            sample_shots(circuit, 100, 0, params=bad)
+        with pytest.raises(ConfigurationError, match="shape"):
+            qsim.exact_expectation(circuit, inst.ham, params=bad)
+    assert np.array_equal(run_circuit(circuit, [0.3, 0.2]), run_circuit(Circuit(n, circuit.gates, [0.3, 0.2])))
 
 
 def test_hadamard_on_zero():
@@ -677,6 +696,127 @@ def test_an_rx_run_that_misses_a_qubit_builds_no_rx_layer():
         assert np.array_equal(plan.run(theta), qsim._run_kernels(n, circuit.gates, theta))
 
 
+# Rotations whose generator has an even count of y and z factors commute with
+# the global bit flip X^n, so from the uniform state they keep psi(b) = psi(~b).
+FLIP_EVEN = tuple(k for k in PARAMETRIC_KINDS if sum(a in "yz" for a in rotation_axes(k)) % 2 == 0)
+FLIP_ODD = tuple(k for k in PARAMETRIC_KINDS if k not in FLIP_EVEN)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flip_even_rotations_keep_the_uniform_state_flip_symmetric_bit_for_bit(data):
+    n = data.draw(st.integers(2, 12))
+    body = data.draw(st.lists(gate_applications(n, FLIP_EVEN), max_size=10))
+    theta = np.array(data.draw(st.lists(ANGLES, min_size=N_PARAMS, max_size=N_PARAMS)))
+    psi = qsim._run_kernels(n, h_layer(n).gates + body, theta)
+    assert np.array_equal(psi, psi[::-1])
+
+
+def half_mode(plan):
+    """True when the plan runs on the first 2^(n-1) amplitudes."""
+    return plan.start.size == 1 << (plan.n - 1)
+
+
+def flip_even_body(n, rng):
+    """Every flip-even kind, several on qubit n-1: a two-gate Rzz run on four
+    qubits, an Rx layer, a partial Rx run and one gate of each two-qubit kind."""
+    top = n - 1
+    gates = [
+        GateApplication(GateKind.RZZ, (top, 0), param_index=0, coeff=1.5),
+        GateApplication(GateKind.RZZ, (2, 3), angle=0.7),
+        *(GateApplication(GateKind.RX, (q,), param_index=1, coeff=2.0) for q in range(n)),
+        GateApplication(GateKind.RX, (top,), param_index=2),
+        GateApplication(GateKind.RX, (1,), angle=-0.4),
+    ]
+    for i, kind in enumerate(k for k in FLIP_EVEN if k in TWO_QUBIT_KINDS):
+        pair = (top, i) if i % 2 else (i, top)
+        gates.append(GateApplication(kind, pair, param_index=3 + i % 2, coeff=float(rng.uniform(-2, 2))))
+    return gates, rng.uniform(-np.pi, np.pi, 5)
+
+
+def test_half_mode_is_chosen_exactly_for_flip_symmetric_circuits():
+    assert qsim._FLIP_EVEN_KINDS == set(FLIP_EVEN) == {
+        GateKind.RX, GateKind.RXX, GateKind.RYY, GateKind.RZZ, GateKind.RYZ, GateKind.RZY
+    }
+    n = qsim.CDF_MIN_QUBITS + 1
+    rng = np.random.default_rng(15)
+    body, theta = flip_even_body(n, rng)
+    layer = h_layer(n).gates
+
+    def plan_of(gates, m=n):
+        plan = qsim._Plan(m, gates)
+        kernels = qsim._run_kernels(m, gates, theta)
+        assert np.max(np.abs(plan.run(theta) - kernels)) <= 1e-12
+        return plan
+
+    plan = plan_of(layer + body)
+    assert half_mode(plan) and plan.half
+    assert diagonal_runs(plan) and rx_layers(plan) and len(plan.steps) > 2
+    assert all(op.index.size == 1 << (n - 1) for op in diagonal_runs(plan))
+    assert half_mode(plan_of(layer))  # an empty body has no flip-odd gate
+    for kind in FLIP_ODD:
+        odd = GateApplication(kind, (n - 1, 1) if kind in TWO_QUBIT_KINDS else (n - 1,), angle=0.9)
+        assert not half_mode(plan_of(layer + body + [odd])), kind
+    for other in (GateApplication(GateKind.H, (3,)), GateApplication(GateKind.CX, (n - 1, 2))):
+        assert not half_mode(plan_of(layer + body[:4] + [other] + body[4:])), other.kind
+    assert not half_mode(plan_of(body))  # no H layer: not the uniform start
+    assert not half_mode(plan_of(layer[1:] + body))  # a partial layer
+    small = qsim.CDF_MIN_QUBITS - 1
+    small_body, theta = flip_even_body(small, rng)
+    gates = h_layer(small).gates + small_body
+    plan = plan_of(gates, small)
+    assert not half_mode(plan)  # below 2^CDF_MIN_QUBITS outcomes the plan keeps the kernels' bits
+    assert np.array_equal(plan.run(theta), qsim._run_kernels(small, gates, theta))
+
+
+@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 1))
+def test_the_ryz_chain_runs_in_half_mode_with_the_kernels_bits(n):
+    circuit = build_linear_ryz(n)
+    circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    plan = qsim._Plan(n, circuit.gates)
+    assert half_mode(plan) and diagonal_runs(plan) == [] and rx_layers(plan) == []
+    assert np.array_equal(plan.run(circuit.params), qsim._run_kernels(n, circuit.gates, circuit.params))
+
+
+@pytest.mark.parametrize("algorithm", ["qaoa1", "qaoa2", "maqaoa", "qaoaplus"])
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_maxcut_baselines_run_in_half_mode_and_draw_the_kernels_shots(algorithm, n):
+    circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
+    circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    plan = qsim._Plan(n, circuit.gates)
+    assert half_mode(plan) and rx_layers(plan)
+    amps = plan.run(circuit.params)
+    assert np.max(np.abs(amps - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
+    for seed in (0, 1, 2):
+        counts = sample_from_probabilities((amps * amps.conj()).real, 1000, seed)
+        assert np.array_equal(counts, sample_from_probabilities(kernel_probabilities(circuit), 1000, seed))
+
+
+def agent_circuit(n, seed):
+    """An H layer plus 2n actions drawn uniformly from the agent's action set, with random angles."""
+    space = action_space(n)
+    rng = np.random.default_rng([n, seed])
+    circuit = h_layer(n)
+    for action in rng.integers(space.size, size=2 * n):
+        circuit = space.apply(circuit, int(action))
+    circuit.params[:] = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    return circuit
+
+
+@pytest.mark.parametrize("source", ["minvertexcover", "agent 0", "agent 1", "agent 2"])
+def test_circuits_with_flip_odd_gates_keep_the_full_plan(source):
+    n = qsim.CDF_MIN_QUBITS + 2
+    if source == "minvertexcover":
+        circuit = build_baseline("qaoa2", make_instance("three_regular", n, 1, "minvertexcover"))
+        circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    else:
+        circuit = agent_circuit(n, int(source.split()[1]))
+    assert any(g.kind in FLIP_ODD for g in circuit.gates)  # Rz fields, or the agent's Ry, Rz, Rxz, ...
+    plan = qsim._Plan(n, circuit.gates)
+    assert plan.start.size == 1 << n and not plan.half
+    assert np.max(np.abs(plan.run(circuit.params) - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
+
+
 @pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
 def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypatch):
     inst = make_instance("three_regular", 12, 1, "maxcut")
@@ -686,7 +826,7 @@ def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypat
         return [evaluate_circuit(circuit, inst, 2, 1000, seed).per_run_estimates for seed in (0, 1)]
 
     fused = protocol()
-    assert diagonal_runs(qsim._last_plan) and rx_layers(qsim._last_plan)
+    assert diagonal_runs(qsim._last_plan) and rx_layers(qsim._last_plan) and half_mode(qsim._last_plan)
 
     def kernels(circuit, params=None):
         theta = circuit.params if params is None else np.asarray(params, dtype=float)

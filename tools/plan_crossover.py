@@ -12,6 +12,9 @@ the protocols send through ``qsim``:
 * ``qaoa2`` and ``maqaoa``: the baseline circuits of a 3-regular maxcut
   instance (graph seed 1), qaoa2 as in ``baseline_qaoa2_n14``. A 3-regular
   graph needs an even n, so odd n print ``-``.
+* ``linear``: the paper's Ryz chain (``build_linear_ryz``), on any n. It
+  is flip-symmetric, so its plan runs on half the amplitudes from
+  ``2^CDF_MIN_QUBITS`` outcomes on, and it has no fused step.
 * ``agent``: what the agent builds in ``train_cycle6``: an H layer plus 2n
   actions drawn uniformly from the action set, with random angles. Each
   round takes the next of four such circuits.
@@ -36,7 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rlansatz import qsim  # noqa: E402
-from rlansatz.ansatz import build_baseline  # noqa: E402
+from rlansatz.ansatz import build_baseline, build_linear_ryz  # noqa: E402
 from rlansatz.circuits import action_space, h_layer  # noqa: E402
 from rlansatz.problems import make_instance  # noqa: E402
 
@@ -45,6 +48,12 @@ def baseline_circuits(algorithm: str, n: int) -> list:
     if n % 2:
         return []
     circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
+    circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    return [circuit]
+
+
+def linear_circuits(n: int) -> list:
+    circuit = build_linear_ryz(n)
     circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
     return [circuit]
 
@@ -103,6 +112,7 @@ def main(argv=None) -> int:
     families = (
         ("qaoa2", lambda n: baseline_circuits("qaoa2", n)),
         ("maqaoa", lambda n: baseline_circuits("maqaoa", n)),
+        ("linear", linear_circuits),
         ("agent", agent_circuits),
     )
     print(f"PLAN_MAX_QUBITS = {qsim.PLAN_MAX_QUBITS}; numpy {np.__version__}; ratios > 1: the plan is faster")
