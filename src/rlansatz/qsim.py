@@ -520,11 +520,13 @@ class _RxLayer:
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
 # 2.4.6): for one optimization, a build and 42 runs, kernel time over plan
-# time was, on qaoa2 / maqaoa / agent circuits, 4.95 / 3.26 / 2.31 at
-# n = 10, 4.01 / 1.83 / 1.64 at n = 12, 3.69 / 1.25 / 1.09 at n = 14,
-# - / - / 0.94 at n = 15 and 4.35 / 1.66 / 0.89 at n = 16. Past n = 14 the
-# QAOA circuits, whose layers fold, would still gain, but agent circuits,
-# mostly rotations that fold into nothing, run slower than their kernels.
+# time was, on qaoa2 / maqaoa / linear (the Ryz chain) / agent circuits,
+# 6.17 / 3.64 / 2.47 / 2.25 at n = 10, 6.13 / 2.22 / 2.61 / 1.67 at n = 12,
+# 5.01 / 1.53 / 2.04 / 1.15 at n = 14, - / - / 1.80 / 0.99 at n = 15 and
+# 7.43 / 1.80 / 1.88 / 0.98 at n = 16. Past n = 14 the QAOA circuits and
+# the chain, whose plans fold layers or run on half the amplitudes, would
+# still gain, but agent circuits, mostly rotations that fold into nothing
+# and break the bit-flip symmetry, run slower than their kernels.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's
