@@ -29,10 +29,10 @@ import numpy as np
 from .agent.training import train
 from .ansatz import BASELINE_BUILDERS, build_baseline
 from .circuits import Circuit, action_space, transpiled_counts
-from .config import RunConfig, load_config, load_matrix_config, write_json, write_text
+from .config import ProblemConfig, RunConfig, check_objective, load_config, load_matrix_config, write_json, write_text
 from .errors import ConfigurationError
 from .metrics import approximation_ratio, evaluate_circuit
-from .problems import instance_to_json_dict, make_instance
+from .problems import ProblemInstance, instance_to_json_dict, make_instance
 from .qsim import estimate_expectation, exact_expectation, sample_shots
 from .seeding import REWARD_STREAM, derive_seed
 
@@ -59,11 +59,22 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return out
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
+def _override(cfg: RunConfig, args) -> RunConfig:
+    """Apply ``--seed`` and ``--workers`` and check the result as the INI values were checked."""
     if args.seed is not None:
         cfg.master_seed = args.seed
+    if args.workers is not None:
+        cfg.train.workers = args.workers
+    cfg.validate()
     return cfg
+
+
+def _instance(p: ProblemConfig, scored: bool = True) -> ProblemInstance:
+    """The instance ``p`` describes; a ``scored`` one must have a non-constant objective."""
+    inst = make_instance(p.topology, p.n, p.seed, p.kind, p.penalty, er_p=p.er_p, rows=p.rows)
+    if scored:
+        check_objective(inst.qubo)
+    return inst
 
 
 def _write_config(out: Path, cfg: RunConfig, inst) -> None:
@@ -108,11 +119,9 @@ def _write_run_info(out: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
-    if args.workers is not None:
-        cfg.train.workers = args.workers
-    cfg.train.validate()
-    inst = cfg.build_instance()
+    cfg = _override(load_config(args.config), args)
+    cfg.train.validate()  # the rollout split, checked only where rollouts run
+    inst = _instance(cfg.problem)
     action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)
     _write_config(out, cfg, inst)
@@ -147,8 +156,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dict | None = None) -> dict:
-    circuit = build_baseline(algorithm, inst)
+def _baseline_report(cfg: RunConfig, inst, algorithm: str, circuit, out: Path, extra: dict | None = None) -> dict:
     report = evaluate_circuit(
         circuit,
         inst,
@@ -174,18 +182,19 @@ def _baseline_report(cfg: RunConfig, inst, algorithm: str, out: Path, extra: dic
 
 
 def cmd_baseline(args) -> int:
-    cfg = _load(args)
-    inst = cfg.build_instance()
+    cfg = _override(load_config(args.config), args)
+    inst = _instance(cfg.problem)
+    circuit = build_baseline(args.algorithm, inst)
     out = _out_dir(cfg, args)
     _write_config(out, cfg, inst)
-    doc = _baseline_report(cfg, inst, args.algorithm, out)
+    doc = _baseline_report(cfg, inst, args.algorithm, circuit, out)
     print(f"{args.algorithm}: mean A.R. {doc['approx_ratio']:.4f} over {doc['n_runs']} runs -> {out}")
     return 0
 
 
 def cmd_brute_force(args) -> int:
-    cfg = load_config(args.config)
-    inst = cfg.build_instance()
+    cfg = _override(load_config(args.config), args)
+    inst = _instance(cfg.problem, scored=False)  # a constant objective is flagged "degenerate"
     out = _out_dir(cfg, args)
     spectrum = inst.spectrum
     doc = {
@@ -230,47 +239,41 @@ def _earlier_report(path: Path) -> dict:
 
 
 def cmd_matrix(args) -> int:
-    cfg, matrix = load_matrix_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
+    cfg, cells = load_matrix_config(args.config)
+    _override(cfg, args)
     out = _out_dir(cfg, args)
-    p = cfg.problem
     settings = _cell_settings(cfg)
     rows = []
-    for kind in matrix["problems"]:
-        for topology in matrix["topologies"]:
-            for n in matrix["sizes"]:
-                for algorithm in matrix["algorithms"]:
-                    cell = out / f"{kind}_{topology}_{n}_{algorithm}"
-                    cell.mkdir(parents=True, exist_ok=True)
-                    report_path = cell / "report.json"
-                    doc = _earlier_report(report_path) if args.resume else {}
-                    if doc.get("settings") != settings:
-                        inst = make_instance(topology, n, p.seed, kind, p.penalty, er_p=p.er_p, rows=p.rows)
-                        doc = _baseline_report(cfg, inst, algorithm, cell, {"settings": settings})
-                    rows.append(
-                        {
-                            "problem": kind,
-                            "topology": topology,
-                            "n": n,
-                            "algorithm": algorithm,
-                            "approx_ratio": doc["approx_ratio"],
-                            "threshold": doc["feasibility_threshold_ar"] or 0.0,
-                            "single_qubit": doc["single_qubit_gates"],
-                            "two_qubit": doc["two_qubit_gates"],
-                            "depth": doc["depth"],
-                        }
-                    )
+    for p, algorithm in cells:
+        cell = out / f"{p.kind}_{p.topology}_{p.n}_{algorithm}"
+        cell.mkdir(parents=True, exist_ok=True)
+        doc = _earlier_report(cell / "report.json") if args.resume else {}
+        if doc.get("settings") != settings:
+            inst = _instance(p)
+            doc = _baseline_report(cfg, inst, algorithm, build_baseline(algorithm, inst), cell, {"settings": settings})
+        rows.append(
+            {
+                "problem": p.kind,
+                "topology": p.topology,
+                "n": p.n,
+                "algorithm": algorithm,
+                "approx_ratio": doc["approx_ratio"],
+                "threshold": doc["feasibility_threshold_ar"] or 0.0,
+                "single_qubit": doc["single_qubit_gates"],
+                "two_qubit": doc["two_qubit_gates"],
+                "depth": doc["depth"],
+            }
+        )
     _write_csv(out / "matrix.csv", rows)
     print(f"{len(rows)} cells -> {out / 'matrix.csv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load(args)
+    cfg = _override(load_config(args.config), args)
     if args.runs < 1:
         raise ConfigurationError(f"--runs must be >= 1, got {args.runs}")
-    inst = cfg.build_instance()
+    inst = _instance(cfg.problem)
     circuit_path = Path(args.circuit)
     if not circuit_path.is_file():
         raise ConfigurationError(f"circuit file not found: {circuit_path}")
@@ -305,6 +308,7 @@ def cmd_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rlansatz", description=__doc__.strip().splitlines()[0])
+    parser.set_defaults(seed=None, workers=None)  # for the subcommands without these options
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, seed=True):

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +20,7 @@ from .agent.training import TrainConfig
 from .ansatz import BASELINE_BUILDERS
 from .circuits import MAX_QUBITS
 from .errors import ConfigurationError
-from .problems import DEFAULT_PENALTY, ProblemInstance, ProblemKind, Topology, build_qubo, generate_graph, make_instance
+from .problems import DEFAULT_PENALTY, ProblemKind, QuboMatrix, Topology, build_qubo, generate_graph
 
 
 @dataclass
@@ -33,6 +33,16 @@ class ProblemConfig:
     er_p: float | None = None
     rows: int | None = None
 
+    def validate(self) -> None:
+        if self.kind not in {kind.value for kind in ProblemKind}:
+            raise ConfigurationError(f"unknown problem kind {self.kind!r}")
+        if self.topology not in {topology.value for topology in Topology}:
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ConfigurationError(f"n={self.n} outside [1, {MAX_QUBITS}]")
+        if self.seed < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got problem seed {self.seed}")
+
 
 @dataclass
 class RunConfig:
@@ -42,11 +52,15 @@ class RunConfig:
     output_dir: str = "runs/out"
     master_seed: int = 0
 
-    def build_instance(self) -> ProblemInstance:
-        p = self.problem
-        return make_instance(
-            p.topology, p.n, p.seed, p.kind, p.penalty, er_p=p.er_p, rows=p.rows
-        )
+    def validate(self) -> None:
+        self.problem.validate()
+        self.train.optimizer.validate()
+        if self.train.shots < 1:
+            raise ConfigurationError("shots must be >= 1")
+        if self.eval_runs < 1:
+            raise ConfigurationError("eval_runs must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got master_seed {self.master_seed}")
 
     def snapshot(self) -> dict:
         doc = asdict(self)
@@ -123,7 +137,7 @@ def _from_parser(parser: configparser.ConfigParser) -> RunConfig:
     for name, targets in _sections(cfg).items():
         if parser.has_section(name):
             _apply_section(parser[name], targets, name)
-    _validate(cfg)
+    cfg.validate()
     return cfg
 
 
@@ -131,72 +145,51 @@ def load_config(path: str | Path) -> RunConfig:
     return _from_parser(_read(path))
 
 
-def _validate(cfg: RunConfig) -> None:
-    try:
-        ProblemKind(cfg.problem.kind)
-    except ValueError:
-        raise ConfigurationError(f"unknown problem kind {cfg.problem.kind!r}") from None
-    try:
-        Topology(cfg.problem.topology)
-    except ValueError:
-        raise ConfigurationError(f"unknown topology {cfg.problem.topology!r}") from None
-    if cfg.train.shots < 1:
-        raise ConfigurationError("shots must be >= 1")
-    cfg.train.optimizer.validate()
-    if cfg.eval_runs < 1:
-        raise ConfigurationError("eval_runs must be >= 1")
-    if Topology(cfg.problem.topology) is Topology.ERDOS_RENYI and cfg.problem.er_p is None:
-        raise ConfigurationError("erdos_renyi topology needs er_p")
+def check_objective(qubo: QuboMatrix) -> None:
+    """Reject a QUBO whose objective is the same on every bitstring: it has no approximation ratio.
+
+    ``x^T Q x + offset`` is constant on {0,1}^n exactly when every entry of
+    ``Q`` is 0, because the multilinear form of a function on {0,1}^n is unique.
+    """
+    if not qubo.q.any():
+        raise ConfigurationError("the objective is constant on every bitstring, so it has no approximation ratio")
 
 
-def load_matrix_config(path: str | Path) -> tuple[RunConfig, dict]:
-    """Config with a [matrix] section listing problems/topologies/sizes/algorithms.
+def load_matrix_config(path: str | Path) -> tuple[RunConfig, list[tuple[ProblemConfig, str]]]:
+    """The base config and, in grid order, a (problem, algorithm) pair per cell of its [matrix] section.
 
-    Each cell's size, graph and QUBO (cheap to build) are checked before anything is written.
+    Each cell's problem is a checked copy of the base problem whose graph and QUBO (cheap to build) are built.
     """
     parser = _read(path)
     base = _from_parser(parser)
     if not parser.has_section("matrix"):
         raise ConfigurationError("matrix config needs a [matrix] section")
     section = parser["matrix"]
-    defaults = {
-        "problems": base.problem.kind,
-        "topologies": base.problem.topology,
-        "sizes": str(base.problem.n),
-        "algorithms": "qaoa1",
-    }
+    p = base.problem
+    defaults = {"problems": p.kind, "topologies": p.topology, "sizes": str(p.n), "algorithms": "qaoa1"}
     for key in section:
         if key not in defaults:
             raise ConfigurationError(f"unknown key {key!r} in [matrix]")
-    matrix = {
-        key: [item.strip() for item in section.get(key, default).split(",") if item.strip()]
+    kinds, topologies, sizes, algorithms = (
+        [item.strip() for item in section.get(key, default).split(",") if item.strip()]
         for key, default in defaults.items()
-    }
+    )
     try:
-        matrix["sizes"] = [int(s) for s in matrix["sizes"]]
+        sizes = [int(s) for s in sizes]
     except ValueError:
         raise ConfigurationError(f"bad value for matrix.sizes: {section['sizes']!r}") from None
-    if not all(matrix.values()):
+    if not (kinds and topologies and sizes and algorithms):
         raise ConfigurationError("empty [matrix] axis")
-    for kind in matrix["problems"]:
-        try:
-            ProblemKind(kind)
-        except ValueError:
-            raise ConfigurationError(f"unknown problem kind {kind!r} in [matrix]") from None
-    for topo in matrix["topologies"]:
-        try:
-            Topology(topo)
-        except ValueError:
-            raise ConfigurationError(f"unknown topology {topo!r} in [matrix]") from None
-    for algorithm in matrix["algorithms"]:
+    for algorithm in algorithms:
         if algorithm not in BASELINE_BUILDERS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r} in [matrix]")
-    p = base.problem
-    for kind, topology, n in itertools.product(matrix["problems"], matrix["topologies"], matrix["sizes"]):
-        if not 1 <= n <= MAX_QUBITS:
-            raise ConfigurationError(f"matrix size {n} outside [1, {MAX_QUBITS}]")
-        build_qubo(generate_graph(topology, n, p.seed, er_p=p.er_p, rows=p.rows), kind, p.penalty)
-    return base, matrix
+    cells = []
+    for kind, topology, n in itertools.product(kinds, topologies, sizes):
+        problem = replace(p, kind=kind, topology=topology, n=n)
+        problem.validate()
+        check_objective(build_qubo(generate_graph(topology, n, p.seed, er_p=p.er_p, rows=p.rows), kind, p.penalty))
+        cells += [(problem, algorithm) for algorithm in algorithms]
+    return base, cells
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -240,12 +240,52 @@ def test_bad_matrix_section_exits_2_before_writing(tmp_path, matrix, problem):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["train"], ["baseline", "qaoa1"], ["brute-force"]], ids=lambda c: c[0])
-@pytest.mark.parametrize("topology, n", [("cycle", 25), ("grid2d", 7)], ids=["n25", "prime-grid"])
-def test_unbuildable_instance_exits_2_before_writing(tmp_path, command, topology, n):
-    cfg = write_config(tmp_path / "bad.ini", topology=topology, n=n)
+# name: (write_config arguments, {INI text: replacement}, extra arguments)
+UNBUILDABLE = {
+    "n25": ({"topology": "cycle", "n": 25}, {}, []),
+    "prime-grid": ({"topology": "grid2d", "n": 7}, {}, []),
+    "edgeless": ({"topology": "erdos_renyi", "n": 6}, {"seed = 1\n": "seed = 2\ner_p = 0.3\n"}, []),
+    "negative-seed": ({}, {"master_seed = 11": "master_seed = -1"}, []),
+    "negative-graph-seed": ({}, {"seed = 1\n": "seed = -3\n"}, []),
+    "negative-seed-flag": ({}, {}, ["--seed", "-2"]),
+    "one-vertex": ({"kind": "minvertexcover", "topology": "grid2d", "n": 1}, {}, []),
+}
+# cases left out: brute-force flags a constant objective as degenerate and has no --seed;
+# eval and brute-force run on one vertex; train's refusal of one has its own test; and
+# matrix builds a cell's circuit only when it runs the cell (see CHANGES.md)
+LEFT_OUT = {
+    ("edgeless", "brute-force"),
+    ("negative-seed-flag", "brute-force"),
+    ("one-vertex", "brute-force"),
+    ("one-vertex", "eval"),
+    ("one-vertex", "train"),
+    ("one-vertex", "matrix"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        pytest.param(case, command, id=f"{case}-{command}")
+        for case in UNBUILDABLE
+        for command in ("train", "baseline", "brute-force", "eval", "matrix")
+        if (case, command) not in LEFT_OUT
+    ],
+)
+def test_unbuildable_instance_exits_2_before_writing(tmp_path, case, command):
+    from rlansatz.circuits import MAX_QUBITS, h_layer
+
+    settings, edits, extra = UNBUILDABLE[case]
+    cfg = write_config(tmp_path / "bad.ini", **settings)
+    text = cfg.read_text() + "\n[matrix]\nalgorithms = linear\n"
+    for old, new in edits.items():
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(h_layer(min(settings.get("n", 4), MAX_QUBITS)).to_json_dict()))
+    arguments = {"baseline": ["linear"], "eval": ["--circuit", str(circuit)]}.get(command, [])
     out = tmp_path / "o"
-    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out), *arguments, *extra]) == 2
     assert not out.exists()
 
 
@@ -365,12 +405,11 @@ def consumers(monkeypatch):
 
     import rlansatz.agent.training as training
     import rlansatz.cli as cli
-    import rlansatz.config as config
     import rlansatz.optimize as optimize
 
     seen = {}
     targets = (
-        (config, "make_instance"),
+        (cli, "make_instance"),
         (training, "CircuitBuildEnv"),
         (training, "compute_returns_and_advantages"),
         (optimize, "_cobyla"),
@@ -538,6 +577,14 @@ def test_train_rejects_uneven_worker_split_before_writing(tmp_path, ini_workers,
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert not (out / "config.json").exists()
+
+
+def test_workers_flag_replaces_an_ini_split_before_it_is_checked(tmp_path):
+    cfg = write_config(tmp_path / "toy.ini")
+    cfg.write_text(cfg.read_text().replace("steps_per_epoch = 8", "steps_per_epoch = 5"))  # 5 steps over 2 workers
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert json.loads((out / "config.json").read_text())["train"]["workers"] == 1
 
 
 def test_train_rejects_one_vertex_instance_before_writing(tmp_path):

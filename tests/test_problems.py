@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rlansatz.config import check_objective
 from rlansatz.errors import ConfigurationError
 from rlansatz.problems import (
+    Graph,
     ProblemKind,
+    Topology,
     brute_force_spectrum,
     build_qubo,
     feasible_mask,
@@ -224,6 +229,30 @@ def test_degenerate_spectrum_flagged():
     assert s.feasibility_threshold_ar is None
     with pytest.raises(ConfigurationError):  # a vector that is not the graph's
         brute_force_spectrum(np.full(16, 4.2), "maxcut", g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    mask=st.integers(0, 2**15 - 1),
+    kind=st.sampled_from(ALL_KINDS),
+    penalty=st.sampled_from([1.5, 2.0, 3.25]),
+)
+@example(n=6, mask=0, kind=ProblemKind.MAX_CUT, penalty=2.0)
+@example(n=6, mask=0, kind=ProblemKind.MIN_VERTEX_COVER, penalty=2.0)
+@example(n=6, mask=0, kind=ProblemKind.MAX_CLIQUE, penalty=2.0)
+def test_constant_objective_is_exactly_an_all_zero_q(n, mask, kind, penalty):
+    """x^T Q x + offset is constant on {0,1}^n iff Q == 0; check_objective rejects exactly those."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = Graph(n, tuple(pair for k, pair in enumerate(pairs) if mask >> k & 1), Topology.ERDOS_RENYI)
+    qubo = build_qubo(graph, kind, penalty)
+    degenerate = brute_force_spectrum(qubo_to_hamiltonian(qubo), kind, graph).degenerate
+    assert (not qubo.q.any()) == degenerate
+    if degenerate:
+        with pytest.raises(ConfigurationError):
+            check_objective(qubo)
+    else:
+        check_objective(qubo)
 
 
 def test_feasibility_masks():
