@@ -37,13 +37,11 @@ def _definitions(path: Path):
     """(qualified name, bare name) of each definition in a package module."""
     module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
