@@ -55,16 +55,16 @@ class Mlp:
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Gradients of a scalar loss given d loss / d output."""
-        grad_w = [np.zeros_like(w) for w in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
+        grad_w: list[np.ndarray] = []
+        grad_b: list[np.ndarray] = []
         delta = np.atleast_2d(grad_out)
         for layer in range(self.n_layers - 1, -1, -1):
-            grad_w[layer] = activations[layer].T @ delta
-            grad_b[layer] = delta.sum(axis=0)
+            grad_w.append(activations[layer].T @ delta)
+            grad_b.append(delta.sum(axis=0))
             if layer > 0:
                 # activations[layer] is tanh(z); tanh' = 1 - tanh^2
                 delta = (delta @ self.weights[layer].T) * (1.0 - activations[layer] ** 2)
-        return grad_w, grad_b
+        return grad_w[::-1], grad_b[::-1]
 
     # flat views, used by the finite-difference checks
     def get_flat(self) -> np.ndarray:

@@ -9,7 +9,7 @@ approximate-KL early stop on the policy steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,47 +59,30 @@ def sample_action(model: PpoModel, obs: np.ndarray, rng: np.random.Generator) ->
     return action, float(logp[action]), value
 
 
-@dataclass
-class Segment:
-    """Transitions of one episode (or its truncation at an epoch boundary)."""
-
-    observations: list[np.ndarray] = field(default_factory=list)
-    actions: list[int] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    log_probs: list[float] = field(default_factory=list)
-    bootstrap_value: float = 0.0  # value of the next state when truncated, 0 at a true end
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-
 def compute_returns_and_advantages(
-    segments: list[Segment], gamma: float, gae_lambda: float
+    rewards: np.ndarray, values: np.ndarray, bootstrap: np.ndarray, gamma: float, gae_lambda: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discounted reward-to-go and GAE advantages, per transition.
 
-    Truncated segments bootstrap both from ``bootstrap_value``; completed
-    episodes bootstrap from 0.
+    ``bootstrap[t]`` is NaN inside a segment of consecutive transitions. At
+    the last transition of a segment it is the value both bootstrap from: 0
+    when the episode ended, the value estimate of the next state when an
+    epoch boundary cut it.
     """
-    returns: list[float] = []
-    advantages: list[float] = []
-    for seg in segments:
-        g = seg.bootstrap_value
-        adv = 0.0
-        next_value = seg.bootstrap_value
-        seg_returns = []
-        seg_advs = []
-        for reward, value in zip(reversed(seg.rewards), reversed(seg.values)):
-            g = reward + gamma * g
-            delta = reward + gamma * next_value - value
-            adv = delta + gamma * gae_lambda * adv
-            next_value = value
-            seg_returns.append(g)
-            seg_advs.append(adv)
-        returns.extend(reversed(seg_returns))
-        advantages.extend(reversed(seg_advs))
-    return np.asarray(returns), np.asarray(advantages)
+    returns = np.empty(len(rewards))
+    advantages = np.empty(len(rewards))
+    g = adv = next_value = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        if not np.isnan(bootstrap[t]):
+            g = next_value = bootstrap[t]
+            adv = 0.0
+        g = rewards[t] + gamma * g
+        delta = rewards[t] + gamma * next_value - values[t]
+        adv = delta + gamma * gae_lambda * adv
+        next_value = values[t]
+        returns[t] = g
+        advantages[t] = adv
+    return returns, advantages
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:

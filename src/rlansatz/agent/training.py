@@ -23,7 +23,6 @@ from .networks import Adam
 from .ppo import (
     Batch,
     PpoHyperparams,
-    Segment,
     build_model,
     compute_returns_and_advantages,
     ppo_update,
@@ -62,27 +61,16 @@ class TrainResult:
     steps: list[dict]
 
 
-@dataclass
-class _WorkerState:
-    env: CircuitBuildEnv
-    rng: np.random.Generator
-    observation: np.ndarray | None = None
-    segment: Segment = field(default_factory=Segment)
-    episode_return: float = 0.0
-
-
 def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> TrainResult:
     """Train an agent on one instance; fully deterministic in (cfg, seed)."""
     cfg.validate()
-    workers = [
-        _WorkerState(
-            env=CircuitBuildEnv(inst, cfg, seed=derive_seed(seed, _ENV_STREAM, w)),
-            rng=rng_for(seed, _ACTION_STREAM, w),
-        )
-        for w in range(cfg.workers)
-    ]
-    env = workers[0].env
-    model = build_model(env.observation_dim, env.n_actions, derive_seed(seed, _MODEL_STREAM), cfg.ppo.hidden)
+    # per worker: (env, action rng, current observation, return of the open episode)
+    workers = []
+    for w in range(cfg.workers):
+        env = CircuitBuildEnv(inst, cfg, seed=derive_seed(seed, _ENV_STREAM, w))
+        workers.append((env, rng_for(seed, _ACTION_STREAM, w), env.reset(), 0.0))
+    obs_dim = env.observation_dim  # the same for every worker
+    model = build_model(obs_dim, env.n_actions, derive_seed(seed, _MODEL_STREAM), cfg.ppo.hidden)
     pi_opt = Adam(model.policy.parameter_arrays(), cfg.ppo.pi_lr)
     vf_opt = Adam(model.value.parameter_arrays(), cfg.ppo.vf_lr)
 
@@ -94,25 +82,23 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
     step_log: list[dict] = []
 
     for epoch in range(cfg.epochs):
-        segments: list[Segment] = []
+        # the epoch's transitions, worker by worker in step order (the step-log order)
+        observations = np.empty((cfg.steps_per_epoch, obs_dim))
+        actions = np.empty(cfg.steps_per_epoch, dtype=int)
+        log_probs = np.empty(cfg.steps_per_epoch)
+        values = np.empty(cfg.steps_per_epoch)
+        rewards = np.empty(cfg.steps_per_epoch)
+        bootstrap = np.full(cfg.steps_per_epoch, np.nan)  # set at the last transition of each segment
         episode_returns: list[float] = []
-        epoch_rewards: list[float] = []
-        for w, state in enumerate(workers):
-            if state.observation is None:
-                state.observation = state.env.reset()
-                state.segment = Segment()
-                state.episode_return = 0.0
+        t = 0
+        for w, (env, rng, observation, episode_return) in enumerate(workers):
             for _ in range(steps_per_worker):
-                action, logp, value = sample_action(model, state.observation, state.rng)
-                observation, reward, done, info = state.env.step(action)
-                state.segment.observations.append(state.observation)
-                state.segment.actions.append(action)
-                state.segment.rewards.append(reward)
-                state.segment.values.append(value)
-                state.segment.log_probs.append(logp)
-                state.observation = observation
-                state.episode_return += reward
-                epoch_rewards.append(reward)
+                observations[t] = observation
+                action, log_probs[t], values[t] = sample_action(model, observation, rng)
+                observation, reward, done, info = env.step(action)
+                actions[t] = action
+                rewards[t] = reward
+                episode_return += reward
 
                 row = {"epoch": epoch, "worker": w, **asdict(info), "done": int(done)}
                 step_log.append(row)
@@ -121,37 +107,31 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
 
                 if reward > best_reward:
                     best_reward = reward
-                    best_circuit = state.env.circuit.copy()
+                    best_circuit = env.circuit.copy()
                     best_expectation = info.expectation
 
                 if done:
-                    state.segment.bootstrap_value = 0.0
-                    segments.append(state.segment)
-                    episode_returns.append(state.episode_return)
-                    state.observation = state.env.reset()
-                    state.segment = Segment()
-                    state.episode_return = 0.0
-            if len(state.segment) > 0:
+                    bootstrap[t] = 0.0
+                    episode_returns.append(episode_return)
+                    observation = env.reset()
+                    episode_return = 0.0
+                t += 1
+            if not done:
                 # epoch boundary: bootstrap the open episode and keep it running
-                state.segment.bootstrap_value = float(model.value.forward(state.observation)[0, 0])
-                segments.append(state.segment)
-                state.segment = Segment()
+                bootstrap[t - 1] = float(model.value.forward(observation)[0, 0])
+            workers[w] = (env, rng, observation, episode_return)
 
-        returns, advantages = compute_returns_and_advantages(segments, cfg.ppo.gamma, cfg.ppo.gae_lambda)
-        batch = Batch(
-            observations=np.concatenate([np.asarray(s.observations) for s in segments]),
-            actions=np.concatenate([np.asarray(s.actions, dtype=int) for s in segments]),
-            log_probs_old=np.concatenate([np.asarray(s.log_probs) for s in segments]),
-            returns=returns,
-            advantages=advantages,
+        returns, advantages = compute_returns_and_advantages(
+            rewards, values, bootstrap, cfg.ppo.gamma, cfg.ppo.gae_lambda
         )
+        batch = Batch(observations, actions, log_probs, returns, advantages)
         diagnostics = ppo_update(model, batch, cfg.ppo, pi_opt, vf_opt)
         history.append(
             {
                 "epoch": epoch,
                 "steps": len(batch.actions),
                 "episodes_completed": len(episode_returns),
-                "mean_reward": float(np.mean(epoch_rewards)),
+                "mean_reward": float(np.mean(rewards)),
                 "mean_episode_return": float(np.mean(episode_returns)) if episode_returns else float("nan"),
                 "best_reward": float(best_reward),
                 **diagnostics,

@@ -21,6 +21,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import deque
 from dataclasses import asdict
 from pathlib import Path
 
@@ -241,16 +242,28 @@ def _earlier_report(path: Path) -> dict:
 def cmd_matrix(args) -> int:
     cfg, cells = load_matrix_config(args.config)
     _override(cfg, args)
-    out = _out_dir(cfg, args)
+    out = Path(args.out or cfg.output_dir)
     settings = _cell_settings(cfg)
-    rows = []
+    # each cell to run gets its circuit before anything is written; the cells of one problem share its instance
+    todo = deque()
+    inst = built = None
     for p, algorithm in cells:
         cell = out / f"{p.kind}_{p.topology}_{p.n}_{algorithm}"
-        cell.mkdir(parents=True, exist_ok=True)
         doc = _earlier_report(cell / "report.json") if args.resume else {}
+        run = None
         if doc.get("settings") != settings:
-            inst = _instance(p)
-            doc = _baseline_report(cfg, inst, algorithm, build_baseline(algorithm, inst), cell, {"settings": settings})
+            if p != built:
+                inst, built = _instance(p), p
+            run = (inst, build_baseline(algorithm, inst))
+        todo.append((p, algorithm, cell, doc, run))
+    inst = None  # from here on the queue alone holds each instance, until its last cell has run
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    while todo:
+        p, algorithm, cell, doc, run = todo.popleft()
+        cell.mkdir(exist_ok=True)
+        if run is not None:
+            doc = _baseline_report(cfg, run[0], algorithm, run[1], cell, {"settings": settings})
         rows.append(
             {
                 "problem": p.kind,

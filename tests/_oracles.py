@@ -5,6 +5,8 @@ matrix exponential, explicit bit loops) and never calls into the package's
 simulation or rewrite code, so agreement is meaningful.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -216,3 +218,38 @@ def inverse_cdf_counts(probs, uniforms) -> np.ndarray:
             i += 1
         counts[min(i, last)] += 1
     return counts
+
+
+@dataclass
+class Segment:
+    """Transitions of one episode (or its truncation at an epoch boundary)."""
+
+    rewards: list[float]
+    values: list[float]
+    bootstrap_value: float = 0.0  # value of the next state when truncated, 0 at a true end
+
+
+def segment_returns_and_advantages(segments: list[Segment], gamma: float, gae_lambda: float):
+    """Discounted reward-to-go and GAE advantages, per transition, one segment at a time.
+
+    Truncated segments bootstrap both from ``bootstrap_value``; completed
+    episodes bootstrap from 0.
+    """
+    returns: list[float] = []
+    advantages: list[float] = []
+    for seg in segments:
+        g = seg.bootstrap_value
+        adv = 0.0
+        next_value = seg.bootstrap_value
+        seg_returns = []
+        seg_advs = []
+        for reward, value in zip(reversed(seg.rewards), reversed(seg.values)):
+            g = reward + gamma * g
+            delta = reward + gamma * next_value - value
+            adv = delta + gamma * gae_lambda * adv
+            next_value = value
+            seg_returns.append(g)
+            seg_advs.append(adv)
+        returns.extend(reversed(seg_returns))
+        advantages.extend(reversed(seg_advs))
+    return np.asarray(returns), np.asarray(advantages)

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rlansatz.agent.env as env_module
+import rlansatz.agent.training as training
+from _oracles import Segment, segment_returns_and_advantages
 from rlansatz.agent.env import CircuitBuildEnv, EnvConfig
 from rlansatz.agent.networks import Adam, Mlp
 from rlansatz.agent.ppo import (
     Batch,
     PpoHyperparams,
-    Segment,
     build_model,
     compute_returns_and_advantages,
     log_softmax,
@@ -93,32 +96,52 @@ def test_sampled_action_log_prob_consistency():
 
 def test_single_step_return_equals_reward():
     for gamma in (0.1, 0.5, 0.99):
-        seg = Segment(observations=[np.zeros(2)], actions=[0], rewards=[2.5], values=[0.3], log_probs=[0.0])
-        returns, _ = compute_returns_and_advantages([seg], gamma, 0.9)
+        returns, _ = compute_returns_and_advantages(np.array([2.5]), np.array([0.3]), np.array([0.0]), gamma, 0.9)
         assert returns[0] == 2.5
 
 
 def test_two_step_discounted_return():
-    seg = Segment(observations=[np.zeros(2)] * 2, actions=[0, 0], rewards=[1.0, 1.0], values=[0.0, 0.0], log_probs=[0.0, 0.0])
-    returns, _ = compute_returns_and_advantages([seg], 0.5, 1.0)
+    returns, _ = compute_returns_and_advantages(np.ones(2), np.zeros(2), np.array([np.nan, 0.0]), 0.5, 1.0)
     assert returns[0] == 1.5
     assert returns[1] == 1.0
 
 
 def test_zero_rewards_zero_values_give_zeros():
-    seg = Segment(observations=[np.zeros(2)] * 3, actions=[0] * 3, rewards=[0.0] * 3, values=[0.0] * 3, log_probs=[0.0] * 3)
-    returns, advantages = compute_returns_and_advantages([seg], 0.9, 0.95)
+    returns, advantages = compute_returns_and_advantages(np.zeros(3), np.zeros(3), np.array([np.nan, np.nan, 0.0]), 0.9, 0.95)
     assert np.array_equal(returns, np.zeros(3))
     assert np.array_equal(advantages, np.zeros(3))
 
 
 def test_truncated_segment_bootstraps_value():
-    seg = Segment(
-        observations=[np.zeros(2)], actions=[0], rewards=[1.0], values=[0.5], log_probs=[0.0], bootstrap_value=2.0
-    )
-    returns, advantages = compute_returns_and_advantages([seg], 0.5, 1.0)
+    returns, advantages = compute_returns_and_advantages(np.array([1.0]), np.array([0.5]), np.array([2.0]), 0.5, 1.0)
     assert returns[0] == 1.0 + 0.5 * 2.0
     assert advantages[0] == pytest.approx(1.0 + 0.5 * 2.0 - 0.5)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_segments = st.lists(
+    st.tuples(
+        st.lists(st.tuples(_finite, _finite), min_size=1, max_size=6),  # (reward, value) per transition
+        st.one_of(st.just(0.0), _finite),  # 0 at a true end, a value estimate at a cut
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=_segments, gamma=st.floats(0.0, 1.0), gae_lambda=st.floats(0.0, 1.0))
+def test_flat_returns_and_advantages_match_per_segment_oracle(segments, gamma, gae_lambda):
+    rewards = [r for steps, _ in segments for r, _ in steps]
+    values = [v for steps, _ in segments for _, v in steps]
+    bootstrap = [b if i == len(steps) - 1 else np.nan for steps, b in segments for i in range(len(steps))]
+    returns, advantages = compute_returns_and_advantages(
+        np.array(rewards), np.array(values), np.array(bootstrap), gamma, gae_lambda
+    )
+    oracle = [Segment([r for r, _ in steps], [v for _, v in steps], b) for steps, b in segments]
+    expected_returns, expected_advantages = segment_returns_and_advantages(oracle, gamma, gae_lambda)
+    assert (returns == expected_returns).all()
+    assert (advantages == expected_advantages).all()
 
 
 def test_advantage_normalization_statistics():
@@ -390,3 +413,28 @@ def test_train_validates_worker_split():
     inst = toy_instance()
     with pytest.raises(Exception):
         train(inst, TrainConfig(epochs=1, steps_per_epoch=5, workers=2), seed=0)
+
+
+def test_update_batch_follows_the_step_log(monkeypatch):
+    batches = []
+    update = training.ppo_update
+
+    def spy(model, batch, *args):
+        batches.append(batch)
+        return update(model, batch, *args)
+
+    monkeypatch.setattr(training, "ppo_update", spy)
+    # 3 steps per worker per epoch, episodes of up to 4 steps: some run across an epoch boundary
+    cfg = TrainConfig(epochs=3, steps_per_epoch=9, workers=3, shots=100, optimizer=OptimizerConfig(max_iterations=20))
+    result = train(toy_instance(), cfg, seed=4)
+    epochs_of = {}
+    for row in result.steps:
+        epochs_of.setdefault((row["worker"], row["episode"]), set()).add(row["epoch"])
+    assert any(len(epochs) > 1 for epochs in epochs_of.values())
+    assert any(row["done"] for row in result.steps)
+    assert len(batches) == 3
+    for epoch, batch in enumerate(batches):
+        rows = [row for row in result.steps if row["epoch"] == epoch]
+        assert batch.actions.tolist() == [row["action_id"] for row in rows]
+        done = [t for t, row in enumerate(rows) if row["done"]]
+        assert batch.returns[done].tolist() == [rows[t]["reward"] for t in done]

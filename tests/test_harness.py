@@ -196,7 +196,17 @@ def test_brute_force_degenerate_flagged(tmp_path):
     assert doc["degenerate"]
 
 
-def test_matrix_grid_and_resume(tmp_path):
+def test_matrix_grid_and_resume(tmp_path, monkeypatch):
+    import rlansatz.cli as cli
+
+    built = []
+    make_instance = cli.make_instance
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return make_instance(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_instance", spy)
     cfg = write_config(tmp_path / "m.ini", n=4)
     cfg.write_text(
         cfg.read_text()
@@ -207,10 +217,12 @@ def test_matrix_grid_and_resume(tmp_path):
     with open(out / "matrix.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
+    assert len(built) == 4  # one instance per problem, shared by its two cells
     marker = out / "maxcut_cycle_4_qaoa1" / "report.json"
     stamp = marker.stat().st_mtime_ns
     assert main(["matrix", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert marker.stat().st_mtime_ns == stamp  # cell skipped
+    assert len(built) == 4  # a reused cell builds nothing
 
 
 def test_matrix_without_section_exits_2(tmp_path):
@@ -251,15 +263,13 @@ UNBUILDABLE = {
     "one-vertex": ({"kind": "minvertexcover", "topology": "grid2d", "n": 1}, {}, []),
 }
 # cases left out: brute-force flags a constant objective as degenerate and has no --seed;
-# eval and brute-force run on one vertex; train's refusal of one has its own test; and
-# matrix builds a cell's circuit only when it runs the cell (see CHANGES.md)
+# eval and brute-force run on one vertex; and train's refusal of one has its own test
 LEFT_OUT = {
     ("edgeless", "brute-force"),
     ("negative-seed-flag", "brute-force"),
     ("one-vertex", "brute-force"),
     ("one-vertex", "eval"),
     ("one-vertex", "train"),
-    ("one-vertex", "matrix"),
 }
 
 
@@ -277,7 +287,7 @@ def test_unbuildable_instance_exits_2_before_writing(tmp_path, case, command):
 
     settings, edits, extra = UNBUILDABLE[case]
     cfg = write_config(tmp_path / "bad.ini", **settings)
-    text = cfg.read_text() + "\n[matrix]\nalgorithms = linear\n"
+    text = cfg.read_text() + "\n[matrix]\nalgorithms = qaoa1, linear\n"
     for old, new in edits.items():
         text = text.replace(old, new, 1)
     cfg.write_text(text)
