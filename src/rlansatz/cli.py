@@ -21,6 +21,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from collections import deque
 from dataclasses import asdict
 from pathlib import Path
@@ -262,8 +263,13 @@ def cmd_matrix(args) -> int:
     while todo:
         p, algorithm, cell, doc, run = todo.popleft()
         cell.mkdir(exist_ok=True)
-        if run is not None:
+        if run is None:
+            took = "from an earlier run"
+        else:
+            start = time.perf_counter()
             doc = _baseline_report(cfg, run[0], algorithm, run[1], cell, {"settings": settings})
+            took = f"in {time.perf_counter() - start:.2f} s"
+        print(f"{cell.name}: mean A.R. {doc['approx_ratio']:.4f} {took}", file=sys.stderr, flush=True)
         rows.append(
             {
                 "problem": p.kind,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import ConfigurationError, OptimizationError
-from .qsim import estimate_expectation, sample_shots
+from .qsim import draws_flip_classes, estimate_expectation, sample_shots
 from .seeding import OPT_STREAM, seed_stream
 
 
@@ -539,13 +539,23 @@ def optimize_circuit(
     mirroring repeated executions on a sampling backend. Warm start:
     optimization begins at the circuit's current parameters (new gates
     enter at 0). On return the circuit carries the best parameters found.
+
+    When the circuit's state and the energy are both flip-symmetric, the
+    shots are drawn over the bit-flip classes {b, ~b} (see
+    ``qsim.draws_flip_classes``) and scored with ``energy[:2^(n-1)]``. As
+    p(b) = p(~b) and E(b) = E(~b), the estimate has the full draw's
+    distribution; only the draws differ.
     """
     if energy.shape != (1 << circuit.n_qubits,):
         raise ConfigurationError(f"{energy.size} energies vs circuit on {circuit.n_qubits} qubits")
     shot_seeds = seed_stream(seed, OPT_STREAM)
+    folded = draws_flip_classes(circuit) and np.array_equal(energy, energy[::-1])
+    if folded:
+        energy = energy[: energy.size // 2]
 
     def objective(theta: np.ndarray) -> float:
-        return estimate_expectation(sample_shots(circuit, n_shots, next(shot_seeds), params=theta), energy)
+        counts = sample_shots(circuit, n_shots, next(shot_seeds), params=theta, folded=folded)
+        return estimate_expectation(counts, energy)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)
     if circuit.n_params:

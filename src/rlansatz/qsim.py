@@ -40,8 +40,12 @@ layer and has only rotations with an even count of y and z factors after
 it (Rx, Rxx, Ryy, Rzz, Ryz and Rzy: MaxCut's QAOA family and the paper's
 Ryz chain) commutes with the global bit flip X^n, so its state keeps
 ``psi(b) = psi(~b)``. The plan runs such a circuit on the first 2^(n-1)
-amplitudes only, those with qubit n-1 at 0, and rebuilds the full vector
-at the end. Its per-gate steps still give the kernels' bits.
+amplitudes only, those with qubit n-1 at 0; its per-gate steps still give
+the kernels' bits. ``run_circuit`` appends the half's mirror image, and
+``exact_probabilities`` squares the half and mirrors the real
+probabilities. Asked for ``folded`` probabilities, it doubles them instead
+into those of the 2^(n-1) bit-flip classes {b, ~b}, over which
+``optimize_circuit`` draws its shots when the energy is flip-symmetric too.
 Only the last plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost
 more than the kernels, which then run every time.
 
@@ -246,8 +250,10 @@ class _Plan:
     ``psi[2^n - 1 - b]``. The tables cover the first half, with each
     partner index past it mapped to its complement; a ``_DiagonalRun``
     keeps the first half of its index; an ``_RxLayer`` applies its blocks to
-    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector. The run
-    returns ``psi`` followed by ``psi[::-1]``. Half mode does each per-gate
+    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector.
+    ``state`` returns that half, and ``run`` it followed by ``psi[::-1]``;
+    ``exact_probabilities`` squares the half before it mirrors or doubles
+    it. Half mode does each per-gate
     step's arithmetic on the same amplitudes as the full plan, so it keeps
     their bits, and needs no kernel step: H and Cx rule it out, and no
     diagonal gate acts on all n qubits.
@@ -268,8 +274,7 @@ class _Plan:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
         fuse = n >= CDF_MIN_QUBITS  # so no diagonal gate acts on all n qubits (see _gate_step)
-        # from the uniform state, gates that commute with the global bit flip keep psi(b) = psi(~b)
-        self.half = half = fuse and uniform and all(g.kind in _FLIP_EVEN_KINDS for g in body)
+        self.half = half = fuse and _flip_symmetric(n, gates)
         if half:
             self.start = self.start[: 1 << (n - 1)].copy()
 
@@ -299,6 +304,11 @@ class _Plan:
 
     def run(self, theta: np.ndarray) -> np.ndarray:
         """The final state from |0...0> with the parameter vector ``theta``."""
+        psi = self.state(theta)
+        return np.concatenate((psi, psi[::-1])) if self.half else psi
+
+    def state(self, theta: np.ndarray) -> np.ndarray:
+        """``run``'s state, in half mode only its first 2^(n-1) amplitudes."""
         psi = self.start.copy()
         values = theta.tolist()
         for gate, table, sign, phase in self.steps:
@@ -319,11 +329,20 @@ class _Plan:
             if sign is not None:
                 partner *= sign
             psi += partner
-        return np.concatenate((psi, psi[::-1])) if self.half else psi
+        return psi
 
 
 _DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, *_) in _ROTATIONS.items() if diagonal)
 _FLIP_EVEN_KINDS = frozenset(kind for kind, (*_, flip_even) in _ROTATIONS.items() if flip_even)
+
+
+def _flip_symmetric(n: int, gates: list[GateApplication]) -> bool:
+    """True when the gates open with the H layer and only flip-even rotations follow.
+
+    From the uniform state, gates that commute with the global bit flip keep
+    psi(b) = psi(~b).
+    """
+    return _opens_with_h_layer(gates, n) and all(g.kind in _FLIP_EVEN_KINDS for g in gates[n:])
 
 
 def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.ndarray:
@@ -549,9 +568,12 @@ def _plan_for(n: int, gates: list[GateApplication]) -> _Plan:
     return plan
 
 
-def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:
+def run_circuit(circuit: Circuit, params: np.ndarray | None = None, mirror: bool = True) -> np.ndarray:
     """Amplitudes of the circuit's final state from |0...0>; ``params`` overrides circuit.params.
 
+    Without ``mirror``, a circuit that the plan runs in half mode (see
+    ``_Plan``) gives only its first 2^(n-1) amplitudes, those with qubit
+    n-1 at 0; amplitude ~b equals amplitude b.
     Raises ``ConfigurationError`` when ``params`` is not of shape ``(circuit.n_params,)``.
     """
     if params is None:
@@ -565,13 +587,35 @@ def run_circuit(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarra
         raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     if n > PLAN_MAX_QUBITS:
         return _run_kernels(n, circuit.gates, theta)
-    return _plan_for(n, circuit.gates).run(theta)
+    plan = _plan_for(n, circuit.gates)
+    return plan.run(theta) if mirror else plan.state(theta)
 
 
-def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None) -> np.ndarray:
-    """|amplitude|^2 per basis index; sums to 1 up to float error."""
-    amps = run_circuit(circuit, params)
-    return (amps * amps.conj()).real
+def draws_flip_classes(circuit: Circuit) -> bool:
+    """True when the plan runs the circuit in half mode on at least ``2^CDF_MIN_QUBITS`` bit-flip classes.
+
+    Its ``folded`` probabilities are then the doubled squares of the plan's
+    2^(n-1) amplitudes (see ``_Plan``), and their draw is an inverse-CDF draw.
+    """
+    n = circuit.n_qubits
+    return CDF_MIN_QUBITS < n <= PLAN_MAX_QUBITS and _flip_symmetric(n, circuit.gates)
+
+
+def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, folded: bool = False) -> np.ndarray:
+    """|amplitude|^2 per basis index; sums to 1 up to float error.
+
+    With ``folded``, the probability of each bit-flip class {b, ~b} instead,
+    for b < 2^(n-1): ``p[:h] + p[h:][::-1]`` with h = 2^(n-1). In half mode
+    p(b) = p(~b), so that is twice the squared half vector, bit for bit.
+    """
+    psi = run_circuit(circuit, params, mirror=False)
+    p = (psi * psi.conj()).real
+    if p.size < 1 << circuit.n_qubits:  # half mode: mirror the real probabilities, not the amplitudes
+        return p + p if folded else np.concatenate((p, p[::-1]))
+    if folded:
+        h = p.size // 2
+        return p[:h] + p[h:][::-1]
+    return p
 
 
 def exact_expectation(circuit: Circuit, energy: np.ndarray, params: np.ndarray | None = None) -> float:
@@ -637,9 +681,14 @@ def _inverse_cdf_counts(p: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) ->
     return np.bincount(index, minlength=p.size)
 
 
-def sample_shots(circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None) -> np.ndarray:
-    """Counts of ``n_shots`` measurements of the circuit; deterministic for a fixed seed."""
-    return sample_from_probabilities(exact_probabilities(circuit, params), n_shots, rng_seed)
+def sample_shots(
+    circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None, folded: bool = False
+) -> np.ndarray:
+    """Counts of ``n_shots`` measurements of the circuit; deterministic for a fixed seed.
+
+    With ``folded``, counts per bit-flip class (see ``exact_probabilities``).
+    """
+    return sample_from_probabilities(exact_probabilities(circuit, params, folded), n_shots, rng_seed)
 
 
 def estimate_expectation(counts: np.ndarray, energy: np.ndarray) -> float:

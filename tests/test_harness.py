@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -223,6 +224,31 @@ def test_matrix_grid_and_resume(tmp_path, monkeypatch):
     assert main(["matrix", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert marker.stat().st_mtime_ns == stamp  # cell skipped
     assert len(built) == 4  # a reused cell builds nothing
+
+
+def test_matrix_prints_one_stderr_line_per_cell_and_keeps_its_outputs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "m.ini", n=4)
+    cfg.write_text(
+        cfg.read_text() + "\n[matrix]\nproblems = maxcut\ntopologies = cycle, star\nsizes = 4\nalgorithms = qaoa1, linear\n"
+    )
+    names = [f"maxcut_{t}_4_{a}" for t in ("cycle", "star") for a in ("qaoa1", "linear")]
+    outputs = {}
+    for run in ("first", "again"):
+        out = tmp_path / run
+        assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"4 cells -> {out / 'matrix.csv'}\n"
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == names
+        for name, line in zip(names, lines):
+            ratio = json.loads((out / name / "report.json").read_text())["approx_ratio"]
+            assert re.fullmatch(rf"{name}: mean A\.R\. {ratio:.4f} in \d+\.\d\d s", line), line
+        outputs[run] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert outputs["first"] == outputs["again"]
+    assert main(["matrix", "--config", str(cfg), "--out", str(tmp_path / "again"), "--resume"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == names
+    assert all(line.endswith(" from an earlier run") for line in lines)
 
 
 def test_matrix_without_section_exits_2(tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import scipy_cobyla
-from rlansatz.ansatz import build_linear_ryz, build_qaoa
-from rlansatz.circuits import h_layer
+from rlansatz import qsim
+from rlansatz.ansatz import build_baseline, build_linear_ryz, build_qaoa
+from rlansatz.circuits import action_space, h_layer
 from rlansatz.errors import ConfigurationError, OptimizationError
 from rlansatz.metrics import approximation_ratio
 from rlansatz.optimize import OptimizerConfig, cobyla_minimize, optimize_circuit
@@ -408,9 +409,9 @@ def test_optimize_circuit_warm_start_evaluates_current_params_first():
 
     original = opt.sample_shots
 
-    def spy(c, shots, seed, params=None):
+    def spy(c, shots, seed, params=None, **kwargs):
         seen.append(np.array(params))
-        return original(c, shots, seed, params=params)
+        return original(c, shots, seed, params=params, **kwargs)
 
     opt.sample_shots = spy
     try:
@@ -418,3 +419,44 @@ def test_optimize_circuit_warm_start_evaluates_current_params_first():
     finally:
         opt.sample_shots = original
     assert np.array_equal(seen[0], [0.4, -0.2])
+
+
+def fold_case(source, n):
+    """A circuit and its energies: a baseline on MaxCut or minvertexcover, or 2n uniform agent actions on MaxCut."""
+    kind = "minvertexcover" if source == "minvertexcover" else "maxcut"
+    inst = make_instance("cycle" if n % 2 else "three_regular", n, 1, kind)
+    if source.startswith("agent"):
+        space = action_space(n)
+        rng = np.random.default_rng([n, int(source.split()[1])])
+        circuit = h_layer(n)
+        for action in rng.integers(space.size, size=2 * n):
+            circuit = space.apply(circuit, int(action))
+        assert any(g.kind not in qsim._FLIP_EVEN_KINDS for g in circuit.gates[n:])
+    else:
+        circuit = build_baseline("qaoa2" if source == "minvertexcover" else source, inst)
+    circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
+    return circuit, inst.ham
+
+
+@pytest.mark.parametrize(
+    "source, n, folds",
+    [(source, n, True) for source in ("qaoa2", "linear") for n in (11, 12, 13, 14)]
+    + [("qaoa2", 10, False), ("linear", 10, False), ("qaoa2", 6, False), ("minvertexcover", 12, False)]
+    + [("agent 0", 12, False), ("agent 1", 11, False)],
+)
+def test_optimize_circuit_draws_over_flip_classes_exactly_when_both_are_flip_symmetric(source, n, folds, monkeypatch):
+    import rlansatz.optimize as opt
+
+    circuit, energy = fold_case(source, n)
+    seen = []
+    original = opt.sample_shots
+
+    def spy(c, shots, seed, params=None, folded=False):
+        counts = original(c, shots, seed, params=params, folded=folded)
+        seen.append((folded, counts.size))
+        return counts
+
+    monkeypatch.setattr(opt, "sample_shots", spy)
+    result = optimize_circuit(circuit, energy, 500, seed=3, optimizer=OptimizerConfig(max_iterations=4))
+    size = 1 << (n - 1) if folds else 1 << n
+    assert seen == [(folds, size)] * result.evaluations

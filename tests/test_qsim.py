@@ -828,12 +828,98 @@ def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypat
     fused = protocol()
     assert diagonal_runs(qsim._last_plan) and rx_layers(qsim._last_plan) and half_mode(qsim._last_plan)
 
-    def kernels(circuit, params=None):
+    def kernels(circuit, params=None, mirror=True):  # the full vector, also where the plan gives half of it
         theta = circuit.params if params is None else np.asarray(params, dtype=float)
         return qsim._run_kernels(circuit.n_qubits, circuit.gates, theta)
 
     monkeypatch.setattr(qsim, "run_circuit", kernels)
     assert protocol() == fused
+    # the optimizer drew over bit-flip classes, from the kernels' full vector in the second protocol
+    assert qsim.draws_flip_classes(circuit) and np.array_equal(inst.ham, inst.ham[::-1])
+
+
+HALF_MODE_SOURCES = ["qaoa1", "qaoa2", "maqaoa", "qaoaplus", "linear"]
+
+
+def half_mode_circuit(source, n):
+    """A MaxCut baseline or the Ryz chain at random angles, and its instance (3-regular, or a cycle for odd n)."""
+    inst = make_instance("cycle" if n % 2 else "three_regular", n, 1, "maxcut")
+    circuit = build_baseline(source, inst)
+    circuit.params[:] = np.random.default_rng([n, len(source)]).uniform(-np.pi, np.pi, circuit.n_params)
+    return circuit, inst
+
+
+@pytest.mark.parametrize("source", HALF_MODE_SOURCES)
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_half_mode_probabilities_square_the_half_and_mirror_them_bit_for_bit(source, n):
+    circuit, _ = half_mode_circuit(source, n)
+    probs = exact_probabilities(circuit)
+    assert half_mode(qsim._last_plan)
+    amps = run_circuit(circuit)
+    assert amps.shape == (1 << n,)  # run_circuit still gives every amplitude
+    expected = (amps * amps.conj()).real
+    assert probs.flags.c_contiguous and probs.dtype == np.float64
+    assert np.array_equal(probs.view(np.uint64), expected.view(np.uint64))
+
+
+def flip_classes(probs):
+    """p(b) + p(~b) for b < 2^(n-1)."""
+    h = probs.size // 2
+    return probs[:h] + probs[h:][::-1]
+
+
+@pytest.mark.parametrize("source", HALF_MODE_SOURCES)
+@pytest.mark.parametrize("n", [11, 12, 14])
+def test_folded_probabilities_are_the_flip_class_sums_bit_for_bit_in_half_mode(source, n):
+    circuit, inst = half_mode_circuit(source, n)
+    assert qsim.draws_flip_classes(circuit)
+    folded = exact_probabilities(circuit, folded=True)
+    assert half_mode(qsim._last_plan)
+    probs = exact_probabilities(circuit)
+    assert folded.shape == (1 << (n - 1),) and folded.flags.c_contiguous
+    assert np.array_equal(folded.view(np.uint64), flip_classes(probs).view(np.uint64))
+    energy = inst.ham
+    assert np.array_equal(energy, energy[::-1])  # MaxCut: E(b) = E(~b)
+    assert abs(folded @ energy[: folded.size] - probs @ energy) <= 1e-12
+
+
+@pytest.mark.parametrize("source", ["minvertexcover", "agent 0", "agent 1", "ryz chain n=9", "ryz chain n=16"])
+def test_folded_probabilities_of_full_runs_are_the_flip_class_sums(source):
+    if source == "minvertexcover":
+        circuit = build_baseline("qaoa2", make_instance("three_regular", 12, 1, "minvertexcover"))
+    elif source.startswith("agent"):
+        circuit = agent_circuit(12, int(source.split()[1]))
+    else:  # flip-symmetric, but below half mode's sizes or above the plan's
+        circuit = build_linear_ryz(int(source.split("=")[1]))
+    circuit.params[:] = np.random.default_rng(7).uniform(-np.pi, np.pi, circuit.n_params)
+    assert not qsim.draws_flip_classes(circuit)
+    folded = exact_probabilities(circuit, folded=True)
+    if circuit.n_qubits <= qsim.PLAN_MAX_QUBITS:
+        assert not qsim._last_plan.half
+    assert folded.shape == (1 << (circuit.n_qubits - 1),)
+    assert np.max(np.abs(folded - flip_classes(exact_probabilities(circuit)))) <= 1e-15
+    counts = sample_shots(circuit, 1000, 3, folded=True)
+    assert counts.shape == folded.shape and counts.sum() == 1000
+
+
+def test_folded_estimates_have_the_full_estimates_mean_and_variance():
+    circuit, inst = half_mode_circuit("qaoa2", 12)
+    half = inst.ham[: 1 << 11]
+    folded = np.array([estimate_expectation(sample_shots(circuit, 1000, s, folded=True), half) for s in range(2000)])
+    full = np.array([estimate_expectation(sample_shots(circuit, 1000, s), inst.ham) for s in range(2000, 4000)])
+    assert len(set(folded.tolist())) > 100
+    exact = float(exact_probabilities(circuit) @ inst.ham)
+    for a in (folded, full):
+        assert abs(a.mean() - exact) <= 4 * a.std() / np.sqrt(a.size)
+    mean_se = np.sqrt(folded.var() / folded.size + full.var() / full.size)
+    assert abs(folded.mean() - full.mean()) <= 4 * mean_se
+
+    def variance_se(a):
+        """Standard error of the sample variance, from the fourth central moment."""
+        centered = a - a.mean()
+        return np.sqrt((np.mean(centered**4) - a.var() ** 2) / a.size)
+
+    assert abs(folded.var() - full.var()) <= 4 * np.hypot(variance_se(folded), variance_se(full))
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)

@@ -17,7 +17,9 @@ relative paths (so the circuit path that ``eval`` records matches too):
 - a 12-cell ``matrix``: {maxcut, minvertexcover} x {cycle, star} x {6} x
   {qaoa1, maqaoa, linear};
 - ``eval --reoptimize --random-init`` on the ``--workers 3`` run's best
-  circuit.
+  circuit;
+- ``baseline qaoa2`` on 3-regular MaxCut and minimum vertex cover at
+  n = 12, where the plan fuses layers and runs MaxCut in half mode.
 
 Then it compares every file of the two work directories except
 ``run_info.json``, which records the machine and the git revision. It prints
@@ -87,6 +89,17 @@ sizes = 6
 algorithms = qaoa1, maqaoa, linear
 """,
 }
+for kind in ("maxcut", "minvertexcover"):
+    INI_FILES[f"n12_{kind}.ini"] = f"""[problem]
+kind = {kind}
+topology = three_regular
+n = 12
+seed = 1
+
+[run]
+shots = 1000
+master_seed = 7
+"""
 
 COMMANDS = [
     ["train", "--config", "criterion.ini", "--out", "train_101", "--seed", "101"],
@@ -97,6 +110,8 @@ COMMANDS = [
     ["brute-force", "--config", "small.ini", "--out", "brute_force"],
     ["eval", "--config", "small.ini", "--circuit", "train_workers3/best_circuit.json",
      "--reoptimize", "--random-init", "--runs", "2", "--out", "eval"],
+    ["baseline", "qaoa2", "--config", "n12_maxcut.ini", "--out", "baseline_qaoa2_n12_maxcut"],
+    ["baseline", "qaoa2", "--config", "n12_minvertexcover.ini", "--out", "baseline_qaoa2_n12_minvertexcover"],
 ]
 
 
