@@ -422,9 +422,15 @@ def test_optimize_circuit_warm_start_evaluates_current_params_first():
 
 
 def fold_case(source, n):
-    """A circuit and its energies: a baseline on MaxCut or minvertexcover, or 2n uniform agent actions on MaxCut."""
+    """A circuit and its energies: a baseline on MaxCut or minvertexcover, 2n uniform agent actions on MaxCut,
+    or MaxCut's flip-even qaoa2 against the minvertexcover energies of the same graph."""
     kind = "minvertexcover" if source == "minvertexcover" else "maxcut"
     inst = make_instance("cycle" if n % 2 else "three_regular", n, 1, kind)
+    if source == "qaoa2 vs minvertexcover":
+        circuit, _ = fold_case("qaoa2", n)
+        energy = make_instance("cycle" if n % 2 else "three_regular", n, 1, "minvertexcover").ham
+        assert not np.array_equal(energy, energy[::-1])
+        return circuit, energy
     if source.startswith("agent"):
         space = action_space(n)
         rng = np.random.default_rng([n, int(source.split()[1])])
@@ -442,7 +448,7 @@ def fold_case(source, n):
     "source, n, folds",
     [(source, n, True) for source in ("qaoa2", "linear") for n in (11, 12, 13, 14)]
     + [("qaoa2", 10, False), ("linear", 10, False), ("qaoa2", 6, False), ("minvertexcover", 12, False)]
-    + [("agent 0", 12, False), ("agent 1", 11, False)],
+    + [("agent 0", 12, False), ("agent 1", 11, False), ("qaoa2 vs minvertexcover", 12, False)],
 )
 def test_optimize_circuit_draws_over_flip_classes_exactly_when_both_are_flip_symmetric(source, n, folds, monkeypatch):
     import rlansatz.optimize as opt
@@ -460,3 +466,12 @@ def test_optimize_circuit_draws_over_flip_classes_exactly_when_both_are_flip_sym
     result = optimize_circuit(circuit, energy, 500, seed=3, optimizer=OptimizerConfig(max_iterations=4))
     size = 1 << (n - 1) if folds else 1 << n
     assert seen == [(folds, size)] * result.evaluations
+
+
+@pytest.mark.parametrize("source", ["qaoa2", "linear"])
+def test_folded_objective_estimates_the_exact_expectation(source):
+    circuit, energy = fold_case(source, 12)
+    exact = exact_expectation(circuit, energy)
+    one = OptimizerConfig(max_iterations=1)  # the objective at the circuit's own parameters
+    values = np.array([optimize_circuit(circuit.copy(), energy, 1000, seed, one).best_value for seed in range(400)])
+    assert abs(values.mean() - exact) <= 4 * values.std() / np.sqrt(values.size)
