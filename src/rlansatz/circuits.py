@@ -320,10 +320,19 @@ def _is_zero_angle(angle: float) -> bool:
     return math.fmod(angle, 2.0 * _TWO_PI) == 0.0
 
 
-def _simplify_pass(gates: list[GateApplication]) -> tuple[list[GateApplication], bool]:
+def simplify_gates(gates: list[GateApplication]) -> list[GateApplication]:
+    """Peephole simplification, in one pass.
+
+    Rules: merge adjacent same-axis fixed rotations on a qubit; drop fixed
+    rotations whose angle is an exact multiple of 4*pi; cancel adjacent
+    identical Cx pairs. Parametric gates are never merged or dropped, so
+    gate counts do not depend on parameter values. Each rule compares a gate
+    only with the last gate kept on its qubit and removes only that gate, so
+    the gate a removal uncovers meets every later gate on its qubit in turn:
+    one pass reaches the fixpoint, and the result simplifies to itself.
+    """
     out: list[GateApplication | None] = []
     last_on: dict[int, list[int]] = {}
-    changed = False
 
     def push(g: GateApplication) -> None:
         out.append(g)
@@ -343,7 +352,6 @@ def _simplify_pass(gates: list[GateApplication]) -> tuple[list[GateApplication],
             and prev.angle is not None
         ):
             merged = prev.angle + g.angle
-            changed = True
             if _is_zero_angle(merged):
                 out[prev_idx] = None
                 last_on[g.qubits[0]].pop()
@@ -352,7 +360,6 @@ def _simplify_pass(gates: list[GateApplication]) -> tuple[list[GateApplication],
             continue
         # (b) drop fixed rotations that are structurally the identity
         if g.kind in SINGLE_ROTATIONS and g.angle is not None and _is_zero_angle(g.angle):
-            changed = True
             continue
         # (c) cancel an adjacent identical Cx pair
         if g.kind is GateKind.CX and prev is not None and prev.kind is GateKind.CX:
@@ -361,24 +368,9 @@ def _simplify_pass(gates: list[GateApplication]) -> tuple[list[GateApplication],
                 out[prev_idx] = None
                 last_on[u].pop()
                 last_on[v].pop()
-                changed = True
                 continue
         push(g)
-    return [g for g in out if g is not None], changed
-
-
-def simplify_gates(gates: list[GateApplication]) -> list[GateApplication]:
-    """Peephole simplification to a fixpoint.
-
-    Rules: merge adjacent same-axis fixed rotations on a qubit; drop fixed
-    rotations whose angle is an exact multiple of 4*pi; cancel adjacent
-    identical Cx pairs. Parametric gates are never merged or dropped, so
-    gate counts do not depend on parameter values.
-    """
-    while True:
-        gates, changed = _simplify_pass(gates)
-        if not changed:
-            return gates
+    return [g for g in out if g is not None]
 
 
 def gate_list_depth(gates: list[GateApplication]) -> int:

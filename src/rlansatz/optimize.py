@@ -36,7 +36,7 @@ class OptimizerConfig:
     rho_end: float = 1e-4
 
     def validate(self) -> None:
-        if not 1 <= self.max_iterations <= 1 << 32:  # one seed_stream seed per evaluation
+        if not 1 <= self.max_iterations <= 1 << 32:  # one seed_stream Generator state per evaluation
             raise ConfigurationError(f"max_iterations must be in [1, 2^32], got {self.max_iterations}")
         if not (self.rho_begin > self.rho_end > 0):
             raise ConfigurationError(f"need rho_begin > rho_end > 0, got {self.rho_begin}, {self.rho_end}")
@@ -548,13 +548,13 @@ def optimize_circuit(
     """
     if energy.shape != (1 << circuit.n_qubits,):
         raise ConfigurationError(f"{energy.size} energies vs circuit on {circuit.n_qubits} qubits")
-    shot_seeds = seed_stream(seed, OPT_STREAM)
+    stream = seed_stream(seed, OPT_STREAM)
     folded = draws_flip_classes(circuit) and np.array_equal(energy, energy[::-1])
     if folded:
         energy = energy[: energy.size // 2]
 
     def objective(theta: np.ndarray) -> float:
-        counts = sample_shots(circuit, n_shots, next(shot_seeds), params=theta, folded=folded)
+        counts = sample_shots(circuit, n_shots, next(stream), params=theta, folded=folded)
         return estimate_expectation(counts, energy)
 
     result = cobyla_minimize(objective, circuit.params, optimizer)

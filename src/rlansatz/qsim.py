@@ -54,8 +54,9 @@ Shots are drawn from the exact probabilities: by numpy's multinomial below
 uniforms located in the running sum), which costs far less than a
 multinomial that walks all 2^n outcomes; see ``sample_from_probabilities``.
 
-Randomness enters only through explicit per-call integer seeds (see
-``seeding``); each draw starts from the state its seed gives.
+Randomness enters only through an explicit seed per draw: an integer, or
+a Generator from ``seeding.seed_stream``, already in the state its
+evaluation's seed gives.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, GateApplication, GateKind, PARAMETRIC_KINDS, rotation_axes
 from .errors import ConfigurationError, InvalidGateError
-from .seeding import seeded_generator
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _ALL = slice(None)
@@ -551,8 +551,8 @@ PLAN_MAX_QUBITS = 14
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's
 # multinomial, which walks all 2^n outcomes (see sample_from_probabilities).
 # The crossover, from three runs of tools/sample_crossover.py (2 vCPU, numpy
-# 2.4.6, 1000 shots): multinomial time over inverse-CDF time was 0.59-0.87 at
-# n = 6-8, 0.90-1.00 at n = 9, 1.15-1.30 at n = 10 and 4.1-4.6 at n = 14.
+# 2.4.6, 1000 shots): multinomial time over inverse-CDF time was 0.56-0.76 at
+# n = 6-8, 0.90-0.96 at n = 9, 1.16-1.26 at n = 10 and 4.2-4.5 at n = 14.
 CDF_MIN_QUBITS = 10
 
 _last_plan: _Plan | None = None
@@ -625,13 +625,14 @@ def exact_expectation(circuit: Circuit, energy: np.ndarray, params: np.ndarray |
     return float(exact_probabilities(circuit, params) @ energy)
 
 
-def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) -> np.ndarray:
+def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int | np.random.Generator) -> np.ndarray:
     """Counts of ``n_shots`` measurements: ``counts[b]`` is how often outcome b occurred.
 
-    Negative entries (float drift) count as 0. The draw starts from the
-    state ``np.random.default_rng(rng_seed)`` starts in, set into one reused
-    generator (see ``seeding.seeded_generator``), and takes one of two forms
-    with the same distribution and different bits:
+    Negative entries (float drift) count as 0. The draw uses the generator
+    ``np.random.default_rng(rng_seed)`` returns: numpy's own for an integer
+    seed, and a Generator (such as one from ``seeding.seed_stream``)
+    unaltered, in the state it is in. It takes one of two forms with the
+    same distribution and different bits:
 
     * Below ``2^CDF_MIN_QUBITS`` outcomes, the generator's ``multinomial``
       of the probabilities divided by their sum.
@@ -654,10 +655,10 @@ def sample_from_probabilities(probs: np.ndarray, n_shots: int, rng_seed: int) ->
     if p.size < 1 << CDF_MIN_QUBITS:
         total = np.add.reduce(p)
         _check_sampleable(lowest, total)
-        return seeded_generator(rng_seed).multinomial(n_shots, p / total)
+        return np.random.default_rng(rng_seed).multinomial(n_shots, p / total)
     cdf = np.cumsum(p)
     _check_sampleable(lowest, cdf[-1])
-    return _inverse_cdf_counts(p, cdf, seeded_generator(rng_seed).random(n_shots))
+    return _inverse_cdf_counts(p, cdf, np.random.default_rng(rng_seed).random(n_shots))
 
 
 def _check_sampleable(lowest: float, total: float) -> None:
@@ -682,7 +683,11 @@ def _inverse_cdf_counts(p: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) ->
 
 
 def sample_shots(
-    circuit: Circuit, n_shots: int, rng_seed: int, params: np.ndarray | None = None, folded: bool = False
+    circuit: Circuit,
+    n_shots: int,
+    rng_seed: int | np.random.Generator,
+    params: np.ndarray | None = None,
+    folded: bool = False,
 ) -> np.ndarray:
     """Counts of ``n_shots`` measurements of the circuit; deterministic for a fixed seed.
 

@@ -1,7 +1,7 @@
 """Counter-based seed derivation.
 
-Every stochastic call in the package takes an explicit integer seed. Seeds
-for sub-tasks (per worker, per episode, per objective evaluation, ...) are
+Every stochastic call in the package takes an explicit seed. Seeds for
+sub-tasks (per worker, per episode, per objective evaluation, ...) are
 derived from a master seed plus an integer path, so a run is reproducible
 from its master seed alone and parallel consumers never share RNG state.
 
@@ -10,19 +10,16 @@ objective evaluation, ``derive_seed(seed, OPT_STREAM, k)`` for k = 0, 1,
 ..., and draws each evaluation's shots from the state ``default_rng`` of
 that seed starts in (a multinomial, or the uniforms of an inverse-CDF draw
 from ``qsim.CDF_MIN_QUBITS`` qubits on).
-``seed_stream`` yields those seeds in order, computed in blocks of
-``BLOCK`` counters, and with them the PCG64 state that ``default_rng``
-would start each seed's generator in: numpy's SeedSequence mixing and
-PCG64 seeding are fixed integer arithmetic (O'Neill 2014), so they run on
-uint32 vectors, one lane per counter, with the same bits.
-``seeded_generator`` sets a seed's state into a reused ``Generator``, one
-per thread, instead of building a new one.
+``seed_stream`` yields a Generator of its own set to those states in
+order, without building a ``default_rng`` per seed: numpy's SeedSequence
+mixing and PCG64 seeding are fixed integer arithmetic (O'Neill 2014), so a
+block of ``BLOCK`` counters runs them on uint32 vectors, one lane per
+counter, with the same bits.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Iterator
 
 import numpy as np
@@ -147,20 +144,24 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def seed_stream(master_seed: int, *path: int) -> Iterator[int]:
-    """``derive_seed(master_seed, *path, k)`` for k = 0, 1, ..., 2^32 - 1, computed in blocks of ``BLOCK``.
+def seed_stream(master_seed: int, *path: int) -> Iterator[np.random.Generator]:
+    """For k = 0, 1, ..., 2^32 - 1, a Generator in the state ``default_rng(derive_seed(master_seed, *path, k))`` starts in.
 
-    The entropy of every seed in the stream is one prefix followed by the
-    counter's one word, so numpy mixes the prefix once, and a block mixes
-    its counters in on a uint32 vector. Each block also computes the words
-    each of its seeds' own SeedSequence generates for PCG64, which
-    ``seeded_generator`` reads. An optimization uses about 43 of its
-    1000-evaluation budget, so a block is computed only when the stream
-    reaches it.
+    The stream owns one Generator and sets each state into it, so draw from
+    it before the next ``next()``. The entropy of every seed in the stream is
+    one prefix followed by the counter's one word, so numpy mixes the prefix
+    once, and a block of ``BLOCK`` counters mixes its counters in on a
+    uint32 vector, then the four uint64 words each seed's own SeedSequence
+    generates for PCG64. PCG64 reads those as the initial state (high, low)
+    and the stream (high, low), then sets ``inc = 2 stream + 1`` and
+    ``state = (inc + initstate) * mult + inc`` mod 2^128. An optimization
+    uses about 43 of its 1000-evaluation budget, so a block is computed only
+    when the stream reaches it.
     """
     prefix = _entropy(master_seed, (*path, 0))[:-1]  # at least _POOL_SIZE words; the counter's goes last
     prefix_pool = np.random.SeedSequence(np.array(prefix, dtype=np.uint32)).pool[:, None]
     first_call = 4 * len(prefix)  # the hash calls the prefix took: 4 + 12 + 4 per word past the pool
+    generator = np.random.default_rng(0)
     for start in range(0, 1 << 32, BLOCK):
         calls = _hash(np.arange(start, start + BLOCK, dtype=np.uint32), _INIT_A, _MULT_A, first_call, _POOL_SIZE)
         s0, s1 = _generate(_mix(prefix_pool, calls), 2).astype(np.uint64)
@@ -168,38 +169,10 @@ def seed_stream(master_seed: int, *path: int) -> Iterator[int]:
         # each seed's SeedSequence mixes its words [low, high]
         words = _generate(_pool(np.array([seeds & _MASK32, seeds >> np.uint64(32)], dtype=np.uint32)), 8)
         words = words.astype(np.uint64)
-        seeds = seeds.tolist()
-        _BLOCK_WORDS.clear()
-        _BLOCK_WORDS.update(zip(seeds, (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist()))
-        yield from seeds
-
-
-# Per seed of the last block a seed_stream computed, the four uint64 words
-# its SeedSequence generates for PCG64: a cache of a pure function of the
-# seed, so what it holds changes no draw, only how fast it is set up.
-_BLOCK_WORDS: dict[int, list[int]] = {}
-_THREAD = threading.local()  # one reused Generator per thread
-
-
-def seeded_generator(seed: int) -> np.random.Generator:
-    """A reused Generator, set to the state ``np.random.default_rng(seed)`` starts in.
-
-    Each thread has one such generator: draw from it before the thread's
-    next call. PCG64 reads its SeedSequence's four words as the initial
-    state (high, low) and the stream (high, low), then sets
-    ``inc = 2 stream + 1`` and ``state = (inc + initstate) * mult + inc``
-    mod 2^128.
-    """
-    generator = getattr(_THREAD, "generator", None)
-    if generator is None:
-        generator = _THREAD.generator = np.random.default_rng(0)
-    words = _BLOCK_WORDS.get(seed)
-    if words is None:
-        entropy = np.array(_words(seed), dtype=np.uint32)  # default_rng(seed)'s words, as derive_seed passes them
-        words = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
-    inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
-    state = ((inc + ((words[0] << 64) | words[1])) * _PCG64_MULT + inc) & _MASK128
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
-    }
-    return generator
+        for high, low, stream_high, stream_low in (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist():
+            inc = (((stream_high << 64) | stream_low) << 1 | 1) & _MASK128
+            state = ((inc + ((high << 64) | low)) * _PCG64_MULT + inc) & _MASK128
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+            }
+            yield generator

@@ -1,9 +1,12 @@
 """Circuit model, action set, rewrites, metrics and ansatz builders."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlansatz.ansatz import build_baseline, build_linear_ryz, build_qaoa, is_ryz_connected
 from rlansatz.circuits import (
@@ -161,6 +164,43 @@ def test_simplify_never_touches_parametric_gates():
         GateApplication(GateKind.RZ, (0,), param_index=1),
     ]
     assert simplify_gates(gates) == gates
+
+
+# Angles whose sums often land on exact multiples of 4*pi, so merges also cancel.
+_ANGLES = [0.0, 0.5, -0.5, 1.5, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 4 * math.pi, -4 * math.pi]
+
+
+@st.composite
+def peephole_gates(draw):
+    n = draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["h", "cx", "rx", "ry", "rz"] if n > 1 else ["h", "rx", "ry", "rz"]))
+        if kind == "cx":
+            u, v = draw(st.permutations(range(n)))[:2]
+            gates.append(GateApplication(GateKind.CX, (u, v)))
+            continue
+        q = (draw(st.integers(0, n - 1)),)
+        if kind == "h":
+            gates.append(GateApplication(GateKind.H, q))
+        elif draw(st.booleans()):
+            gates.append(GateApplication(GateKind(kind), q, angle=draw(st.sampled_from(_ANGLES))))
+        else:
+            gates.append(GateApplication(GateKind(kind), q, param_index=len(gates)))
+    return gates
+
+
+@settings(max_examples=400, deadline=None)
+@given(gates=peephole_gates())
+def test_simplify_leaves_its_own_output_unchanged(gates):
+    once = simplify_gates(gates)
+    assert simplify_gates(once) == once
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_native_rewrite_is_already_simplified(seed):
+    native = to_native_gates(random_circuit(np.random.default_rng(seed), 3, 12)).gates
+    assert simplify_gates(native) == native
 
 
 def test_counts_are_parameter_independent():

@@ -385,15 +385,14 @@ def test_inverse_cdf_draw_fits_the_exact_probabilities():
     assert chisquare(observed, pooled).pvalue > 1e-3
 
 
-def test_inverse_cdf_clamps_a_value_at_the_total_to_the_last_positive_outcome(monkeypatch):
-    class AtTheTotal:
+def test_inverse_cdf_clamps_a_value_at_the_total_to_the_last_positive_outcome():
+    class AtTheTotal(np.random.Generator):
         def random(self, n):
             return np.ones(n)
 
     probs = np.zeros(CDF_SIZE)
     probs[[2, CDF_SIZE - 9]] = 0.5
-    monkeypatch.setattr(qsim, "seeded_generator", lambda seed: AtTheTotal())
-    counts = sample_from_probabilities(probs, 10, 0)
+    counts = sample_from_probabilities(probs, 10, AtTheTotal(np.random.PCG64(0)))
     assert counts[CDF_SIZE - 9] == 10 and counts.sum() == 10
 
 
@@ -441,7 +440,7 @@ def test_inverse_cdf_draws_survive_perturbations_of_2e_16():
     "case",
     ["zeros", "drift only", "nan", "inf", "-inf", "overflowing sum"],
 )
-def test_sample_from_probabilities_rejects_degenerate_vectors_before_drawing(size, case, monkeypatch):
+def test_sample_from_probabilities_rejects_degenerate_vectors_before_drawing(size, case):
     probs = np.full(size, 1.0 / size)
     if case == "zeros":
         probs[:] = 0.0
@@ -452,12 +451,14 @@ def test_sample_from_probabilities_rejects_degenerate_vectors_before_drawing(siz
     else:
         probs[size // 2] = float(case)
 
-    def no_draw(seed):
-        raise AssertionError("drew from a degenerate vector")
+    class NoDraw(np.random.Generator):
+        def multinomial(self, *args, **kwargs):
+            raise AssertionError("drew from a degenerate vector")
 
-    monkeypatch.setattr(qsim, "seeded_generator", no_draw)
+        random = multinomial
+
     with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="cannot sample"):
-        sample_from_probabilities(probs, 1000, 0)
+        sample_from_probabilities(probs, 1000, NoDraw(np.random.PCG64(0)))
 
 
 @pytest.mark.parametrize("seed", [1, 5, 99])

@@ -8,8 +8,8 @@ For each qubit count n it times the two draws of
 ``qsim.sample_from_probabilities`` back to back, alternating which runs
 first, on the same seeds and the same probabilities:
 
-* ``multinomial``: ``seeded_generator(seed).multinomial(shots, p / p.sum())``
-* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, np.cumsum(p), seeded_generator(seed).random(shots))``
+* ``multinomial``: ``np.random.default_rng(seed).multinomial(shots, p / p.sum())``
+* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, np.cumsum(p), np.random.default_rng(seed).random(shots))``
 
 The probabilities are those of the two circuit families
 ``tools/plan_crossover.py`` times (qaoa2 on a 3-regular maxcut instance,
@@ -34,17 +34,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from plan_crossover import agent_circuits, baseline_circuits  # noqa: E402  (this script's own directory)
 from rlansatz import qsim  # noqa: E402
-from rlansatz.seeding import seeded_generator  # noqa: E402
 
 
 def multinomial(p: np.ndarray, shots: int, seeds: range) -> None:
     for seed in seeds:
-        seeded_generator(seed).multinomial(shots, p / p.sum())
+        np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
 def inverse_cdf(p: np.ndarray, shots: int, seeds: range) -> None:
     for seed in seeds:
-        qsim._inverse_cdf_counts(p, np.cumsum(p), seeded_generator(seed).random(shots))
+        qsim._inverse_cdf_counts(p, np.cumsum(p), np.random.default_rng(seed).random(shots))
 
 
 def seconds(draw, p: np.ndarray, shots: int, seeds: range) -> float:
