@@ -145,7 +145,7 @@ _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def seed_stream(master_seed: int, *path: int) -> Iterator[np.random.Generator]:
-    """For k = 0, 1, ..., 2^32 - 1, a Generator in the state ``default_rng(derive_seed(master_seed, *path, k))`` starts in.
+    """Per k < 2^32, in order, a Generator in the state ``default_rng(derive_seed(master_seed, *path, k))`` starts in.
 
     The stream owns one Generator and sets each state into it, so draw from
     it before the next ``next()``. The entropy of every seed in the stream is
