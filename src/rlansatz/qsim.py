@@ -31,8 +31,12 @@ draw turns a change in the last bit of a probability into other shots,
 that gives the kernels' bits. From there on the plan also compiles each
 run of two or more consecutive Rz and Rzz gates (a QAOA cost layer) into
 one table of its distinct phases, applied in one pass, and each run of Rx
-gates that touches all n qubits (a QAOA mixer layer) into a few small
-matrix products over blocks of qubits. Its amplitudes then agree with the
+gates that touches all n qubits (a QAOA mixer layer) into a few small real
+matrix products over blocks of qubits, which it runs in the frame
+phi = D psi, D = diag(1, -i) on every qubit, where Rx is a real rotation.
+D is a unit-phase diagonal, so the plan folds it into the start vector and
+multiplies by it, exactly, only where a non-diagonal step meets an Rx layer
+and at the end. Its amplitudes then agree with the
 kernels' to float rounding (within 1e-12 in the tests), and the
 inverse-CDF draw moves only when a shot lands within that rounding of a
 running-sum boundary. From there on, too, a circuit that opens with the H
@@ -240,7 +244,13 @@ class _Plan:
     with the kernels' to float rounding (within 1e-12 in the tests), not
     bit for bit. A lone Rz or Rzz keeps its own table, which costs less to
     build and as much to run, and so does each gate of an Rx run that
-    misses a qubit.
+    misses a qubit. An ``_RxLayer`` acts on phi = D psi (``_frame``), and
+    every diagonal step commutes with D, so the vector stays in that frame
+    from an Rx layer up to the next step that reads psi, a non-diagonal
+    gate's table or kernel, and to the end of ``state``; there a step
+    multiplies it by the conjugate of D, and before the next Rx layer by D
+    again. When no non-diagonal step comes before the first Rx layer, the
+    start vector holds D instead (``_enter_frame``).
 
     Also from ``2^CDF_MIN_QUBITS`` outcomes on, a circuit that opens with
     the H layer and has after it only rotations whose ``_ROTATIONS`` record
@@ -250,18 +260,19 @@ class _Plan:
     ``psi[2^n - 1 - b]``. The tables cover the first half, with each
     partner index past it mapped to its complement; a ``_DiagonalRun``
     keeps the first half of its index; an ``_RxLayer`` applies its blocks to
-    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector.
-    ``state`` returns that half, and ``run`` it followed by ``psi[::-1]``;
-    ``exact_probabilities`` squares the half before it mirrors or doubles
-    it. Half mode does each per-gate
+    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector, and D
+    acts on qubits 0 .. n-2 only. ``state`` returns that half, and ``run``
+    it followed by ``psi[::-1]``; ``exact_probabilities`` squares the half
+    before it mirrors or doubles it. Half mode does each per-gate
     step's arithmetic on the same amplitudes as the full plan, so it keeps
     their bits, and needs no kernel step: H and Cx rule it out, and no
     diagonal gate acts on all n qubits.
 
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
-    ``(apply, None, None, None)`` for a kernel or a fused run, which the
-    run calls as ``psi = apply(psi, theta)``: a kernel or a diagonal run
-    returns the vector it changed in place, an Rx layer a new one.
+    ``(apply, None, None, None)`` for a kernel, a fused run or a change of
+    frame, which the run calls as ``psi = apply(psi, theta)``: a kernel, a
+    diagonal run or a change of frame returns the vector it changed in
+    place, an Rx layer a new one.
     """
 
     def __init__(self, n: int, gates: list[GateApplication]):
@@ -297,6 +308,36 @@ class _Plan:
                 continue
             for gate in group:
                 self.steps.append(_gate_step(n, gate, tables, half))
+        if any(isinstance(op, _RxLayer) for op, *_ in self.steps):
+            self._enter_frame()
+
+    def _enter_frame(self) -> None:
+        """Run the Rx layers on phi = D psi (see ``_RxLayer``), changing frames only where needed.
+
+        D is a unit-phase diagonal, so it commutes with every diagonal step
+        and multiplying by it is exact. The frame is entered before an Rx
+        layer, in the start vector when no non-diagonal step comes first, and
+        left before a non-diagonal step other than an Rx layer and at the end.
+        """
+        into = _frame(self.start.size)
+        out_of = into.conj()
+        steps, framed, at_start = [], False, True
+        for step in self.steps:
+            op, table, _, phase = step
+            if isinstance(op, _RxLayer):
+                if not framed and at_start:
+                    self.start *= into
+                elif not framed:
+                    steps.append(_scaling(into))
+                framed = True
+            elif not (isinstance(op, _DiagonalRun) or (table is not None and phase is None)):
+                if framed:
+                    steps.append(_scaling(out_of))
+                framed = at_start = False
+            steps.append(step)
+        if framed:
+            steps.append(_scaling(out_of))
+        self.steps = steps
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
         """True for the same gate objects; gates are frozen, so they have the same structure."""
@@ -330,6 +371,21 @@ class _Plan:
                 partner *= sign
             psi += partner
         return psi
+
+
+def _frame(size: int) -> np.ndarray:
+    """D = diag(1, -i) on every qubit of a vector of ``size`` amplitudes: D[b] = (-i)^popcount(b)."""
+    return np.array([1.0, -1.0j, -1.0, 1.0j])[np.bitwise_count(np.arange(size)) & 3]
+
+
+def _scaling(table: np.ndarray) -> tuple:
+    """The plan step that multiplies the vector by ``table``."""
+
+    def scale(psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        psi *= table
+        return psi
+
+    return scale, None, None, None
 
 
 _DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, *_) in _ROTATIONS.items() if diagonal)
@@ -452,12 +508,16 @@ class _DiagonalRun:
         return psi
 
 
-# The largest block of qubits an _RxLayer applies as one matrix. One Rx
-# layer took, with blocks of at most 2 / 3 / 4 / 5 / 6 qubits (2 vCPU, numpy
-# 2.4.6, median us): 39 / 35 / 34 / 52 / 55 at n = 10, 91 / 76 / 99 / 103 / 212
-# at n = 12 and 306 / 244 / 228 / 286 / 272 at n = 14. Whole plan runs of
-# qaoa2 / maqaoa took 0.77 / 0.86 times as long with 3 as with 4 at n = 12,
-# and 1.00-1.03 times at n = 10 and 14.
+# The largest block of qubits an _RxLayer applies as one matrix (the lowest
+# block also carries the re/im bit). One Rx layer of the qaoa2 circuit of a
+# 3-regular graph took, with blocks of at most 2 / 3 / 4 / 5 / 6 qubits (2
+# vCPU, numpy 2.4.6, one BLAS thread, median us over 40 interleaved rounds),
+# in half mode on maxcut 46 / 28 / 40 / 76 / 91 at n = 10, 53 / 43 / 55 / 58 /
+# 288 at n = 12 and 134 / 105 / 111 / 155 / 161 at n = 14, and on the full
+# vector (minimum vertex cover) 32 / 28 / 32 / 72 / 78, 64 / 47 / 60 / 62 / 350
+# and 173 / 127 / 132 / 216 / 224. The whole maxcut plan took 72 / 84 us with
+# 3 / 4 at n = 10, 110 / 135 at n = 12 and 264 / 282 at n = 14. A second run
+# ranked 3 first in every row.
 RX_BLOCK_QUBITS = 3
 
 
@@ -468,26 +528,33 @@ def _rx_blocks(n: int) -> list[int]:
 
 
 class _RxLayer:
-    """A run of Rx gates that touches all n qubits, compiled into a few small matrix products.
+    """A run of Rx gates that touches all n qubits, compiled into a few real matrix products.
 
     Rx gates commute, so the run is the tensor product over the qubits q of
     Rx(a_q), where a_q sums the run's angles on q. Per parameter the half
     angles are ``theta[p]`` times a weight vector over the qubits, the sum
     of the gates' ``0.5 * coeff``; the fixed angles add one constant vector.
-    The qubits split into blocks of at most ``RX_BLOCK_QUBITS`` contiguous
-    qubits (``_rx_blocks``). A block's 2^k x 2^k matrix has at (a, b) the
-    product over its qubits of cos(a_q/2) where bits a and b agree and
-    -i sin(a_q/2) where they differ. A call builds all blocks' entries in
-    one gather through a table of ``a ^ b`` and applies each block as one
-    matrix product, ``M @ psi.reshape(-1, 2^k).T``: that acts on the low k
-    qubits and moves them to the top of the index, so after the last block
-    the qubits are back in their order. In the plan's half mode the blocks
-    cover qubits 0 .. n-2, and qubit n-1's Rx, whose partner of amplitude b
-    is ``psi[2^(n-1) - 1 - b]``, takes ``psi * cos + psi[::-1] * (-i sin)``.
-    The call returns the new vector.
+    The layer acts on the frame phi = D psi, where D (``_frame``) is S^dagger
+    = diag(1, -i) on each qubit its blocks cover: there Rx(a) is the real
+    rotation [[cos a/2, sin a/2], [-sin a/2, cos a/2]], so each block is a
+    real matrix applied to the float64 view of the amplitudes, whose lowest
+    bit tells the real part from the imaginary one. The qubits split into
+    blocks of at most ``RX_BLOCK_QUBITS`` contiguous qubits (``_rx_blocks``).
+    A block's 2^k x 2^k matrix has at (a, b) the product over its qubits of
+    cos(a_q/2) where bits a and b agree, sin(a_q/2) where a has 0 and b 1, and
+    -sin(a_q/2) where a has 1 and b 0; the lowest block also takes the
+    re/im bit, as its Kronecker product with the 2 x 2 identity. A call
+    builds all blocks' entries in one gather and applies each block in
+    place of its qubits: the lowest as ``x.reshape(-1, s) @ M.T``, each
+    other as ``M @ x.reshape(-1, s, low)``, with ``low`` the size of the
+    bits below it. In the plan's half mode the blocks cover qubits
+    0 .. n-2, and qubit n-1's Rx, whose partner of amplitude b is amplitude
+    2^(n-1) - 1 - b, takes ``phi * cos - i^n sin (-1)^popcount(b)
+    phi[::-1]``: the partner's frame phase differs by that factor. The call
+    returns the new vector.
     """
 
-    __slots__ = ("params", "weights", "fixed", "index", "blocks", "half")
+    __slots__ = ("params", "weights", "fixed", "index", "blocks", "flip")
 
     def __init__(self, n: int, gates: list[GateApplication], tables: dict, half: bool):
         slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
@@ -503,38 +570,50 @@ class _RxLayer:
                 self.weights[slot[g.param_index], q] += 0.5 * g.coeff
             else:
                 self.fixed[q] += 0.5 * g.angle
-        self.half = half
         key = ("rx layer", n)
         if key not in tables:
             # factor j of entry (a, b) of a block from qubit ``start`` reads the
-            # factor vector at 2n (the constant 1) past the block's k qubits,
-            # else at bit j of a ^ b times n plus qubit start + j
+            # factor vector (cos, sin, -sin, 1, 0) at the block's qubit start + j:
+            # cos where bit j of a and b agree, sin where a has 0, -sin where a
+            # has 1; past the block's qubits it reads 1, and the lowest block's
+            # re/im bit reads 1 where a and b agree and 0 where they differ
             columns, blocks, start, offset = [], [], 0, 0
             for k in _rx_blocks(n - 1 if half else n):
-                flips = (np.arange(1 << k)[:, None] ^ np.arange(1 << k)).ravel()
-                factor = np.full((RX_BLOCK_QUBITS, flips.size), 2 * n)
+                re_im = int(not blocks)
+                a, b = np.divmod(np.arange(1 << 2 * (k + re_im)), 1 << (k + re_im))
+                factor = np.full((RX_BLOCK_QUBITS + 1, a.size), 3 * n)
+                if re_im:
+                    factor[-1] += (a ^ b) & 1
                 for j in range(k):
-                    factor[j] = ((flips >> j) & 1) * n + start + j
+                    bit_a, bit_b = (a >> (j + re_im)) & 1, (b >> (j + re_im)) & 1
+                    factor[j] = start + j + n * (bit_a ^ bit_b) * (1 + bit_a)
                 columns.append(factor)
-                blocks.append((offset, 1 << k))
-                start, offset = start + k, offset + flips.size
-            tables[key] = (np.concatenate(columns, axis=1), tuple(blocks))
-        self.index, self.blocks = tables[key]
+                blocks.append((offset, 1 << (k + re_im)))
+                start, offset = start + k, offset + a.size
+            flip = None
+            if half:  # -i^n (-1)^popcount(b)
+                flip = -(1j**n) * _frame(1 << (n - 1)) ** 2
+            tables[key] = (np.concatenate(columns, axis=1), tuple(blocks), flip)
+        self.index, self.blocks, self.flip = tables[key]
 
-    def __call__(self, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         half_angles = theta[self.params] @ self.weights
         half_angles += self.fixed
-        factors = np.concatenate((np.cos(half_angles), -1j * np.sin(half_angles), (1.0,)))
-        entries = np.multiply.reduce(factors[self.index], axis=0)
-        for offset, size in self.blocks:
-            block = entries[offset : offset + size * size].reshape(size, size)
-            psi = (block @ psi.reshape(-1, size).T).ravel()
-        if self.half:  # qubit n-1, whose 1 half is the 0 half reversed
-            n = half_angles.size
-            flipped = psi[::-1] * factors[2 * n - 1]
-            psi *= factors[n - 1]
-            psi += flipped
-        return psi
+        cos, sin = np.cos(half_angles), np.sin(half_angles)
+        entries = np.multiply.reduce(np.concatenate((cos, sin, -sin, (1.0, 0.0)))[self.index], axis=0)
+        (offset, size), *rest = self.blocks
+        x = phi.view(np.float64).reshape(-1, size) @ entries[offset : offset + size * size].reshape(size, size).T
+        low = size
+        for offset, size in rest:
+            x = np.matmul(entries[offset : offset + size * size].reshape(size, size), x.reshape(-1, size, low))
+            low *= size
+        phi = x.reshape(-1).view(np.complex128)
+        if self.flip is not None:  # qubit n-1, whose 1 half is the 0 half reversed
+            flipped = phi[::-1] * self.flip
+            flipped *= sin[-1]
+            phi *= cos[-1]
+            phi += flipped
+        return phi
 
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
@@ -604,6 +683,9 @@ def draws_flip_classes(circuit: Circuit) -> bool:
 def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, folded: bool = False) -> np.ndarray:
     """|amplitude|^2 per basis index; sums to 1 up to float error.
 
+    From ``2^CDF_MIN_QUBITS`` outcomes on the vector is contiguous; below
+    that it may be the strided real part of the squared amplitudes.
+
     With ``folded``, the probability of each bit-flip class {b, ~b} instead,
     for b < 2^(n-1): ``p[:h] + p[h:][::-1]`` with h = 2^(n-1). In half mode
     p(b) = p(~b), so that is twice the squared half vector, bit for bit.
@@ -615,7 +697,10 @@ def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, fold
     if folded:
         h = p.size // 2
         return p[:h] + p[h:][::-1]
-    return p
+    # the draw's np.minimum.reduce runs faster on a contiguous copy, copy
+    # included, from 2^CDF_MIN_QUBITS outcomes on (11.5 against 17.3 us at
+    # 2^14) and slower below (2.6 against 2.1 us at 2^6; timeit, 2 vCPU)
+    return p.copy() if p.size >= 1 << CDF_MIN_QUBITS else p
 
 
 def exact_expectation(circuit: Circuit, energy: np.ndarray, params: np.ndarray | None = None) -> float:

@@ -662,26 +662,80 @@ def test_kron_chain_apply_is_the_kron_chain_product():
     assert np.max(np.abs(kron_chain_apply(factors, state) - kron_chain(factors) @ state)) <= 1e-14
 
 
-RX_SIZES = range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 3)
+RX_SIZES = range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 4)  # every residue of n mod 4, so every i^n
+
+
+def s_dagger_frame(size):
+    """D = diag(1, -i) on every qubit: the frame phi = D psi that Rx layers act on, (-i)^popcount(b)."""
+    return np.array([(-1j) ** bin(b).count("1") for b in range(size)])
 
 
 @pytest.mark.parametrize("n", RX_SIZES)
 @pytest.mark.parametrize("parameters", ["shared", "per qubit", "fixed", "repeated", "unsorted"])
 def test_rx_layers_match_the_dense_oracle(n, parameters):
     assert any(size % qsim.RX_BLOCK_QUBITS for size in RX_SIZES)  # some n splits into unequal blocks
+    assert sum(qsim._rx_blocks(n)) == n
     rng = np.random.default_rng([n, len(parameters)])
     gates, theta = rx_run(n, rng, parameters)
-    (layer,) = rx_layers(qsim._Plan(n, gates))
-    assert sum(qsim._rx_blocks(n)) == n
-    state = random_state(n, n)
-    expected = kron_chain_apply(rx_run_unitaries(n, gates, theta), state)
-    assert np.max(np.abs(layer(state.copy(), theta) - expected)) <= 1e-12
-    # in a circuit, after a layer of Ry gates that makes the state no Rx eigenstate
-    ry = [GateApplication(GateKind.RY, (q,), angle=float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
-    circuit = Circuit(n, h_layer(n).gates + ry + gates, theta)
-    assert len(rx_layers(qsim._Plan(n, circuit.gates))) == 1
-    kernels = qsim._run_kernels(n, circuit.gates, theta)
-    assert np.max(np.abs(run_circuit(circuit) - kernels)) <= 1e-12
+    for opening in ([], h_layer(n).gates):  # the full plan, and half mode
+        plan = qsim._Plan(n, opening + gates)
+        assert plan.half == bool(opening)
+        (layer,) = rx_layers(plan)
+        state = random_state(n, n)
+        if plan.half:  # a flip-symmetric state, given by its first half
+            state = (state + state[::-1]) / np.linalg.norm(state + state[::-1])
+        expected = kron_chain_apply(rx_run_unitaries(n, gates, theta), state)
+        size = plan.start.size
+        frame = s_dagger_frame(size)  # the layer maps phi = D psi to D psi'
+        assert np.max(np.abs(layer(frame * state[:size], theta) * frame.conj() - expected[:size])) <= 1e-12
+        # in a circuit, after gates that make the state no Rx eigenstate: a layer
+        # of Ry gates, or in half mode a ring of Rzz gates, which keeps the flip symmetry
+        kind = GateKind.RZZ if plan.half else GateKind.RY
+        mixing = [
+            GateApplication(kind, (q, (q + 1) % n) if plan.half else (q,), angle=float(rng.uniform(-np.pi, np.pi)))
+            for q in range(n)
+        ]
+        circuit = Circuit(n, h_layer(n).gates + mixing + gates, theta)
+        plan = qsim._Plan(n, circuit.gates)
+        assert len(rx_layers(plan)) == 1 and plan.half == bool(opening)
+        kernels = qsim._run_kernels(n, circuit.gates, theta)
+        assert np.max(np.abs(run_circuit(circuit) - kernels)) <= 1e-12
+
+
+def frame_changes(plan):
+    """The plan's steps that only multiply by D or its conjugate: neither a fused run nor a tabulated gate."""
+    return sum(table is None and not isinstance(op, (qsim._RxLayer, qsim._DiagonalRun)) for op, table, *_ in plan.steps)
+
+
+@pytest.mark.parametrize("n", RX_SIZES)
+@pytest.mark.parametrize("mode", ["full", "half"])
+@pytest.mark.parametrize("between", ["ryz", "cost layer"])
+def test_rx_layers_change_frames_only_where_a_step_reads_psi(n, mode, between):
+    """Two Rx layers, apart by a Ryz gate, which reads psi and so takes the
+    vector out of the layers' frame and back, or by a cost layer, which is
+    diagonal like the frame and so keeps it. Full mode opens with an Ry
+    gate, which the frame must follow; half mode opens with the H layer
+    alone, and so starts in the frame."""
+    rng = np.random.default_rng([n, len(mode), len(between)])
+    theta = rng.uniform(-np.pi, np.pi, 4)
+    cost = [GateApplication(GateKind.RZZ, (q, (q + 1) % n), param_index=0, coeff=1.0) for q in range(n)]
+    opening = h_layer(n).gates
+    if mode == "full":
+        cost.append(GateApplication(GateKind.RZ, (2,), param_index=0, coeff=0.5))
+        opening.append(GateApplication(GateKind.RY, (1,), param_index=3))
+    mixer = [GateApplication(GateKind.RX, (q,), param_index=1, coeff=2.0) for q in range(n)]
+    middle = [GateApplication(GateKind.RYZ, (0, n - 1), param_index=2)] if between == "ryz" else cost
+    circuit = Circuit(n, opening + cost + mixer + middle + mixer, theta)
+    plan = qsim._Plan(n, circuit.gates)
+    assert plan.half == (mode == "half") and len(rx_layers(plan)) == 2
+    # out of the frame at the end, plus out of it and back into it around the
+    # Ryz gate, plus into it after the Ry gate
+    assert frame_changes(plan) == 1 + 2 * (between == "ryz") + (mode == "full")
+    amps = plan.run(theta)
+    assert np.max(np.abs(amps - qsim._run_kernels(n, circuit.gates, theta))) <= 1e-12
+    for seed in (0, 1, 2):
+        counts = sample_from_probabilities((amps * amps.conj()).real, 1000, seed)
+        assert np.array_equal(counts, sample_from_probabilities(kernel_probabilities(circuit), 1000, seed))
 
 
 def test_an_rx_run_that_misses_a_qubit_builds_no_rx_layer():
@@ -780,9 +834,9 @@ def test_the_ryz_chain_runs_in_half_mode_with_the_kernels_bits(n):
 
 
 @pytest.mark.parametrize("algorithm", ["qaoa1", "qaoa2", "maqaoa", "qaoaplus"])
-@pytest.mark.parametrize("n", [10, 12, 14])
+@pytest.mark.parametrize("n", range(10, 15))
 def test_maxcut_baselines_run_in_half_mode_and_draw_the_kernels_shots(algorithm, n):
-    circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
+    circuit = build_baseline(algorithm, make_instance("cycle" if n % 2 else "three_regular", n, 1, "maxcut"))
     circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
     plan = qsim._Plan(n, circuit.gates)
     assert half_mode(plan) and rx_layers(plan)
@@ -818,6 +872,15 @@ def test_circuits_with_flip_odd_gates_keep_the_full_plan(source):
     assert np.max(np.abs(plan.run(circuit.params) - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
 
 
+def test_full_plan_probabilities_are_contiguous_from_cdf_sizes_on():
+    circuit = agent_circuit(qsim.CDF_MIN_QUBITS, 0)
+    probs = exact_probabilities(circuit)
+    assert not qsim._last_plan.half
+    amps = run_circuit(circuit)
+    assert probs.flags.c_contiguous and probs.dtype == np.float64
+    assert np.array_equal(probs.view(np.uint64), (amps * amps.conj()).real.view(np.uint64))
+
+
 @pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
 def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypatch):
     inst = make_instance("three_regular", 12, 1, "maxcut")
@@ -851,7 +914,7 @@ def half_mode_circuit(source, n):
 
 
 @pytest.mark.parametrize("source", HALF_MODE_SOURCES)
-@pytest.mark.parametrize("n", [10, 12, 14])
+@pytest.mark.parametrize("n", range(10, 15))
 def test_half_mode_probabilities_square_the_half_and_mirror_them_bit_for_bit(source, n):
     circuit, _ = half_mode_circuit(source, n)
     probs = exact_probabilities(circuit)
@@ -870,7 +933,7 @@ def flip_classes(probs):
 
 
 @pytest.mark.parametrize("source", HALF_MODE_SOURCES)
-@pytest.mark.parametrize("n", [11, 12, 14])
+@pytest.mark.parametrize("n", range(11, 15))
 def test_folded_probabilities_are_the_flip_class_sums_bit_for_bit_in_half_mode(source, n):
     circuit, inst = half_mode_circuit(source, n)
     assert qsim.draws_flip_classes(circuit)

@@ -8,8 +8,12 @@ For each qubit count n it times the two draws of
 ``qsim.sample_from_probabilities`` back to back, alternating which runs
 first, on the same seeds and the same probabilities:
 
-* ``multinomial``: ``np.random.default_rng(seed).multinomial(shots, p / p.sum())``
-* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, np.cumsum(p), np.random.default_rng(seed).random(shots))``
+* ``multinomial``: ``rng.multinomial(shots, p / p.sum())``
+* ``inverse CDF``: ``qsim._inverse_cdf_counts(p, np.cumsum(p), rng.random(shots))``
+
+Each draw takes its own ``rng = np.random.default_rng(seed)``, set up
+before the timed loop, as the optimizer's draws take a Generator that
+``seeding.seed_stream`` has already set.
 
 The probabilities are those of the two circuit families
 ``tools/plan_crossover.py`` times (qaoa2 on a 3-regular maxcut instance,
@@ -36,19 +40,20 @@ from plan_crossover import agent_circuits, baseline_circuits  # noqa: E402  (thi
 from rlansatz import qsim  # noqa: E402
 
 
-def multinomial(p: np.ndarray, shots: int, seeds: range) -> None:
-    for seed in seeds:
-        np.random.default_rng(seed).multinomial(shots, p / p.sum())
+def multinomial(p: np.ndarray, shots: int, generators: list) -> None:
+    for rng in generators:
+        rng.multinomial(shots, p / p.sum())
 
 
-def inverse_cdf(p: np.ndarray, shots: int, seeds: range) -> None:
-    for seed in seeds:
-        qsim._inverse_cdf_counts(p, np.cumsum(p), np.random.default_rng(seed).random(shots))
+def inverse_cdf(p: np.ndarray, shots: int, generators: list) -> None:
+    for rng in generators:
+        qsim._inverse_cdf_counts(p, np.cumsum(p), rng.random(shots))
 
 
 def seconds(draw, p: np.ndarray, shots: int, seeds: range) -> float:
+    generators = [np.random.default_rng(seed) for seed in seeds]
     start = time.perf_counter()
-    draw(p, shots, seeds)
+    draw(p, shots, generators)
     return time.perf_counter() - start
 
 
