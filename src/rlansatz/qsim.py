@@ -617,21 +617,26 @@ class _RxLayer:
 
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
-# 2.4.6): for one optimization, a build and 42 runs, kernel time over plan
-# time was, on qaoa2 / maqaoa / linear (the Ryz chain) / agent circuits,
-# 6.17 / 3.64 / 2.47 / 2.25 at n = 10, 6.13 / 2.22 / 2.61 / 1.67 at n = 12,
-# 5.01 / 1.53 / 2.04 / 1.15 at n = 14, - / - / 1.80 / 0.99 at n = 15 and
-# 7.43 / 1.80 / 1.88 / 0.98 at n = 16. Past n = 14 the QAOA circuits and
-# the chain, whose plans fold layers or run on half the amplitudes, would
-# still gain, but agent circuits, mostly rotations that fold into nothing
-# and break the bit-flip symmetry, run slower than their kernels.
+# 2.4.6, median of three runs): for one optimization, a build and 42 runs,
+# kernel time over plan time was, on qaoa2 / maqaoa / linear (the Ryz chain)
+# / agent circuits, 5.36 / 2.97 / 2.55 / 2.22 at n = 10, 6.52 / 2.15 / 2.48 /
+# 1.68 at n = 12, 6.36 / 1.58 / 2.16 / 1.16 at n = 14, - / - / 1.92 / 1.04 at
+# n = 15 and 7.64 / 1.70 / 1.91 / 0.95 at n = 16. Past n = 14 the QAOA
+# circuits and the chain, whose plans fold layers or run on half the
+# amplitudes, would still gain, but agent circuits, mostly rotations that
+# fold into nothing and break the bit-flip symmetry, gain nothing over their
+# kernels.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's
 # multinomial, which walks all 2^n outcomes (see sample_from_probabilities).
-# The crossover, from three runs of tools/sample_crossover.py (2 vCPU, numpy
-# 2.4.6, 1000 shots): multinomial time over inverse-CDF time was 0.56-0.76 at
-# n = 6-8, 0.90-0.96 at n = 9, 1.16-1.26 at n = 10 and 4.2-4.5 at n = 14.
+# The crossover, from three runs of tools/sample_crossover.py --sizes 6-14 (2
+# vCPU, numpy 2.4.6, 1000 shots, generators set up outside the timed loop):
+# multinomial time over inverse-CDF time was 0.44-0.47 at n = 6, 0.55-0.63 at
+# n = 7, 0.73-0.84 at n = 8, 1.02-1.12 at n = 9, 1.33-1.55 at n = 10 and
+# 3.70-4.57 at n = 14. So the crossover lies between 8 and 9 qubits; the
+# constant stays 10, since a lower one would change every draw, and so every
+# training trajectory, at n = 9.
 CDF_MIN_QUBITS = 10
 
 _last_plan: _Plan | None = None
