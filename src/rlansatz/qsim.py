@@ -202,7 +202,7 @@ def _apply_gate(psi: np.ndarray, n: int, gate: GateApplication, params: np.ndarr
 def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
     """True when the first n gates put one H on every qubit."""
     head = gates[:n]
-    return len(head) == n and all(g.kind is GateKind.H for g in head) and len({g.qubits[0] for g in head}) == n
+    return len(head) == n and all(g.kind is GateKind.H for g in head) and {g.qubits[0] for g in head} == set(range(n))
 
 
 def _start_state(n: int, uniform: bool) -> np.ndarray:
@@ -284,25 +284,21 @@ class _Plan:
         for gate in body:
             if any(q >= n for q in gate.qubits):
                 raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-        fuse = n >= CDF_MIN_QUBITS  # so no diagonal gate acts on all n qubits (see _gate_step)
-        self.half = half = fuse and _flip_symmetric(n, gates)
+        self.half = half = _half_mode(n, gates)
         if half:
             self.start = self.start[: 1 << (n - 1)].copy()
-
-        def fold(gate: GateApplication) -> type | None:
-            """The fused step a run of such gates may form."""
-            if fuse and gate.kind in _DIAGONAL_KINDS:
-                return _DiagonalRun
-            return _RxLayer if fuse and gate.kind is GateKind.RX else None
-
+        cdf = n >= CDF_MIN_QUBITS
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
-        for step, group in groupby(body, key=fold):
+        for step, group in groupby(body, key=lambda g: _FOLDS_OF_KINDS.get(g.kind)):
             group = list(group)
-            # one diagonal gate has nothing to fold, and its table is cheaper;
-            # an Rx run that misses a qubit is no tensor product over all n
-            if (step is _DiagonalRun and len(group) > 1) or (
-                step is _RxLayer and len({g.qubits for g in group}) == n
+            # one diagonal gate has nothing to fold, and its table is cheaper; an
+            # Rx run that misses a qubit is no tensor product over all n; and
+            # below 2^CDF_MIN_QUBITS outcomes only runs on every qubit fold
+            if (
+                step is not None
+                and (step is _RxLayer or len(group) > 1)
+                and ((cdf and step is _DiagonalRun) or len({q for g in group for q in g.qubits}) == n)
             ):
                 self.steps.append((step(n, group, tables, half), None, None, None))
                 continue
@@ -392,13 +388,14 @@ _DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, *_) in _ROTATIONS.items
 _FLIP_EVEN_KINDS = frozenset(kind for kind, (*_, flip_even) in _ROTATIONS.items() if flip_even)
 
 
-def _flip_symmetric(n: int, gates: list[GateApplication]) -> bool:
-    """True when the gates open with the H layer and only flip-even rotations follow.
+def _half_mode(n: int, gates: list[GateApplication]) -> bool:
+    """True when the plan runs the gates on half the amplitudes (see ``_Plan``).
 
-    From the uniform state, gates that commute with the global bit flip keep
-    psi(b) = psi(~b).
+    That is from ``2^CDF_MIN_QUBITS`` outcomes on, when the gates open with
+    the H layer and only flip-even rotations follow: from the uniform state,
+    gates that commute with the global bit flip keep psi(b) = psi(~b).
     """
-    return _opens_with_h_layer(gates, n) and all(g.kind in _FLIP_EVEN_KINDS for g in gates[n:])
+    return n >= CDF_MIN_QUBITS and _opens_with_h_layer(gates, n) and all(g.kind in _FLIP_EVEN_KINDS for g in gates[n:])
 
 
 def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.ndarray:
@@ -616,6 +613,10 @@ class _RxLayer:
         return phi
 
 
+# The fused step a run of gates of a kind may form (see _Plan); a dict, since
+# the plan groups the gates of every env step's circuit by it.
+_FOLDS_OF_KINDS = {**dict.fromkeys(_DIAGONAL_KINDS, _DiagonalRun), GateKind.RX: _RxLayer}
+
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
 # 2.4.6, median of three runs): for one optimization, a build and 42 runs,
 # kernel time over plan time was, on qaoa2 / maqaoa / linear (the Ryz chain)
@@ -682,7 +683,8 @@ def draws_flip_classes(circuit: Circuit) -> bool:
     2^(n-1) amplitudes (see ``_Plan``), and their draw is an inverse-CDF draw.
     """
     n = circuit.n_qubits
-    return CDF_MIN_QUBITS < n <= PLAN_MAX_QUBITS and _flip_symmetric(n, circuit.gates)
+    # the plan runs it, in half mode, and its 2^(n-1) classes take the inverse-CDF draw
+    return n <= PLAN_MAX_QUBITS and n - 1 >= CDF_MIN_QUBITS and _half_mode(n, circuit.gates)
 
 
 def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, folded: bool = False) -> np.ndarray:

@@ -19,7 +19,11 @@ relative paths (so the circuit path that ``eval`` records matches too):
 - ``eval --reoptimize --random-init`` on the ``--workers 3`` run's best
   circuit;
 - ``baseline qaoa2`` on 3-regular MaxCut and minimum vertex cover at
-  n = 12, where the plan fuses layers and runs MaxCut in half mode.
+  n = 12, where the plan fuses layers and runs MaxCut in half mode;
+- a 4-cell ``matrix`` at n = 8: {maxcut, minvertexcover} x {grid2d} x
+  {8} x {qaoa1, maqaoa}, as the benchmark's ``matrix_n8`` runs it, where
+  the plan fuses the cost and mixer layers that touch every qubit but
+  still draws by multinomial.
 
 Then it compares every file of the two work directories except
 ``run_info.json``, which records the machine and the git revision. It prints
@@ -89,6 +93,21 @@ sizes = 6
 algorithms = qaoa1, maqaoa, linear
 """,
 }
+INI_FILES["grid8.ini"] = """[problem]
+topology = grid2d
+seed = 0
+
+[run]
+shots = 1000
+eval_runs = 2
+master_seed = 11
+
+[matrix]
+problems = maxcut, minvertexcover
+topologies = grid2d
+sizes = 8
+algorithms = qaoa1, maqaoa
+"""
 for kind in ("maxcut", "minvertexcover"):
     INI_FILES[f"n12_{kind}.ini"] = f"""[problem]
 kind = {kind}
@@ -112,6 +131,7 @@ COMMANDS = [
      "--reoptimize", "--random-init", "--runs", "2", "--out", "eval"],
     ["baseline", "qaoa2", "--config", "n12_maxcut.ini", "--out", "baseline_qaoa2_n12_maxcut"],
     ["baseline", "qaoa2", "--config", "n12_minvertexcover.ini", "--out", "baseline_qaoa2_n12_minvertexcover"],
+    ["matrix", "--config", "grid8.ini", "--out", "matrix_n8"],
 ]
 
 
