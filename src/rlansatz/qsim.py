@@ -19,28 +19,32 @@ each P once (see ``_rotation``), and the kernels apply it through views:
 * H replaces the two halves by their scaled sum and difference; Cx swaps
   the target halves within the control-1 half.
 
-A circuit that opens with an H on every qubit starts from the uniform state
-instead of applying those gates.
+A circuit that opens with one H on each of qubits 0 .. n-1 starts from the
+uniform state instead of applying those gates.
 
 An optimization runs one gate list dozens of times with new angles, so
 ``run_circuit`` compiles the list into a plan (``_Plan``) once and reruns
 it: the plan tabulates each rotation's record over the 2^n basis states
 and runs the kernels' arithmetic, in the same order, as gathers over the
-whole vector. Below ``2^CDF_MIN_QUBITS`` outcomes, where the multinomial
-draw turns a change in the last bit of a probability into other shots,
-that gives the kernels' bits. From there on the plan also compiles each
-run of two or more consecutive Rz and Rzz gates (a QAOA cost layer) into
-one table of its distinct phases, applied in one pass, and each run of Rx
-gates that touches all n qubits (a QAOA mixer layer) into a few small real
-matrix products over blocks of qubits, which it runs in the frame
-phi = D psi, D = diag(1, -i) on every qubit, where Rx is a real rotation.
-D is a unit-phase diagonal, so the plan folds it into the start vector and
-multiplies by it, exactly, only where a non-diagonal step meets an Rx layer
-and at the end. Its amplitudes then agree with the
-kernels' to float rounding (within 1e-12 in the tests), and the
+whole vector, which gives the kernels' bits. It also fuses runs of gates
+by what they touch. Each run of Rx gates that touches all n qubits (a QAOA
+mixer layer) becomes a few small real matrix products over blocks of
+qubits, which it runs in the frame phi = D psi, D = diag(1, -i) on every
+qubit, where Rx is a real rotation. D is a unit-phase diagonal, so the
+plan folds it into the start vector and multiplies by it, exactly, only
+where a non-diagonal step meets an Rx layer and at the end. Each run of two
+or more consecutive Rz and Rzz gates that touches all n qubits (a QAOA cost
+layer) becomes one table of its distinct phases, applied in one pass; from
+``2^CDF_MIN_QUBITS`` outcomes on, so does every such run of two or more.
+Below that size the multinomial draw turns a change in the last bit of a
+probability into other shots, so the runs that miss a qubit, as nearly all
+that the agent builds do, keep the kernels' bits. A fused step's amplitudes
+agree with the kernels' to float rounding (within 1e-12 in the tests). The
 inverse-CDF draw moves only when a shot lands within that rounding of a
-running-sum boundary. From there on, too, a circuit that opens with the H
-layer and has only rotations with an even count of y and z factors after
+running-sum boundary. A multinomial draw can move on such a change, but the
+protocols of the four n = 8 benchmark matrix cells draw the kernels' shots,
+as a test checks draw for draw. From ``2^CDF_MIN_QUBITS`` outcomes on, too,
+a circuit that opens with the H layer and has only rotations with an even count of y and z factors after
 it (Rx, Rxx, Ryy, Rzz, Ryz and Rzy: MaxCut's QAOA family and the paper's
 Ryz chain) commutes with the global bit flip X^n, so its state keeps
 ``psi(b) = psi(~b)``. The plan runs such a circuit on the first 2^(n-1)
@@ -200,7 +204,7 @@ def _apply_gate(psi: np.ndarray, n: int, gate: GateApplication, params: np.ndarr
 
 
 def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
-    """True when the first n gates put one H on every qubit."""
+    """True when the first n gates put one H on each of qubits 0 .. n-1."""
     head = gates[:n]
     return len(head) == n and all(g.kind is GateKind.H for g in head) and {g.qubits[0] for g in head} == set(range(n))
 
@@ -233,18 +237,23 @@ class _Plan:
     order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
     indices where the sign is -1; any other adds ``sign * partner[index]``
     (no sign when no block is negated). H and Cx after the opening layer,
-    and a diagonal gate on all n qubits (see ``_gate_step``), keep
-    their kernels. Below ``2^CDF_MIN_QUBITS`` outcomes that gives the
-    kernels' bits.
+    and a lone diagonal gate on all n qubits (see ``_gate_step``), keep
+    their kernels. That gives the kernels' bits.
 
-    From ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse
-    CDF, each maximal run of two or more consecutive Rz and Rzz gates is
-    one ``_DiagonalRun`` instead, and each maximal run of consecutive Rx
-    gates that touches all n qubits one ``_RxLayer``: the amplitudes agree
-    with the kernels' to float rounding (within 1e-12 in the tests), not
-    bit for bit. A lone Rz or Rzz keeps its own table, which costs less to
-    build and as much to run, and so does each gate of an Rx run that
-    misses a qubit. An ``_RxLayer`` acts on phi = D psi (``_frame``), and
+    Runs of gates fuse by what they touch, not by n. Each maximal run of
+    consecutive Rx gates that touches all n qubits is one ``_RxLayer``, and
+    each maximal run of two or more consecutive Rz and Rzz gates that
+    touches all n qubits one ``_DiagonalRun``, at every n; from
+    ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse CDF,
+    every run of two or more Rz and Rzz gates is one ``_DiagonalRun``. A
+    fused step's amplitudes agree with the kernels' to float rounding
+    (within 1e-12 in the tests), not bit for bit. So below that size, where
+    the multinomial turns last-bit changes into other draws, only runs on
+    every qubit fold, such as QAOA's cost and mixer layers, and the runs
+    that miss a qubit (what the agent builds) keep the kernels' bits. A
+    lone Rz or Rzz keeps its own table, which costs less to build and as
+    much to run, and so does each gate of a run that does not fold. An
+    ``_RxLayer`` acts on phi = D psi (``_frame``), and
     every diagonal step commutes with D, so the vector stays in that frame
     from an Rx layer up to the next step that reads psi, a non-diagonal
     gate's table or kernel, and to the end of ``state``; there a step
@@ -252,11 +261,11 @@ class _Plan:
     again. When no non-diagonal step comes before the first Rx layer, the
     start vector holds D instead (``_enter_frame``).
 
-    Also from ``2^CDF_MIN_QUBITS`` outcomes on, a circuit that opens with
+    From ``2^CDF_MIN_QUBITS`` outcomes on, a circuit that opens with
     the H layer and has after it only rotations whose ``_ROTATIONS`` record
     is flip-even (an even count of y and z factors) runs in half mode
-    (``half``): its state keeps ``psi(b) = psi(~b)``, so every step acts on
-    ``psi[:2^(n-1)]`` alone and reads amplitude b >= 2^(n-1) as
+    (``half``, see ``_half_mode``): its state keeps ``psi(b) = psi(~b)``,
+    so every step acts on ``psi[:2^(n-1)]`` alone and reads amplitude b >= 2^(n-1) as
     ``psi[2^n - 1 - b]``. The tables cover the first half, with each
     partner index past it mapped to its complement; a ``_DiagonalRun``
     keeps the first half of its index; an ``_RxLayer`` applies its blocks to
@@ -294,7 +303,8 @@ class _Plan:
             group = list(group)
             # one diagonal gate has nothing to fold, and its table is cheaper; an
             # Rx run that misses a qubit is no tensor product over all n; and
-            # below 2^CDF_MIN_QUBITS outcomes only runs on every qubit fold
+            # below 2^CDF_MIN_QUBITS outcomes, where last-bit changes move the
+            # multinomial's draws, a diagonal run folds only on every qubit
             if (
                 step is not None
                 and (step is _RxLayer or len(group) > 1)
@@ -613,8 +623,9 @@ class _RxLayer:
         return phi
 
 
-# The fused step a run of gates of a kind may form (see _Plan); a dict, since
-# the plan groups the gates of every env step's circuit by it.
+# The fused step a run of gates of a kind may form (see _Plan). A dict lookup
+# is the cheapest key: the plan is rebuilt at every env step and groups its
+# gates by it.
 _FOLDS_OF_KINDS = {**dict.fromkeys(_DIAGONAL_KINDS, _DiagonalRun), GateKind.RX: _RxLayer}
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy

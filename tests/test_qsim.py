@@ -4,6 +4,7 @@ import ast
 import gc
 import sys
 import threading
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -490,8 +491,9 @@ def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
 
 
 # ---------------------------------------------------------------------------
-# The compiled gate plan: the view kernels' bits below 2^CDF_MIN_QUBITS
-# outcomes, their draws from there on, the oracles' values, one plan kept.
+# The compiled gate plan: below 2^CDF_MIN_QUBITS outcomes the view kernels'
+# bits for every run that misses a qubit, their draws for the fused ones and
+# from there on, the oracles' values, one plan kept.
 # ---------------------------------------------------------------------------
 
 PLAN_SIZES = st.integers(2, qsim.CDF_MIN_QUBITS - 1)  # where the bits decide the multinomial's draws
@@ -514,13 +516,44 @@ def kernel_probabilities(circuit):
     return (amps * amps.conj()).real
 
 
+def runs_on_every_qubit(circuit):
+    """How many maximal runs of the body touch all n qubits: of Rx gates, or of two or more Rz and Rzz gates.
+
+    The body follows the opening H layer when that puts one H on each of
+    qubits 0 .. n-1; below 2^CDF_MIN_QUBITS outcomes these are the runs the
+    plan fuses.
+    """
+    n, gates = circuit.n_qubits, circuit.gates
+    opening = [g.qubits for g in gates[:n] if g.kind is GateKind.H]
+    body = gates[n:] if sorted(opening) == [(q,) for q in range(n)] else gates
+
+    def family(gate):
+        return "rx" if gate.kind is GateKind.RX else "diagonal" if gate.kind in DIAGONAL else None
+
+    count = 0
+    for key, run in groupby(body, key=family):
+        run = list(run)
+        if key is not None and (key == "rx" or len(run) > 1):
+            count += {q for g in run for q in g.qubits} == set(range(n))
+    return count
+
+
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_plan_probabilities_equal_the_kernels_bit_for_bit(kind, data):
+    """Bit for bit unless a run touches every qubit; the plan fuses exactly those, to float rounding."""
     circuit = data.draw(plan_circuits(data.draw(PLAN_SIZES), kind))
-    amps = qsim._Plan(circuit.n_qubits, circuit.gates).run(circuit.params)
+    plan = qsim._Plan(circuit.n_qubits, circuit.gates)
+    amps = plan.run(circuit.params)
     expected = kernel_probabilities(circuit)
+    fused = runs_on_every_qubit(circuit)
+    assert len(diagonal_runs(plan) + rx_layers(plan)) == fused
+    if fused:
+        kernels = qsim._run_kernels(circuit.n_qubits, circuit.gates, circuit.params)
+        assert np.max(np.abs(amps - kernels)) <= 1e-12
+        assert np.max(np.abs(exact_probabilities(circuit) - expected)) <= 1e-12
+        return
     assert np.array_equal((amps * amps.conj()).real, expected)
     assert np.array_equal(exact_probabilities(circuit), expected)
 
@@ -535,13 +568,19 @@ def rx_layers(plan):
 
 @pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_baseline_plans_equal_the_kernels_bit_for_bit(algorithm, n):
+def test_baseline_plans_fold_their_layers_and_draw_the_kernels_shots(algorithm, n):
     circuit = build_baseline(algorithm, make_instance("three_regular", n, 1, "maxcut"))
     circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
     plan = qsim._Plan(n, circuit.gates)
-    assert diagonal_runs(plan) == [] and rx_layers(plan) == []  # nothing folds below 2^CDF_MIN_QUBITS outcomes
+    layers = 2 if algorithm == "qaoa2" else 1
+    # each cost and mixer layer touches every qubit, so it folds below 2^CDF_MIN_QUBITS outcomes too
+    assert len(diagonal_runs(plan)) == len(rx_layers(plan)) == layers
+    assert len(plan.steps) == 2 * layers + 1  # the layers, and the step out of the Rx layers' frame
     amps = plan.run(circuit.params)
-    assert np.array_equal((amps * amps.conj()).real, kernel_probabilities(circuit))
+    assert np.max(np.abs(amps - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
+    for seed in (0, 1, 2):
+        counts = sample_from_probabilities((amps * amps.conj()).real, 1000, seed)
+        assert np.array_equal(counts, sample_from_probabilities(kernel_probabilities(circuit), 1000, seed))
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
@@ -567,13 +606,17 @@ def test_fused_plans_draw_the_kernels_shots(kind, data):
 
 
 def cost_layer(rng, n, parameters, angles):
-    """Rzz on about 3n/2 random pairs plus Rz on every third qubit, in random order.
+    """Rzz on about 3n/2 random pairs plus Rz on every third qubit and on each
+    qubit no pair touches, in random order: a run on every qubit, of two or
+    more gates (at n = 1, two Rz gates on qubit 0).
 
     ``parameters``: "shared" (parameter 0, random coeffs), "per gate" (one
     parameter each) or "fixed" (fixed angles); "mixed" draws each gate's form.
     """
-    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n // 2)}
-    sites = [((q,), GateKind.RZ) for q in range(0, n, 3)] + [(pair, GateKind.RZZ) for pair in sorted(pairs)]
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n // 2 if n > 1 else 0)}
+    paired = {q for pair in pairs for q in pair}
+    fields = [q for q in range(n) if q % 3 == 0 or q not in paired]
+    sites = [((q,), GateKind.RZ) for q in fields + [0] * (n == 1)] + [(pair, GateKind.RZZ) for pair in sorted(pairs)]
     gates = []
     for i in rng.permutation(len(sites)):
         qubits, kind = sites[i]
@@ -588,8 +631,16 @@ def cost_layer(rng, n, parameters, angles):
     return gates
 
 
-@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.CDF_MIN_QUBITS + 3))
-@pytest.mark.parametrize("parameters", ["shared", "per gate", "fixed", "mixed", "repeated", "few qubits"])
+# n = 1-9 in full mode, where only runs on every qubit fold, and n = 10-12; four qubits need n >= 4
+DIAGONAL_CASES = [
+    (n, parameters)
+    for parameters in ("shared", "per gate", "fixed", "mixed", "repeated", "few qubits")
+    for n in range(1, qsim.CDF_MIN_QUBITS + 3)
+    if parameters != "few qubits" or n >= 4
+]
+
+
+@pytest.mark.parametrize("n, parameters", DIAGONAL_CASES, ids=[f"{p}-{n}" for n, p in DIAGONAL_CASES])
 def test_diagonal_runs_match_the_phase_oracle(n, parameters):
     rng = np.random.default_rng([n, len(parameters)])
     angles = []
@@ -617,13 +668,20 @@ def test_diagonal_runs_match_the_phase_oracle(n, parameters):
         gates = runs[0]
     circuit = Circuit(n, h_layer(n).gates + gates, np.array(angles))
     plan = qsim._Plan(n, circuit.gates)
+    assert not plan.half  # the Rz gates are flip-odd, and below 2^CDF_MIN_QUBITS outcomes no plan halves
     fused = diagonal_runs(plan)
-    assert len(fused) == len(runs)
-    assert len({id(run.index) for run in fused}) == 1  # the repeated runs share one table
+    # below 2^CDF_MIN_QUBITS outcomes only a run on every qubit folds (the four qubits miss some from n = 5 on)
+    every = n >= qsim.CDF_MIN_QUBITS or all({q for g in run for q in g.qubits} == set(range(n)) for run in runs)
+    assert len(fused) == (len(runs) if every else 0)
     phases = diagonal_phases(n, [g for run in runs for g in run], circuit.params)
     expected = np.exp(-1j * phases) / np.sqrt(1 << n)
-    assert np.max(np.abs(plan.run(circuit.params) - expected)) <= 1e-12
+    amps = plan.run(circuit.params)
+    assert np.max(np.abs(amps - expected)) <= 1e-12
     assert np.max(np.abs(exact_probabilities(circuit) - 1.0 / (1 << n))) <= 1e-12
+    if fused:
+        assert len({id(run.index) for run in fused}) == 1  # the repeated runs share one table
+    else:
+        assert np.array_equal(amps, qsim._run_kernels(n, circuit.gates, circuit.params))
 
 
 def rx_run(n, rng, parameters):
@@ -670,14 +728,15 @@ def s_dagger_frame(size):
     return np.array([(-1j) ** bin(b).count("1") for b in range(size)])
 
 
-@pytest.mark.parametrize("n", RX_SIZES)
+@pytest.mark.parametrize("n", range(1, RX_SIZES.stop))  # below RX_SIZES in full mode only
 @pytest.mark.parametrize("parameters", ["shared", "per qubit", "fixed", "repeated", "unsorted"])
 def test_rx_layers_match_the_dense_oracle(n, parameters):
     assert any(size % qsim.RX_BLOCK_QUBITS for size in RX_SIZES)  # some n splits into unequal blocks
     assert sum(qsim._rx_blocks(n)) == n
     rng = np.random.default_rng([n, len(parameters)])
     gates, theta = rx_run(n, rng, parameters)
-    for opening in ([], h_layer(n).gates):  # the full plan, and half mode
+    # the full plan, and from 2^CDF_MIN_QUBITS outcomes on half mode
+    for opening in ([], h_layer(n).gates) if n >= qsim.CDF_MIN_QUBITS else ([],):
         plan = qsim._Plan(n, opening + gates)
         assert plan.half == bool(opening)
         (layer,) = rx_layers(plan)
@@ -820,7 +879,12 @@ def test_half_mode_is_chosen_exactly_for_flip_symmetric_circuits():
     small_body, theta = flip_even_body(small, rng)
     gates = h_layer(small).gates + small_body
     plan = plan_of(gates, small)
-    assert not half_mode(plan)  # below 2^CDF_MIN_QUBITS outcomes the plan keeps the kernels' bits
+    assert not half_mode(plan)  # below 2^CDF_MIN_QUBITS outcomes the plan runs on the full vector
+    assert rx_layers(plan) and not diagonal_runs(plan)  # only the Rx run touches every qubit
+    # without the Rx on qubit 0 every run misses a qubit, and the plan keeps the kernels' bits
+    gates = [g for g in gates if not (g.kind is GateKind.RX and g.qubits == (0,))]
+    plan = plan_of(gates, small)
+    assert not half_mode(plan) and not rx_layers(plan) and not diagonal_runs(plan)
     assert np.array_equal(plan.run(theta), qsim._run_kernels(small, gates, theta))
 
 
@@ -881,16 +945,31 @@ def test_full_plan_probabilities_are_contiguous_from_cdf_sizes_on():
     assert np.array_equal(probs.view(np.uint64), (amps * amps.conj()).real.view(np.uint64))
 
 
-@pytest.mark.parametrize("algorithm", ["qaoa2", "maqaoa"])
-def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypatch):
-    inst = make_instance("three_regular", 12, 1, "maxcut")
+# the n = 12 MaxCut baselines, which run in half mode, and the four cells of
+# the benchmark's matrix_n8, whose layers fold though their draws are multinomial
+PROTOCOL_CASES = {
+    "qaoa2": ("three_regular", 12, 1, "maxcut", "qaoa2"),
+    "maqaoa": ("three_regular", 12, 1, "maxcut", "maqaoa"),
+    **{
+        f"grid2d-8-{kind}-{algorithm}": ("grid2d", 8, 0, kind, algorithm)
+        for kind in ("maxcut", "minvertexcover")
+        for algorithm in ("qaoa1", "maqaoa")
+    },
+}
+
+
+@pytest.mark.parametrize("case", PROTOCOL_CASES.values(), ids=PROTOCOL_CASES.keys())
+def test_protocol_estimates_equal_the_kernels_draw_for_draw(case, monkeypatch):
+    topology, n, graph_seed, kind, algorithm = case
+    inst = make_instance(topology, n, graph_seed, kind)
     circuit = build_baseline(algorithm, inst)
 
     def protocol():
         return [evaluate_circuit(circuit, inst, 2, 1000, seed).per_run_estimates for seed in (0, 1)]
 
     fused = protocol()
-    assert diagonal_runs(qsim._last_plan) and rx_layers(qsim._last_plan) and half_mode(qsim._last_plan)
+    plan = qsim._last_plan
+    assert diagonal_runs(plan) and rx_layers(plan) and half_mode(plan) == (n >= qsim.CDF_MIN_QUBITS)
 
     def kernels(circuit, params=None, mirror=True):  # the full vector, also where the plan gives half of it
         theta = circuit.params if params is None else np.asarray(params, dtype=float)
@@ -898,8 +977,11 @@ def test_protocol_estimates_equal_the_kernels_draw_for_draw(algorithm, monkeypat
 
     monkeypatch.setattr(qsim, "run_circuit", kernels)
     assert protocol() == fused
-    # the optimizer drew over bit-flip classes, from the kernels' full vector in the second protocol
-    assert qsim.draws_flip_classes(circuit) and np.array_equal(inst.ham, inst.ham[::-1])
+    if n > qsim.CDF_MIN_QUBITS:
+        # the optimizer drew over bit-flip classes, from the kernels' full vector in the second protocol
+        assert qsim.draws_flip_classes(circuit) and np.array_equal(inst.ham, inst.ham[::-1])
+    else:
+        assert not qsim.draws_flip_classes(circuit)
 
 
 HALF_MODE_SOURCES = ["qaoa1", "qaoa2", "maqaoa", "qaoaplus", "linear"]
@@ -1018,6 +1100,19 @@ def test_plan_is_rebuilt_when_the_gate_list_changes_in_place():
     assert np.array_equal(second, kernel_probabilities(circuit))
 
 
+def test_an_opening_h_layer_must_cover_qubits_0_to_n_minus_1():
+    """n distinct H qubits are no H layer when one of them is not below n: the gate is out of range."""
+    for n in (4, qsim.PLAN_MAX_QUBITS + 1):  # the plan, and the kernels above its sizes
+        circuit = h_layer(n)
+        circuit.gates[0] = GateApplication(GateKind.H, (n + 3,))
+        with pytest.raises(InvalidGateError, match="out of range"):
+            run_circuit(circuit)
+        circuit.gates[0] = GateApplication(GateKind.H, (0,))
+        circuit.gates.append(GateApplication(GateKind.H, (n + 3,)))  # the same qubit in the body
+        with pytest.raises(InvalidGateError, match="out of range"):
+            run_circuit(circuit)
+
+
 def test_plan_runs_new_angles_without_a_rebuild():
     circuit = h_layer(4).appended(GateKind.RXY, (3, 1), 0.2).appended(GateKind.RZ, (2,), -0.4)
     exact_probabilities(circuit)
@@ -1031,7 +1126,7 @@ def test_plan_runs_new_angles_without_a_rebuild():
 def test_threads_get_the_plan_of_their_own_circuit():
     rng = np.random.default_rng(5)
     circuits = [random_circuit(rng, 2 + i % 3, 6) for i in range(8)]
-    expected = [kernel_probabilities(c) for c in circuits]
+    expected = [exact_probabilities(c).copy() for c in circuits]  # each plan's own, built on one thread
     failures = []
 
     def simulate(i):
