@@ -92,8 +92,7 @@ topologies = cycle, star
 sizes = 6
 algorithms = qaoa1, maqaoa, linear
 """,
-}
-INI_FILES["grid8.ini"] = """[problem]
+    "grid8.ini": """[problem]
 topology = grid2d
 seed = 0
 
@@ -107,7 +106,8 @@ problems = maxcut, minvertexcover
 topologies = grid2d
 sizes = 8
 algorithms = qaoa1, maqaoa
-"""
+""",
+}
 for kind in ("maxcut", "minvertexcover"):
     INI_FILES[f"n12_{kind}.ini"] = f"""[problem]
 kind = {kind}
