@@ -15,6 +15,7 @@ from .circuits import (
     GateApplication,
     GateKind,
     h_layer,
+    opens_with_h_layer,
 )
 from .errors import ConfigurationError
 from .problems import ProblemInstance, qubo_to_ising
@@ -40,13 +41,9 @@ def is_ryz_connected(circuit: Circuit) -> bool:
     connected chain (every prefix's connectivity graph is connected and each
     gate adds exactly one new qubit)."""
     n = circuit.n_qubits
-    if len(circuit.gates) != n + (n - 1):
+    if len(circuit.gates) != n + (n - 1) or not opens_with_h_layer(circuit.gates, n):
         return False
-    head, tail = circuit.gates[:n], circuit.gates[n:]
-    if any(g.kind is not GateKind.H for g in head):
-        return False
-    if {g.qubits[0] for g in head} != set(range(n)):
-        return False
+    tail = circuit.gates[n:]
     if any(g.kind is not GateKind.RYZ for g in tail):
         return False
     chained: set[int] = set()

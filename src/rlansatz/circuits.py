@@ -124,8 +124,7 @@ class Circuit:
 
     def validate(self) -> None:
         for g in self.gates:
-            if any(q >= self.n_qubits for q in g.qubits):
-                raise InvalidGateError(f"{g.kind.value}{g.qubits} out of range for n={self.n_qubits}")
+            check_qubits((g,), self.n_qubits)
             if g.param_index is not None and not (0 <= g.param_index < len(self.params)):
                 raise InvalidGateError(f"param index {g.param_index} out of range")
 
@@ -192,6 +191,19 @@ def _optional(check, value, what: str):
 def h_layer(n_qubits: int) -> Circuit:
     """The episode-initial circuit: one Hadamard per qubit."""
     return Circuit(n_qubits, [GateApplication(GateKind.H, (q,)) for q in range(n_qubits)])
+
+
+def opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
+    """True when the first n gates put one H on each of qubits 0 .. n-1, as ``h_layer(n)`` does, in any order."""
+    head = gates[:n]
+    return len(head) == n and all(g.kind is GateKind.H for g in head) and {g.qubits[0] for g in head} == set(range(n))
+
+
+def check_qubits(gates, n: int) -> None:
+    """Raise ``InvalidGateError`` at the first gate with a qubit that is not below n."""
+    for g in gates:
+        if any(q >= n for q in g.qubits):
+            raise InvalidGateError(f"{g.kind.value}{g.qubits} out of range for n={n}")
 
 
 # ---------------------------------------------------------------------------

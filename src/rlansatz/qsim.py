@@ -19,43 +19,45 @@ each P once (see ``_rotation``), and the kernels apply it through views:
 * H replaces the two halves by their scaled sum and difference; Cx swaps
   the target halves within the control-1 half.
 
-A circuit that opens with one H on each of qubits 0 .. n-1 starts from the
-uniform state instead of applying those gates.
+A circuit that opens with one H on each of qubits 0 .. n-1
+(``circuits.opens_with_h_layer``) starts from the uniform state instead of
+applying those gates.
 
-An optimization runs one gate list dozens of times with new angles, so
-``run_circuit`` compiles the list into a plan (``_Plan``) once and reruns
-it: the plan tabulates each rotation's record over the 2^n basis states
-and runs the kernels' arithmetic, in the same order, as gathers over the
-whole vector, which gives the kernels' bits. It also fuses runs of gates
-by what they touch. Each run of Rx gates that touches all n qubits (a QAOA
-mixer layer) becomes a few small real matrix products over blocks of
-qubits, which it runs in the frame phi = D psi, D = diag(1, -i) on every
-qubit, where Rx is a real rotation. D is a unit-phase diagonal, so the
-plan folds it into the start vector and multiplies by it, exactly, only
-where a non-diagonal step meets an Rx layer and at the end. Each run of two
-or more consecutive Rz and Rzz gates that touches all n qubits (a QAOA cost
-layer) becomes one table of its distinct phases, applied in one pass; from
-``2^CDF_MIN_QUBITS`` outcomes on, so does every such run of two or more.
-Below that size the multinomial draw turns a change in the last bit of a
-probability into other shots, so the runs that miss a qubit, as nearly all
-that the agent builds do, keep the kernels' bits. A fused step's amplitudes
-agree with the kernels' to float rounding (within 1e-12 in the tests). The
-inverse-CDF draw moves only when a shot lands within that rounding of a
-running-sum boundary. A multinomial draw can move on such a change, but the
-protocols of the four n = 8 benchmark matrix cells draw the kernels' shots,
-as a test checks draw for draw. From ``2^CDF_MIN_QUBITS`` outcomes on, too,
-a circuit that opens with the H layer and has only rotations with an even count of y and z factors after
+An optimization runs one gate list dozens of times with new angles, so up
+to ``PLAN_MAX_QUBITS`` qubits ``run_circuit`` compiles the list into a plan
+(``_Plan``) once and reruns it; only the last plan is kept. Above that size
+the gathers cost more than the kernels, which then run every time and
+leave the kept plan as it is. Each fact of that choice is read in one
+place: ``_plan_for`` alone compares with ``PLAN_MAX_QUBITS``, the plan's
+``half`` alone decides half mode (below), and ``draws_flip_classes`` adds
+only its own size rule to ``half``.
+
+The plan tabulates each rotation's record over the 2^n basis states and
+runs the kernels' arithmetic, in the same order, as gathers over the whole
+vector, which gives the kernels' bits. At every n it also fuses each run
+of Rz and Rzz gates on all n qubits (a QAOA cost layer) into one phase
+table and each run of Rx gates on all n qubits (a mixer layer) into a few
+real block products, and from ``2^CDF_MIN_QUBITS`` outcomes on every run
+of two or more Rz and Rzz gates (see ``_Plan``). A fused step's amplitudes
+agree with the kernels' to float rounding (within 1e-12 in the tests).
+Below that size the multinomial draw turns a last-bit change into other
+shots, so runs that miss a qubit, as the agent's do, keep the kernels'
+bits; the four n = 8 benchmark matrix cells still draw the kernels' shots,
+as a test checks draw for draw. The inverse-CDF draw moves only when a
+shot lands within that rounding of a running-sum boundary.
+
+From ``2^CDF_MIN_QUBITS`` outcomes on, too, a circuit that opens with the H
+layer and has only rotations with an even count of y and z factors after
 it (Rx, Rxx, Ryy, Rzz, Ryz and Rzy: MaxCut's QAOA family and the paper's
 Ryz chain) commutes with the global bit flip X^n, so its state keeps
-``psi(b) = psi(~b)``. The plan runs such a circuit on the first 2^(n-1)
-amplitudes only, those with qubit n-1 at 0; its per-gate steps still give
-the kernels' bits. ``run_circuit`` appends the half's mirror image, and
-``exact_probabilities`` squares the half and mirrors the real
-probabilities. Asked for ``folded`` probabilities, it doubles them instead
-into those of the 2^(n-1) bit-flip classes {b, ~b}, over which
-``optimize_circuit`` draws its shots when the energy is flip-symmetric too.
-Only the last plan is kept. Above ``PLAN_MAX_QUBITS`` the gathers cost
-more than the kernels, which then run every time.
+``psi(b) = psi(~b)``. The plan runs such a circuit in half mode, on the
+first 2^(n-1) amplitudes only, those with qubit n-1 at 0; its per-gate
+steps still give the kernels' bits. ``run_circuit`` appends the half's
+mirror image, and ``exact_probabilities`` squares the half and mirrors the
+real probabilities. Asked for ``folded`` probabilities, it doubles them
+instead into those of the 2^(n-1) bit-flip classes {b, ~b}, over which
+``optimize_circuit`` draws its shots from ``2^CDF_MIN_QUBITS`` classes on
+when the energy is flip-symmetric too.
 
 Shots are drawn from the exact probabilities: by numpy's multinomial below
 ``2^CDF_MIN_QUBITS`` outcomes, and from there on by inverse CDF (sorted
@@ -75,8 +77,9 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .circuits import MAX_QUBITS, Circuit, GateApplication, GateKind, PARAMETRIC_KINDS, rotation_axes
-from .errors import ConfigurationError, InvalidGateError
+from .circuits import MAX_QUBITS, PARAMETRIC_KINDS, Circuit, GateApplication, GateKind, rotation_axes
+from .circuits import check_qubits, opens_with_h_layer
+from .errors import ConfigurationError
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _ALL = slice(None)
@@ -193,20 +196,8 @@ def apply_gate(amplitudes: np.ndarray, gate: GateApplication, params: np.ndarray
             "apply_gate needs one C-contiguous complex128 vector of length 2^n, "
             f"got {amplitudes.dtype} of shape {amplitudes.shape}"
         )
-    _apply_gate(amplitudes, n, gate, params)
-
-
-def _apply_gate(psi: np.ndarray, n: int, gate: GateApplication, params: np.ndarray | None) -> None:
-    """Check that the gate's qubits are below n, then apply it to ``psi`` in place."""
-    if any(q >= n for q in gate.qubits):
-        raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-    _apply(psi, n, gate.kind, gate.qubits, gate.resolved_angle(params))
-
-
-def _opens_with_h_layer(gates: list[GateApplication], n: int) -> bool:
-    """True when the first n gates put one H on each of qubits 0 .. n-1."""
-    head = gates[:n]
-    return len(head) == n and all(g.kind is GateKind.H for g in head) and {g.qubits[0] for g in head} == set(range(n))
+    check_qubits((gate,), n)
+    _apply(amplitudes, n, gate.kind, gate.qubits, gate.resolved_angle(params))
 
 
 def _start_state(n: int, uniform: bool) -> np.ndarray:
@@ -220,10 +211,12 @@ def _start_state(n: int, uniform: bool) -> np.ndarray:
 
 def _run_kernels(n: int, gates: list[GateApplication], theta: np.ndarray) -> np.ndarray:
     """The final state from |0...0>, one view kernel per gate."""
-    uniform = _opens_with_h_layer(gates, n)
+    uniform = opens_with_h_layer(gates, n)
+    body = gates[n:] if uniform else gates
+    check_qubits(body, n)
     psi = _start_state(n, uniform)
-    for gate in gates[n:] if uniform else gates:  # psi is built here: apply_gate's check is not needed
-        _apply_gate(psi, n, gate, theta)
+    for gate in body:
+        _apply(psi, n, gate.kind, gate.qubits, gate.resolved_angle(theta))
     return psi
 
 
@@ -240,42 +233,40 @@ class _Plan:
     and a lone diagonal gate on all n qubits (see ``_gate_step``), keep
     their kernels. That gives the kernels' bits.
 
-    Runs of gates fuse by what they touch, not by n. Each maximal run of
-    consecutive Rx gates that touches all n qubits is one ``_RxLayer``, and
-    each maximal run of two or more consecutive Rz and Rzz gates that
-    touches all n qubits one ``_DiagonalRun``, at every n; from
-    ``2^CDF_MIN_QUBITS`` outcomes on, where shots are drawn by inverse CDF,
-    every run of two or more Rz and Rzz gates is one ``_DiagonalRun``. A
-    fused step's amplitudes agree with the kernels' to float rounding
-    (within 1e-12 in the tests), not bit for bit. So below that size, where
-    the multinomial turns last-bit changes into other draws, only runs on
-    every qubit fold, such as QAOA's cost and mixer layers, and the runs
-    that miss a qubit (what the agent builds) keep the kernels' bits. A
-    lone Rz or Rzz keeps its own table, which costs less to build and as
-    much to run, and so does each gate of a run that does not fold. An
-    ``_RxLayer`` acts on phi = D psi (``_frame``), and
-    every diagonal step commutes with D, so the vector stays in that frame
-    from an Rx layer up to the next step that reads psi, a non-diagonal
-    gate's table or kernel, and to the end of ``state``; there a step
-    multiplies it by the conjugate of D, and before the next Rx layer by D
-    again. When no non-diagonal step comes before the first Rx layer, the
-    start vector holds D instead (``_enter_frame``).
+    Runs of gates fuse by what they touch. Each maximal run of consecutive
+    Rx gates that touches all n qubits is one ``_RxLayer``, and each maximal
+    run of two or more consecutive Rz and Rzz gates that touches all n
+    qubits one ``_DiagonalRun``, at every n; from ``2^CDF_MIN_QUBITS``
+    outcomes on, where shots are drawn by inverse CDF, so is every run of
+    two or more Rz and Rzz gates. A fused step agrees with the kernels only
+    to float rounding, so below that size, where the multinomial turns
+    last-bit changes into other draws, the runs that miss a qubit (what the
+    agent builds) keep the kernels' bits. A lone Rz or Rzz keeps its own
+    table, which costs less to build and as much to run, and so does each
+    gate of a run that does not fold. An ``_RxLayer`` acts on phi = D psi
+    (``_frame``), and every diagonal step commutes with D, so the vector
+    stays in that frame from an Rx layer up to the next step that reads psi,
+    a non-diagonal gate's table or kernel, and to the end of ``state``;
+    there a step multiplies it by the conjugate of D, and before the next Rx
+    layer by D again. When no non-diagonal step comes before the first Rx
+    layer, the start vector holds D instead (``_enter_frame``).
 
-    From ``2^CDF_MIN_QUBITS`` outcomes on, a circuit that opens with
-    the H layer and has after it only rotations whose ``_ROTATIONS`` record
-    is flip-even (an even count of y and z factors) runs in half mode
-    (``half``, see ``_half_mode``): its state keeps ``psi(b) = psi(~b)``,
-    so every step acts on ``psi[:2^(n-1)]`` alone and reads amplitude b >= 2^(n-1) as
-    ``psi[2^n - 1 - b]``. The tables cover the first half, with each
-    partner index past it mapped to its complement; a ``_DiagonalRun``
-    keeps the first half of its index; an ``_RxLayer`` applies its blocks to
-    qubits 0 .. n-2 and qubit n-1's Rx through the reversed vector, and D
-    acts on qubits 0 .. n-2 only. ``state`` returns that half, and ``run``
-    it followed by ``psi[::-1]``; ``exact_probabilities`` squares the half
-    before it mirrors or doubles it. Half mode does each per-gate
-    step's arithmetic on the same amplitudes as the full plan, so it keeps
-    their bits, and needs no kernel step: H and Cx rule it out, and no
-    diagonal gate acts on all n qubits.
+    ``half`` is the package's one half-mode decision: true from
+    ``2^CDF_MIN_QUBITS`` outcomes on when the plan starts from the uniform
+    state (the gates open with the H layer) and every gate after it is a
+    rotation whose ``_ROTATIONS`` record is flip-even (an even count of y
+    and z factors). From the uniform state such gates keep ``psi(b) =
+    psi(~b)``, so every step acts on ``psi[:2^(n-1)]`` alone and reads
+    amplitude b >= 2^(n-1) as ``psi[2^n - 1 - b]``. The tables cover the
+    first half, with each partner index past it mapped to its complement; a
+    ``_DiagonalRun`` keeps the first half of its index; an ``_RxLayer``
+    applies its blocks to qubits 0 .. n-2 and qubit n-1's Rx through the
+    reversed vector, and D acts on qubits 0 .. n-2 only. ``state`` returns
+    that half, and ``run`` it followed by ``psi[::-1]``;
+    ``exact_probabilities`` squares the half before it mirrors or doubles
+    it. Half mode does each per-gate step's arithmetic on the same
+    amplitudes as the full plan, so it keeps their bits, and needs no kernel
+    step: H and Cx rule it out, and no diagonal gate acts on all n qubits.
 
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
     ``(apply, None, None, None)`` for a kernel, a fused run or a change of
@@ -287,16 +278,14 @@ class _Plan:
     def __init__(self, n: int, gates: list[GateApplication]):
         self.n = n
         self.gates = tuple(gates)
-        uniform = _opens_with_h_layer(gates, n)
-        self.start = _start_state(n, uniform)
+        uniform = opens_with_h_layer(gates, n)
         body = gates[n:] if uniform else gates
-        for gate in body:
-            if any(q >= n for q in gate.qubits):
-                raise InvalidGateError(f"{gate.kind.value}{gate.qubits} out of range for n={n}")
-        self.half = half = _half_mode(n, gates)
+        check_qubits(body, n)
+        cdf = n >= CDF_MIN_QUBITS
+        self.half = half = cdf and uniform and all(g.kind in _FLIP_EVEN_KINDS for g in body)
+        self.start = _start_state(n, uniform)
         if half:
             self.start = self.start[: 1 << (n - 1)].copy()
-        cdf = n >= CDF_MIN_QUBITS
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
         for step, group in groupby(body, key=lambda g: _FOLDS_OF_KINDS.get(g.kind)):
@@ -398,16 +387,6 @@ _DIAGONAL_KINDS = frozenset(kind for kind, (_, diagonal, *_) in _ROTATIONS.items
 _FLIP_EVEN_KINDS = frozenset(kind for kind, (*_, flip_even) in _ROTATIONS.items() if flip_even)
 
 
-def _half_mode(n: int, gates: list[GateApplication]) -> bool:
-    """True when the plan runs the gates on half the amplitudes (see ``_Plan``).
-
-    That is from ``2^CDF_MIN_QUBITS`` outcomes on, when the gates open with
-    the H layer and only flip-even rotations follow: from the uniform state,
-    gates that commute with the global bit flip keep psi(b) = psi(~b).
-    """
-    return n >= CDF_MIN_QUBITS and _opens_with_h_layer(gates, n) and all(g.kind in _FLIP_EVEN_KINDS for g in gates[n:])
-
-
 def _sign_vector(n: int, qubits: tuple[int, ...], negated: list[tuple]) -> np.ndarray:
     """+1 per basis state, -1 in the negated blocks of the gate view on ``qubits``."""
     sign = np.ones(1 << n)
@@ -453,6 +432,15 @@ def _gate_step(n: int, gate: GateApplication, tables: dict, half: bool) -> tuple
     return (gate, *tables[key], None if diagonal else phase)
 
 
+def _parameter_slots(gates: list[GateApplication]) -> tuple[dict[int, int], np.ndarray]:
+    """A fused run's parameters numbered in order of first use: the slot of each index, and the indices by slot."""
+    slot: dict[int, int] = {}
+    for g in gates:
+        if g.angle is None:
+            slot.setdefault(g.param_index, len(slot))
+    return slot, np.array(list(slot), dtype=np.intp)
+
+
 class _DiagonalRun:
     """A run of consecutive diagonal rotations compiled into one phase table.
 
@@ -475,15 +463,12 @@ class _DiagonalRun:
     __slots__ = ("params", "weights", "fixed", "index")
 
     def __init__(self, n: int, gates: list[GateApplication], tables: dict, half: bool):
-        slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
-        key = []
-        for g in gates:
-            if g.angle is None:
-                key.append((g.kind, g.qubits, slot.setdefault(g.param_index, len(slot)), g.coeff))
-            else:
-                key.append((g.kind, g.qubits, None, g.angle))
-        self.params = np.array(list(slot), dtype=np.intp)
-        key = tuple(key)
+        slot, self.params = _parameter_slots(gates)
+        key = tuple(
+            (g.kind, g.qubits, None, g.angle) if g.angle is not None
+            else (g.kind, g.qubits, slot[g.param_index], g.coeff)
+            for g in gates
+        )
         if key not in tables:
             touched = sorted({q for g in gates for q in g.qubits})
             local = {q: j for j, q in enumerate(touched)}
@@ -564,11 +549,7 @@ class _RxLayer:
     __slots__ = ("params", "weights", "fixed", "index", "blocks", "flip")
 
     def __init__(self, n: int, gates: list[GateApplication], tables: dict, half: bool):
-        slot: dict[int, int] = {}  # the run's parameters, numbered in order of first use
-        for g in gates:
-            if g.angle is None:
-                slot.setdefault(g.param_index, len(slot))
-        self.params = np.array(list(slot), dtype=np.intp)
+        slot, self.params = _parameter_slots(gates)
         self.weights = np.zeros((len(slot), n))
         self.fixed = np.zeros(n)
         for g in gates:
@@ -654,9 +635,15 @@ CDF_MIN_QUBITS = 10
 _last_plan: _Plan | None = None
 
 
-def _plan_for(n: int, gates: list[GateApplication]) -> _Plan:
-    """The plan of the gate list, reusing the last one built; only that one is kept."""
+def _plan_for(n: int, gates: list[GateApplication]) -> _Plan | None:
+    """The plan of the gate list, reusing the last one built; only that one is kept.
+
+    The one reader of ``PLAN_MAX_QUBITS``: above it the kernels run, and
+    this returns ``None`` and leaves the kept plan as it is.
+    """
     global _last_plan
+    if n > PLAN_MAX_QUBITS:
+        return None
     plan = _last_plan  # read once: another thread may replace it at any point
     if plan is None or not plan.matches(n, gates):
         _last_plan = plan = None  # drop the old tables before building new ones
@@ -681,9 +668,9 @@ def run_circuit(circuit: Circuit, params: np.ndarray | None = None, mirror: bool
     n = circuit.n_qubits
     if not (1 <= n <= MAX_QUBITS):
         raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
-    if n > PLAN_MAX_QUBITS:
-        return _run_kernels(n, circuit.gates, theta)
     plan = _plan_for(n, circuit.gates)
+    if plan is None:
+        return _run_kernels(n, circuit.gates, theta)
     return plan.run(theta) if mirror else plan.state(theta)
 
 
@@ -692,10 +679,14 @@ def draws_flip_classes(circuit: Circuit) -> bool:
 
     Its ``folded`` probabilities are then the doubled squares of the plan's
     2^(n-1) amplitudes (see ``_Plan``), and their draw is an inverse-CDF draw.
+    From that size on it builds the plan, or finds it kept, so the first run
+    of the circuit reuses it.
     """
     n = circuit.n_qubits
-    # the plan runs it, in half mode, and its 2^(n-1) classes take the inverse-CDF draw
-    return n <= PLAN_MAX_QUBITS and n - 1 >= CDF_MIN_QUBITS and _half_mode(n, circuit.gates)
+    if n - 1 < CDF_MIN_QUBITS:  # its 2^(n-1) classes would take the multinomial draw
+        return False
+    plan = _plan_for(n, circuit.gates)
+    return plan is not None and plan.half
 
 
 def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, folded: bool = False) -> np.ndarray:

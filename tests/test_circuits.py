@@ -281,6 +281,11 @@ def test_is_ryz_connected_rejects_other_kinds_and_shapes():
         GateApplication(GateKind.RYZ, (0, 2), param_index=1),
     ]
     assert is_ryz_connected(Circuit(3, star, np.zeros(2)))  # any growing chain counts
+    chain = build_linear_ryz(4)
+    assert is_ryz_connected(Circuit(4, chain.gates[3::-1] + chain.gates[4:], chain.params))  # H in any order
+    for missed in range(4):  # a head of four H gates that skips one qubit and repeats another
+        head = [GateApplication(GateKind.H, (q if q != missed else (missed + 1) % 4,)) for q in range(4)]
+        assert not is_ryz_connected(Circuit(4, head + chain.gates[4:], chain.params)), missed
 
 
 def test_is_ryz_connected_rejects_edge_within_chain():

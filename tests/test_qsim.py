@@ -133,6 +133,19 @@ def test_apply_gate_rejects_bad_qubits():
         apply_gate(state, GateApplication(GateKind.RX, (5,), angle=0.1))
     with pytest.raises(InvalidGateError):
         GateApplication(GateKind.RZZ, (1, 1), angle=0.1)
+    # a body gate on qubit n: apply_gate, the plan (n=4) and the kernels (n=15) raise the same error
+    for n in (4, qsim.PLAN_MAX_QUBITS + 1):
+        for gate in (GateApplication(GateKind.RX, (n,), angle=0.1), GateApplication(GateKind.RYZ, (1, n), angle=0.1)):
+            gates = h_layer(n).gates + [GateApplication(GateKind.RZ, (0,), angle=0.3), gate]
+            messages = set()
+            runs = [lambda: apply_gate(ket_zero(n), gate), lambda: qsim._run_kernels(n, gates, np.zeros(0))]
+            if n <= qsim.PLAN_MAX_QUBITS:
+                runs.append(lambda: qsim._Plan(n, gates))
+            for run in runs:
+                with pytest.raises(InvalidGateError) as raised:
+                    run()
+                messages.add(str(raised.value))
+            assert messages == {f"{gate.kind.value}{gate.qubits} out of range for n={n}"}
 
 
 def test_exact_probabilities_uniform_and_empty():
@@ -1111,6 +1124,20 @@ def test_an_opening_h_layer_must_cover_qubits_0_to_n_minus_1():
         circuit.gates.append(GateApplication(GateKind.H, (n + 3,)))  # the same qubit in the body
         with pytest.raises(InvalidGateError, match="out of range"):
             run_circuit(circuit)
+
+
+def test_kernel_runs_leave_the_kept_plan():
+    """Above PLAN_MAX_QUBITS neither the kernels nor the flip-class rule touch the kept plan."""
+    circuit, _ = half_mode_circuit("qaoa2", 12)
+    assert qsim.draws_flip_classes(circuit)  # builds the n=12 plan, which the first run then reuses
+    plan = qsim._last_plan
+    assert plan.half and plan.matches(12, circuit.gates)
+    big = build_linear_ryz(qsim.PLAN_MAX_QUBITS + 1)
+    assert not qsim.draws_flip_classes(big)
+    assert np.array_equal(run_circuit(big), qsim._run_kernels(big.n_qubits, big.gates, big.params))
+    assert qsim._last_plan is plan
+    exact_probabilities(circuit)
+    assert qsim._last_plan is plan
 
 
 def test_plan_runs_new_angles_without_a_rebuild():

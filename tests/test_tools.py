@@ -25,7 +25,7 @@ def test_crossover_script_prints_one_row_per_size_and_family(script, args):
     families = ["qaoa2", "maqaoa", "linear", "agent"] if script == "plan_crossover.py" else ["qaoa2", "agent"]
     assert [row.split()[:2] for row in rows] == [[n, f] for n in ("4", "5") for f in families]
     # n = 4 is timed for every family; a 3-regular graph needs an even n, the chain and the agent do not
-    width = 7 if script == "plan_crossover.py" else 5  # n, family and the timed columns
+    width = 8 if script == "plan_crossover.py" else 5  # n, family, the timed columns and plan_crossover's table MiB
     assert all(len(row.split()) == width and "-" not in row.split()[2:] for row in rows[: len(families)])
     odd = {row.split()[1]: row.split()[2:] for row in rows[len(families):]}
     assert all(odd[f] == ["-"] * (width - 2) for f in families if f in ("qaoa2", "maqaoa"))

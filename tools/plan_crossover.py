@@ -23,7 +23,9 @@ Per family and n the line shows the median kernel, plan and build times,
 the median over rounds of kernel time over plan time, and the same ratio
 for one optimization, which builds the plan once and runs it ``--runs``
 times: ``runs * kernels / (build + runs * plan)``. A ratio above 1 means
-the plan is faster.
+the plan is faster. The last column is the median MiB of the distinct
+arrays a plan holds (``table_mib``): its start vector and its steps'
+tables, which is the memory a plan adds over the kernels.
 """
 
 from __future__ import annotations
@@ -71,20 +73,33 @@ def agent_circuits(n: int, count: int = 4) -> list:
     return circuits
 
 
+def table_mib(plan) -> float:
+    """MiB of the distinct arrays the plan holds: the start vector, the tabulated steps' index and sign arrays,
+    the fused steps' slots and the arrays a frame change's closure keeps."""
+    arrays = {id(plan.start): plan.start}
+    for op, table, sign, _ in plan.steps:
+        held = [table, sign, *(getattr(op, name) for name in getattr(op, "__slots__", ()))]
+        held += [cell.cell_contents for cell in getattr(op, "__closure__", None) or ()]
+        arrays.update((id(a), a) for a in held if isinstance(a, np.ndarray))
+    return sum(a.nbytes for a in arrays.values()) / 2**20
+
+
 def seconds(run, theta) -> float:
     start = time.perf_counter()
     run(theta)
     return time.perf_counter() - start
 
 
-def measure(circuits: list, rounds: int) -> tuple[float, float, float, float]:
-    """Median kernel, plan and build seconds, and the median kernel/plan ratio."""
-    kernels, plans, builds, ratios = [], [], [], []
+def measure(circuits: list, rounds: int) -> tuple[float, float, float, float, float]:
+    """Median kernel, plan and build seconds, the median kernel/plan ratio and the median table MiB."""
+    kernels, plans, builds, ratios, tables = [], [], [], [], []
     for r in range(rounds):
         c = circuits[r % len(circuits)]
         start = time.perf_counter()
-        plan_run = qsim._Plan(c.n_qubits, c.gates).run
+        plan = qsim._Plan(c.n_qubits, c.gates)
         builds.append(time.perf_counter() - start)
+        tables.append(table_mib(plan))
+        plan_run = plan.run
         theta = c.params
 
         def kernel_run(theta, c=c):
@@ -99,7 +114,7 @@ def measure(circuits: list, rounds: int) -> tuple[float, float, float, float]:
         kernels.append(k)
         plans.append(p)
         ratios.append(k / p)
-    return statistics.median(kernels), statistics.median(plans), statistics.median(builds), statistics.median(ratios)
+    return tuple(statistics.median(values) for values in (kernels, plans, builds, ratios, tables))
 
 
 def main(argv=None) -> int:
@@ -117,17 +132,17 @@ def main(argv=None) -> int:
     )
     print(f"PLAN_MAX_QUBITS = {qsim.PLAN_MAX_QUBITS}; numpy {np.__version__}; ratios > 1: the plan is faster")
     print(f"{'n':>3} {'family':>6} {'kernels ms':>11} {'plan ms':>9} {'build ms':>9} {'kernel/plan':>12} "
-          f"{'per ' + str(args.runs) + ' runs':>12}")
+          f"{'per ' + str(args.runs) + ' runs':>12} {'tables MiB':>11}")
     for n in range(lo, hi + 1):
         for family, build in families:
             circuits = build(n)
             if not circuits:
-                print(f"{n:>3} {family:>6} {'-':>11} {'-':>9} {'-':>9} {'-':>12} {'-':>12}", flush=True)
+                print(f"{n:>3} {family:>6} {'-':>11} {'-':>9} {'-':>9} {'-':>12} {'-':>12} {'-':>11}", flush=True)
                 continue
-            kernel, plan, built, ratio = measure(circuits, args.rounds)
+            kernel, plan, built, ratio, mib = measure(circuits, args.rounds)
             optimization = args.runs * kernel / (built + args.runs * plan)
             print(f"{n:>3} {family:>6} {kernel * 1e3:>11.3f} {plan * 1e3:>9.3f} {built * 1e3:>9.3f} "
-                  f"{ratio:>12.2f} {optimization:>12.2f}", flush=True)
+                  f"{ratio:>12.2f} {optimization:>12.2f} {mib:>11.3f}", flush=True)
     return 0
 
 
