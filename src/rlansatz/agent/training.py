@@ -33,6 +33,10 @@ _MODEL_STREAM = 0
 _ENV_STREAM = 1
 _ACTION_STREAM = 2
 
+# The largest array_bytes estimate a run may have. A fixed bound keeps a
+# config valid or invalid on every machine alike.
+ARRAY_BYTES_BOUND = 2 << 30
+
 
 @dataclass
 class TrainConfig(EnvConfig):
@@ -50,6 +54,18 @@ class TrainConfig(EnvConfig):
             raise ConfigurationError(
                 f"steps_per_epoch={self.steps_per_epoch} must divide evenly over workers={self.workers}"
             )
+
+    def array_bytes(self, n: int) -> int:
+        """Estimated peak bytes of the arrays a run on n qubits holds, from its two largest kinds.
+
+        The epoch's observation batch is steps_per_epoch x 2^n float64. The
+        policy's and the value network's first layers are 2^n x hidden[0]
+        float64, and a run holds 11 arrays of that size at once during its
+        update: each network's weights and Adam's two moments, both
+        networks' last gradients, and three temporaries of an Adam step.
+        """
+        obs_dim = 1 << n
+        return 8 * obs_dim * (self.steps_per_epoch + 11 * self.ppo.hidden[0])
 
 
 @dataclass

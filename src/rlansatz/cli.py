@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent.training import train
+from .agent.training import ARRAY_BYTES_BOUND, train
 from .ansatz import BASELINE_BUILDERS, build_baseline
 from .circuits import Circuit, action_space, transpiled_counts
 from .config import ProblemConfig, RunConfig, check_objective, load_config, load_matrix_config, write_json, write_text
@@ -123,6 +123,12 @@ def _write_run_info(out: Path) -> None:
 def cmd_train(args) -> int:
     cfg = _override(load_config(args.config), args)
     cfg.train.validate()  # the rollout split, checked only where rollouts run
+    needed = cfg.train.array_bytes(cfg.problem.n)
+    if needed > ARRAY_BYTES_BOUND:
+        raise ConfigurationError(
+            f"train at n={cfg.problem.n} needs about {needed / 2**30:.1f} GiB of arrays, "
+            f"above the {ARRAY_BYTES_BOUND / 2**30:.0f} GiB bound"
+        )
     inst = _instance(cfg.problem)
     action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)

@@ -21,8 +21,6 @@ from .seeding import rng_for
 
 DEFAULT_PENALTY = 2.0
 
-_ENUM_CHUNK = 1 << 16  # rows per block when enumerating 2^n assignments
-
 
 class Topology(str, Enum):
     THREE_REGULAR = "three_regular"
@@ -232,19 +230,33 @@ def build_qubo(graph: Graph, kind: ProblemKind | str, penalty: float = DEFAULT_P
     return QuboMatrix(n, q, offset)
 
 
+def _bits_view(table: np.ndarray, n: int, i: int, j: int, bit: int) -> np.ndarray:
+    """View of the entries of a 2^n ``table`` whose bits i and j (i <= j) both read ``bit``.
+
+    The axes are laid out as ``qsim._gate_view`` lays them out.
+    """
+    if i == j:
+        return table.reshape(1 << (n - i - 1), 2, 1 << i)[:, bit]
+    return table.reshape(1 << (n - j - 1), 2, 1 << (j - i - 1), 2, 1 << i)[:, bit, :, bit]
+
+
 def qubo_to_hamiltonian(qubo: QuboMatrix) -> np.ndarray:
-    """The Hamiltonian's diagonal: ``energy[b]`` is the QUBO value of b's bits, for all 2^n b."""
+    """The Hamiltonian's diagonal: ``energy[b]`` is the QUBO value of b's bits, for all 2^n b.
+
+    Each entry is the sum of the nonzero ``Q[i, j]`` whose bits i and j are
+    both 1, added in the row-major order ``np.nonzero`` lists them, then the
+    offset: the order of ``einsum("bi,ij,bj->b", bits, Q, bits) + offset``,
+    so the two agree bit for bit.
+    """
     n = qubo.n
     if n > MAX_QUBITS:
         raise ConfigurationError(f"refusing to enumerate 2^{n} assignments (max n={MAX_QUBITS})")
-    dim = 1 << n
-    energy = np.empty(dim)
-    shifts = np.arange(n, dtype=np.int64)
-    for start in range(0, dim, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, dim), dtype=np.int64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(float)
-        energy[start : start + len(idx)] = np.einsum("bi,ij,bj->b", bits, qubo.q, bits)
-    return energy + qubo.offset
+    energy = np.zeros(1 << n)
+    for i, j in zip(*np.nonzero(qubo.q)):
+        view = _bits_view(energy, n, i, j, 1)
+        view += qubo.q[i, j]
+    energy += qubo.offset
+    return energy
 
 
 def qubo_to_ising(qubo: QuboMatrix) -> tuple[dict[tuple[int, int], float], np.ndarray, float]:
@@ -281,14 +293,13 @@ def feasible_mask(graph: Graph, kind: ProblemKind | str) -> np.ndarray:
     """
     kind = ProblemKind(kind)
     n = graph.n_vertices
-    idx = np.arange(1 << n, dtype=np.int64)
     mask = np.ones(1 << n, dtype=bool)
     if kind is ProblemKind.MAX_CLIQUE:
         for i, j in graph.non_edges():
-            mask &= ~(((idx >> i) & 1 == 1) & ((idx >> j) & 1 == 1))
+            _bits_view(mask, n, i, j, 1)[...] = False
     elif kind is ProblemKind.MIN_VERTEX_COVER:
         for i, j in graph.edges:
-            mask &= ((idx >> i) & 1 == 1) | ((idx >> j) & 1 == 1)
+            _bits_view(mask, n, i, j, 0)[...] = False
     return mask
 
 
@@ -326,8 +337,11 @@ def brute_force_spectrum(energy: np.ndarray, kind: ProblemKind | str, graph: Gra
     e_max = float(energy.max())
     degenerate = e_min == e_max
     ground = np.flatnonzero(energy == e_min)
-    mask = feasible_mask(graph, kind)
-    e_feas_worst = float(energy[mask].max()) if mask.any() else None
+    if kind is ProblemKind.MAX_CUT:  # every bitstring is feasible
+        e_feas_worst = e_max
+    else:
+        mask = feasible_mask(graph, kind)
+        e_feas_worst = float(energy.max(where=mask, initial=-np.inf)) if mask.any() else None
     if degenerate or e_feas_worst is None:
         threshold = None
     elif kind is ProblemKind.MAX_CUT:

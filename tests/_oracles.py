@@ -145,6 +145,29 @@ def index_bits(index: int, n: int):
     return [(index >> i) & 1 for i in range(n)]
 
 
+def qubo_table_einsum(q: np.ndarray, offset: float) -> np.ndarray:
+    """x^T Q x + offset for all 2^n bitstrings x, by one einsum over the (2^n x n) bit matrix."""
+    n = q.shape[0]
+    idx = np.arange(1 << n, dtype=np.int64)
+    bits = ((idx[:, None] >> np.arange(n)) & 1).astype(float)
+    return np.einsum("bi,ij,bj->b", bits, q, bits) + offset
+
+
+def is_feasible(kind: str, n: int, edges, index: int) -> bool:
+    """Whether the vertex set of ``index``'s 1 bits satisfies ``kind``'s constraint, by explicit loops.
+
+    A clique must be pairwise adjacent; a vertex cover must touch every
+    edge; every set is a feasible cut.
+    """
+    chosen = [v for v in range(n) if (index >> v) & 1]
+    if kind == "maxclique":
+        present = set(edges)
+        return all((u, v) in present for k, u in enumerate(chosen) for v in chosen[k + 1 :])
+    if kind == "minvertexcover":
+        return all(u in chosen or v in chosen for u, v in edges)
+    return True
+
+
 def random_circuit(rng: np.random.Generator, n: int, n_gates: int):
     """Random mix of all gate kinds with random fixed angles."""
     from rlansatz.circuits import (

@@ -415,6 +415,20 @@ def test_train_validates_worker_split():
         train(inst, TrainConfig(epochs=1, steps_per_epoch=5, workers=2), seed=0)
 
 
+def test_array_bytes_estimate_matches_the_traced_peak():
+    import tracemalloc
+
+    inst = make_instance("cycle", 12, 0, "maxcut")
+    cfg = TrainConfig(epochs=1, steps_per_epoch=8, workers=1, optimizer=OptimizerConfig(max_iterations=10))
+    tracemalloc.start()
+    try:
+        train(inst, cfg, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 <= peak / cfg.array_bytes(inst.n) <= 1.1
+
+
 def test_update_batch_follows_the_step_log(monkeypatch):
     batches = []
     update = training.ppo_update

@@ -22,7 +22,7 @@ from rlansatz.problems import (
     QuboMatrix,
 )
 
-from _oracles import index_bits, qubo_value
+from _oracles import index_bits, is_feasible, qubo_table_einsum, qubo_value
 
 # The instances exercised by the exhaustive checks (all n <= 12).
 TEST_MATRIX = [
@@ -178,6 +178,34 @@ def test_energy_table_matches_qubo_exhaustively():
             assert inst.ham[b] == pytest.approx(expected, abs=1e-9), (inst.kind, b)
 
 
+@pytest.mark.parametrize("penalty", [2.0, 2.3, 1.7])
+def test_energy_table_is_the_einsum_bit_for_bit(penalty):
+    for topology, n, seed, er_p in TEST_MATRIX:
+        graph = generate_graph(topology, n, seed, er_p=er_p)
+        for kind in ALL_KINDS:
+            qubo = build_qubo(graph, kind, penalty)
+            table = qubo_to_hamiltonian(qubo)
+            assert table.tobytes() == qubo_table_einsum(qubo.q, qubo.offset).tobytes(), (topology, n, kind)
+
+
+def test_random_dense_tables_are_the_einsum_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for n in range(1, 13):
+        for _ in range(4):
+            qubo = QuboMatrix(n, np.triu(rng.standard_normal((n, n))), float(rng.standard_normal()))
+            assert qubo_to_hamiltonian(qubo).tobytes() == qubo_table_einsum(qubo.q, qubo.offset).tobytes(), n
+
+
+def test_largest_table_matches_qubo_at_sampled_indices():
+    from rlansatz.circuits import MAX_QUBITS
+
+    inst = make_instance("three_regular", MAX_QUBITS, 1, "minvertexcover", 2.3)
+    rng = np.random.default_rng(20)
+    for b in [0, (1 << MAX_QUBITS) - 1, *rng.integers(1 << MAX_QUBITS, size=198)]:
+        expected = qubo_value(inst.qubo.q, inst.qubo.offset, index_bits(int(b), MAX_QUBITS))
+        assert inst.ham[b] == pytest.approx(expected, abs=1e-9), b
+
+
 def test_maxcut_tables_are_spin_symmetric_with_zero_max():
     full = (1 << 8) - 1
     for topology, n, seed, er_p in TEST_MATRIX:
@@ -267,6 +295,14 @@ def test_feasibility_masks():
     assert cover[0b1110]  # all leaves cover every edge too
     assert not cover[0b0110]  # {1, 2} leaves edge (0, 3) uncovered
     assert cover[(1 << 4) - 1]  # full set always covers
+
+
+def test_feasibility_masks_match_the_loop_oracle_exhaustively():
+    for topology, n, seed, er_p in TEST_MATRIX:
+        graph = generate_graph(topology, n, seed, er_p=er_p)
+        for kind in ALL_KINDS:
+            expected = [is_feasible(kind.value, n, graph.edges, b) for b in range(1 << n)]
+            assert feasible_mask(graph, kind).tolist() == expected, (topology, n, kind)
 
 
 def test_infeasible_strictly_above_feasible_optimum():

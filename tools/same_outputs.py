@@ -23,7 +23,10 @@ relative paths (so the circuit path that ``eval`` records matches too):
 - a 4-cell ``matrix`` at n = 8: {maxcut, minvertexcover} x {grid2d} x
   {8} x {qaoa1, maqaoa}, as the benchmark's ``matrix_n8`` runs it, where
   the plan fuses the cost and mixer layers that touch every qubit but
-  still draws by multinomial.
+  still draws by multinomial;
+- ``brute-force`` and a 2-run ``baseline qaoa1`` on maximum clique with
+  penalty 2.3 on an 8-vertex Erdos-Renyi graph, so that a change in how an
+  energy table's sums round shows in the spectrum and the ratios.
 
 Then it compares every file of the two work directories except
 ``run_info.json``, which records the machine and the git revision. It prints
@@ -120,6 +123,20 @@ shots = 1000
 master_seed = 7
 """
 
+INI_FILES["clique8.ini"] = """[problem]
+kind = maxclique
+topology = erdos_renyi
+n = 8
+seed = 3
+er_p = 0.5
+penalty = 2.3
+
+[run]
+shots = 1000
+eval_runs = 2
+master_seed = 13
+"""
+
 COMMANDS = [
     ["train", "--config", "criterion.ini", "--out", "train_101", "--seed", "101"],
     ["train", "--config", "criterion.ini", "--out", "train_202", "--seed", "202"],
@@ -132,6 +149,8 @@ COMMANDS = [
     ["baseline", "qaoa2", "--config", "n12_maxcut.ini", "--out", "baseline_qaoa2_n12_maxcut"],
     ["baseline", "qaoa2", "--config", "n12_minvertexcover.ini", "--out", "baseline_qaoa2_n12_minvertexcover"],
     ["matrix", "--config", "grid8.ini", "--out", "matrix_n8"],
+    ["brute-force", "--config", "clique8.ini", "--out", "brute_force_clique8"],
+    ["baseline", "qaoa1", "--config", "clique8.ini", "--out", "baseline_qaoa1_clique8"],
 ]
 
 
