@@ -20,20 +20,55 @@ def _orthogonal(rows: int, cols: int, rng: np.random.Generator, scale: float) ->
     return scale * q[:rows, :cols]
 
 
+def parameter_count(sizes: tuple[int, ...]) -> int:
+    """Weights and biases of an Mlp with these layer sizes: the length of its ``flat``."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class Mlp:
-    """tanh hidden layers, linear output; weights W[l] map layer l to l+1."""
+    """tanh hidden layers, linear output; weights W[l] map layer l to l+1.
+
+    Every weight and bias is a view into one float64 vector ``flat``: the
+    weights in layer order, then the biases. A weight with fewer rows than
+    columns is F-ordered, as ``_orthogonal`` draws it, and the others are
+    C-ordered: OpenBLAS rounds ``h @ W`` differently for the two orders, so
+    the order is part of the network's bits.
+    """
 
     def __init__(self, sizes: tuple[int, ...], rng: np.random.Generator, final_scale: float = 1.0):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self.flat = np.zeros(parameter_count(self.sizes))
+        self.weights, self.biases = self._views(self.flat)
         last = len(sizes) - 2
-        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            scale = final_scale if layer == last else 1.0
-            self.weights.append(_orthogonal(fan_in, fan_out, rng, scale))
-            self.biases.append(np.zeros(fan_out))
+        for layer, w in enumerate(self.weights):
+            w[...] = _orthogonal(*w.shape, rng, final_scale if layer == last else 1.0)
+
+    # copy and pickle only ``flat``: a copied view would no longer see the steps taken on it
+    def __getstate__(self) -> dict:
+        return {"sizes": self.sizes, "flat": self.flat}
+
+    def __setstate__(self, state: dict) -> None:
+        self.sizes, self.flat = state["sizes"], state["flat"]
+        self.weights, self.biases = self._views(self.flat)
+
+    def _shapes(self) -> list[tuple[int, int]]:
+        return list(zip(self.sizes[:-1], self.sizes[1:]))
+
+    def _views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Weight and bias views into a vector laid out like ``flat``."""
+        shapes = self._shapes()
+        weights, biases = [], []
+        offset = 0
+        for rows, cols in shapes:
+            block = vector[offset : offset + rows * cols]
+            weights.append(block.reshape(cols, rows).T if rows < cols else block.reshape(rows, cols))
+            offset += rows * cols
+        for _, cols in shapes:
+            biases.append(vector[offset : offset + cols])
+            offset += cols
+        return weights, biases
 
     @property
     def n_layers(self) -> int:
@@ -48,25 +83,37 @@ class Mlp:
         h = np.atleast_2d(np.asarray(x, dtype=float))
         activations = [h]
         for layer in range(self.n_layers):
-            z = h @ self.weights[layer] + self.biases[layer]
-            h = np.tanh(z) if layer < self.n_layers - 1 else z
+            h = h @ self.weights[layer]
+            h += self.biases[layer]
+            if layer < self.n_layers - 1:
+                np.tanh(h, out=h)
             activations.append(h)
         return h, activations
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of a scalar loss given d loss / d output."""
-        grad_w: list[np.ndarray] = []
-        grad_b: list[np.ndarray] = []
+        """Gradients of a scalar loss given d loss / d output.
+
+        The weight and bias gradients are views into one fresh vector laid
+        out like ``flat`` (their ``base``), so an earlier call's gradients
+        stay as they were.
+        """
+        grad_w, grad_b = self._views(np.empty_like(self.flat))
         delta = np.atleast_2d(grad_out)
         for layer in range(self.n_layers - 1, -1, -1):
-            grad_w.append(activations[layer].T @ delta)
-            grad_b.append(delta.sum(axis=0))
+            if grad_w[layer].flags.c_contiguous:
+                np.matmul(activations[layer].T, delta, out=grad_w[layer])
+            else:  # a product written into an F-ordered view rounds differently
+                grad_w[layer][...] = activations[layer].T @ delta
+            np.add.reduce(delta, axis=0, out=grad_b[layer])
             if layer > 0:
                 # activations[layer] is tanh(z); tanh' = 1 - tanh^2
-                delta = (delta @ self.weights[layer].T) * (1.0 - activations[layer] ** 2)
-        return grad_w[::-1], grad_b[::-1]
+                slope = np.square(activations[layer])
+                np.subtract(1.0, slope, out=slope)
+                delta = delta @ self.weights[layer].T
+                delta *= slope
+        return grad_w, grad_b
 
-    # flat views, used by the finite-difference checks
+    # flat copies with each array in C order, used by the finite-difference checks
     def get_flat(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weights + self.biases])
 
@@ -78,26 +125,32 @@ class Mlp:
         if offset != flat.size:
             raise ValueError(f"expected {offset} values, got {flat.size}")
 
-    def parameter_arrays(self) -> list[np.ndarray]:
-        return self.weights + self.biases
-
 
 class Adam:
-    """Adaptive moment estimation over a fixed list of parameter arrays."""
+    """Adaptive moment estimation over one parameter vector, updated in place."""
 
-    def __init__(self, arrays: list[np.ndarray], lr: float):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """params -= lr * m_hat / (sqrt(v_hat) + eps), with two temporaries the size of params."""
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+        scaled = np.multiply(grad, 1.0 - BETA1)
+        self.m *= BETA1
+        self.m += scaled
+        np.multiply(grad, 1.0 - BETA2, out=scaled)
+        scaled *= grad
+        self.v *= BETA2
+        self.v += scaled
+        np.divide(self.m, b1c, out=scaled)
+        scaled *= self.lr
+        denom = np.divide(self.v, b2c)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        scaled /= denom
+        params -= scaled

@@ -132,7 +132,7 @@ def policy_loss_and_grads(
     info = {
         "kl": float(np.mean(log_probs_old - logp)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_ratio)),
-        "entropy": float(-np.mean(np.sum(np.exp(logp_all) * logp_all, axis=1))),
+        "entropy": float(-np.mean(np.sum(probs * logp_all, axis=1))),
     }
     return loss, grad_w, grad_b, info
 
@@ -178,7 +178,7 @@ def ppo_update(
         kl, clip_fraction, entropy = info["kl"], info["clip_fraction"], info["entropy"]
         if kl > hyper.target_kl:
             break
-        pi_optimizer.step(model.policy.parameter_arrays(), grad_w + grad_b)
+        pi_optimizer.step(model.policy.flat, grad_w[0].base)  # the vector every gradient view shares
         pi_steps += 1
     vf_loss_initial = None
     vf_loss = 0.0
@@ -186,7 +186,7 @@ def ppo_update(
         vf_loss, grad_w, grad_b = value_loss_and_grads(model.value, batch.observations, batch.returns)
         if vf_loss_initial is None:
             vf_loss_initial = vf_loss
-        vf_optimizer.step(model.value.parameter_arrays(), grad_w + grad_b)
+        vf_optimizer.step(model.value.flat, grad_w[0].base)
     return {
         "pi_loss": pi_loss_initial or 0.0,
         "vf_loss": vf_loss_initial or 0.0,

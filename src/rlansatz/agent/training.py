@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..circuits import Circuit
+from ..circuits import Circuit, action_space
 from ..errors import ConfigurationError
 from ..problems import ProblemInstance
 from ..seeding import derive_seed, rng_for
 from .env import CircuitBuildEnv, EnvConfig
-from .networks import Adam
+from .networks import Adam, parameter_count
 from .ppo import (
     Batch,
     PpoHyperparams,
@@ -58,14 +58,16 @@ class TrainConfig(EnvConfig):
     def array_bytes(self, n: int) -> int:
         """Estimated peak bytes of the arrays a run on n qubits holds, from its two largest kinds.
 
-        The epoch's observation batch is steps_per_epoch x 2^n float64. The
-        policy's and the value network's first layers are 2^n x hidden[0]
-        float64, and a run holds 11 arrays of that size at once during its
-        update: each network's weights and Adam's two moments, both
-        networks' last gradients, and three temporaries of an Adam step.
+        The epoch's observation batch is steps_per_epoch x 2^n float64. Each
+        network is one float64 vector led by its 2^n x hidden[0] first layer,
+        and a policy step of the update holds nine such vectors at once: each
+        network's parameters and Adam's two moments, the policy's gradient
+        and the two temporaries of its Adam step.
         """
         obs_dim = 1 << n
-        return 8 * obs_dim * (self.steps_per_epoch + 11 * self.ppo.hidden[0])
+        policy = parameter_count((obs_dim, *self.ppo.hidden, action_space(n).size))
+        value = parameter_count((obs_dim, *self.ppo.hidden, 1))
+        return 8 * (self.steps_per_epoch * obs_dim + 6 * policy + 3 * value)
 
 
 @dataclass
@@ -87,8 +89,8 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
         workers.append((env, rng_for(seed, _ACTION_STREAM, w), env.reset(), 0.0))
     obs_dim = env.observation_dim  # the same for every worker
     model = build_model(obs_dim, env.n_actions, derive_seed(seed, _MODEL_STREAM), cfg.ppo.hidden)
-    pi_opt = Adam(model.policy.parameter_arrays(), cfg.ppo.pi_lr)
-    vf_opt = Adam(model.value.parameter_arrays(), cfg.ppo.vf_lr)
+    pi_opt = Adam(model.policy.flat, cfg.ppo.pi_lr)
+    vf_opt = Adam(model.value.flat, cfg.ppo.vf_lr)
 
     steps_per_worker = cfg.steps_per_epoch // cfg.workers
     best_reward = -np.inf
@@ -97,9 +99,11 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
     history: list[dict] = []
     step_log: list[dict] = []
 
+    # One observation buffer for every epoch: a batch is spent once its update
+    # returns, and a second 2^n-wide batch would outweigh the networks.
+    observations = np.empty((cfg.steps_per_epoch, obs_dim))
     for epoch in range(cfg.epochs):
         # the epoch's transitions, worker by worker in step order (the step-log order)
-        observations = np.empty((cfg.steps_per_epoch, obs_dim))
         actions = np.empty(cfg.steps_per_epoch, dtype=int)
         log_probs = np.empty(cfg.steps_per_epoch)
         values = np.empty(cfg.steps_per_epoch)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -397,9 +398,29 @@ def gate_list_depth(gates: list[GateApplication]) -> int:
     return depth
 
 
+@cache
+def _basis_footprint(kind: GateKind, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The qubits of each gate ``to_basis_gates`` writes for this gate."""
+    probe = GateApplication(kind, qubits, angle=0.0 if kind in PARAMETRIC_KINDS else None)
+    return tuple(g.qubits for g in to_basis_gates(Circuit(max(qubits) + 1, [probe])).gates)
+
+
 def circuit_depth_basis(circuit: Circuit) -> int:
-    """Depth after rewriting into {H, Rx, Ry, Rz, Rzz} (the reward's depth term)."""
-    return gate_list_depth(to_basis_gates(circuit).gates)
+    """Depth after rewriting into {H, Rx, Ry, Rz, Rzz} (the reward's depth term).
+
+    Equal to ``gate_list_depth(to_basis_gates(circuit).gates)``: the same
+    frontier rule, run over each gate's basis footprint without building
+    the basis gates. Every gate acts on one or two qubits.
+    """
+    frontier = [0] * circuit.n_qubits
+    for g in circuit.gates:
+        for on in _basis_footprint(g.kind, g.qubits):
+            if len(on) == 1:
+                frontier[on[0]] += 1
+            else:
+                u, v = on
+                frontier[u] = frontier[v] = 1 + max(frontier[u], frontier[v])
+    return max(frontier, default=0)
 
 
 @dataclass(frozen=True)

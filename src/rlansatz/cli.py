@@ -123,6 +123,7 @@ def _write_run_info(out: Path) -> None:
 def cmd_train(args) -> int:
     cfg = _override(load_config(args.config), args)
     cfg.train.validate()  # the rollout split, checked only where rollouts run
+    action_space(cfg.problem.n)  # the agent's n >= 2 rule, checked before anything is written
     needed = cfg.train.array_bytes(cfg.problem.n)
     if needed > ARRAY_BYTES_BOUND:
         raise ConfigurationError(
@@ -130,7 +131,6 @@ def cmd_train(args) -> int:
             f"above the {ARRAY_BYTES_BOUND / 2**30:.0f} GiB bound"
         )
     inst = _instance(cfg.problem)
-    action_space(inst.n)  # the agent's n >= 2 rule, checked before anything is written
     out = _out_dir(cfg, args)
     _write_config(out, cfg, inst)
     _write_run_info(out)

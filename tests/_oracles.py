@@ -276,3 +276,114 @@ def segment_returns_and_advantages(segments: list[Segment], gamma: float, gae_la
         returns.extend(reversed(seg_returns))
         advantages.extend(reversed(seg_advs))
     return np.asarray(returns), np.asarray(advantages)
+
+
+# --- the PPO update, one array per weight and bias ---------------------------
+
+
+def _orthogonal(rows: int, cols: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    a = rng.standard_normal((max(rows, cols), min(rows, cols)))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
+    if rows < cols:
+        q = q.T  # a wide layer stays F-ordered
+    return scale * q[:rows, :cols]
+
+
+class ArrayMlp:
+    """tanh hidden layers, linear output, with one array per weight and bias."""
+
+    def __init__(self, sizes, rng: np.random.Generator, final_scale: float = 1.0):
+        self.weights = []
+        self.biases = []
+        last = len(sizes) - 2
+        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            self.weights.append(_orthogonal(fan_in, fan_out, rng, final_scale if layer == last else 1.0))
+            self.biases.append(np.zeros(fan_out))
+
+    def forward_cached(self, x):
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        activations = [h]
+        for layer in range(len(self.weights)):
+            z = h @ self.weights[layer] + self.biases[layer]
+            h = np.tanh(z) if layer < len(self.weights) - 1 else z
+            activations.append(h)
+        return h, activations
+
+    def backward(self, activations, grad_out):
+        grad_w, grad_b = [], []
+        delta = np.atleast_2d(grad_out)
+        for layer in range(len(self.weights) - 1, -1, -1):
+            grad_w.append(activations[layer].T @ delta)
+            grad_b.append(delta.sum(axis=0))
+            if layer > 0:
+                delta = (delta @ self.weights[layer].T) * (1.0 - activations[layer] ** 2)
+        return grad_w[::-1], grad_b[::-1]
+
+
+class ArrayAdam:
+    """Adam over a list of arrays, one array at a time."""
+
+    def __init__(self, arrays, lr: float):
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads) -> None:
+        self.t += 1
+        b1c = 1.0 - 0.9**self.t
+        b2c = 1.0 - 0.999**self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            a -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def array_ppo_update(policy: ArrayMlp, value: ArrayMlp, batch, hyper, pi_opt: ArrayAdam, vf_opt: ArrayAdam) -> dict:
+    """One epoch's clipped-surrogate policy steps (with the KL stop) and value steps; returns diagnostics."""
+    centered = batch.advantages - batch.advantages.mean()
+    std = centered.std()
+    advantages = centered if std == 0.0 else centered / std
+    obs, actions, n = batch.observations, batch.actions, len(batch.actions)
+    rows = np.arange(n)
+    out = {"pi_loss": None, "vf_loss": None, "vf_loss_final": 0.0, "kl": 0.0, "clip_fraction": 0.0,
+           "entropy": 0.0, "pi_steps": 0}
+    for _ in range(hyper.pi_iters):
+        logits, cache = policy.forward_cached(obs)
+        logp_all = _log_softmax(logits)
+        logp = logp_all[rows, actions]
+        ratio = np.exp(logp - batch.log_probs_old)
+        clipped = np.clip(ratio, 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio)
+        if out["pi_loss"] is None:
+            out["pi_loss"] = -float(np.mean(np.minimum(ratio * advantages, clipped * advantages)))
+        active = np.where(advantages >= 0.0, ratio <= 1.0 + hyper.clip_ratio, ratio >= 1.0 - hyper.clip_ratio)
+        dl_dratio = np.where(active, -advantages, 0.0) / n
+        grad_logits = np.exp(logp_all) * (-(dl_dratio * ratio))[:, None]
+        grad_logits[rows, actions] += dl_dratio * ratio
+        grad_w, grad_b = policy.backward(cache, grad_logits)
+        out["kl"] = float(np.mean(batch.log_probs_old - logp))
+        out["clip_fraction"] = float(np.mean(np.abs(ratio - 1.0) > hyper.clip_ratio))
+        out["entropy"] = float(-np.mean(np.sum(np.exp(logp_all) * logp_all, axis=1)))
+        if out["kl"] > hyper.target_kl:
+            break
+        pi_opt.step(policy.weights + policy.biases, grad_w + grad_b)
+        out["pi_steps"] += 1
+    for _ in range(hyper.vf_iters):
+        predictions, cache = value.forward_cached(obs)
+        err = predictions[:, 0] - batch.returns
+        out["vf_loss_final"] = float(np.mean(err**2))
+        if out["vf_loss"] is None:
+            out["vf_loss"] = out["vf_loss_final"]
+        grad_w, grad_b = value.backward(cache, (2.0 * err / n)[:, None])
+        vf_opt.step(value.weights + value.biases, grad_w + grad_b)
+    out["pi_loss"] = out["pi_loss"] or 0.0
+    out["vf_loss"] = out["vf_loss"] or 0.0
+    return out

@@ -1,5 +1,8 @@
 """Agent stack: networks, policy-gradient math, environment, training loop."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,11 @@ from hypothesis import strategies as st
 
 import rlansatz.agent.env as env_module
 import rlansatz.agent.training as training
-from _oracles import Segment, segment_returns_and_advantages
+from _oracles import ArrayAdam, ArrayMlp, Segment, array_ppo_update, segment_returns_and_advantages
 from rlansatz.agent.env import CircuitBuildEnv, EnvConfig
 from rlansatz.agent.networks import Adam, Mlp
 from rlansatz.agent.ppo import (
+    FINAL_LAYER_SCALE,
     Batch,
     PpoHyperparams,
     build_model,
@@ -25,6 +29,7 @@ from rlansatz.agent.ppo import (
 from rlansatz.agent.training import TrainConfig, train
 from rlansatz.optimize import OptimizationResult, OptimizerConfig
 from rlansatz.problems import make_instance
+from rlansatz.seeding import rng_for
 
 
 def toy_instance(n=2):
@@ -53,10 +58,9 @@ def test_mlp_flat_round_trip():
 
 def test_adam_zero_gradient_is_noop():
     net = Mlp((3, 4, 2), np.random.default_rng(2))
-    optimizer = Adam(net.parameter_arrays(), lr=1e-3)
+    optimizer = Adam(net.flat, lr=1e-3)
     before = net.get_flat()
-    zeros = [np.zeros_like(a) for a in net.parameter_arrays()]
-    optimizer.step(net.parameter_arrays(), zeros)
+    optimizer.step(net.flat, np.zeros_like(net.flat))
     assert np.array_equal(net.get_flat(), before)
 
 
@@ -173,7 +177,7 @@ def test_zero_advantages_leave_policy_unchanged():
     batch = make_batch(model, 16, rng, advantages=np.zeros(16))
     hyper = PpoHyperparams(pi_iters=5, vf_iters=0)
     before = model.policy.get_flat()
-    ppo_update(model, batch, hyper, Adam(model.policy.parameter_arrays(), 1e-3), Adam(model.value.parameter_arrays(), 1e-3))
+    ppo_update(model, batch, hyper, Adam(model.policy.flat, 1e-3), Adam(model.value.flat, 1e-3))
     assert np.array_equal(model.policy.get_flat(), before)
 
 
@@ -187,7 +191,7 @@ def test_positive_advantage_increases_action_probability():
     _, grad_w, grad_b, _ = policy_loss_and_grads(
         model.policy, obs[None, :], np.array([action]), np.array([logits[0, action]]), np.array([1.0]), 0.2
     )
-    for arr, grad in zip(model.policy.parameter_arrays(), grad_w + grad_b):
+    for arr, grad in zip(model.policy.weights + model.policy.biases, grad_w + grad_b):
         arr -= 1e-3 * grad
     after = policy_forward(model, obs)[action]
     assert after > before
@@ -199,7 +203,7 @@ def test_value_steps_reduce_value_loss():
     batch = make_batch(model, 32, rng)
     loss_before, _, _ = value_loss_and_grads(model.value, batch.observations, batch.returns)
     hyper = PpoHyperparams(pi_iters=0, vf_iters=40)
-    out = ppo_update(model, batch, hyper, Adam(model.policy.parameter_arrays(), 3e-4), Adam(model.value.parameter_arrays(), 1e-2))
+    out = ppo_update(model, batch, hyper, Adam(model.policy.flat, 3e-4), Adam(model.value.flat, 1e-2))
     assert out["vf_loss_final"] < loss_before
 
 
@@ -208,8 +212,55 @@ def test_kl_early_stop_limits_policy_steps():
     rng = np.random.default_rng(14)
     batch = make_batch(model, 32, rng)
     hyper = PpoHyperparams(pi_iters=80, vf_iters=0, pi_lr=0.05, target_kl=1e-4)
-    out = ppo_update(model, batch, hyper, Adam(model.policy.parameter_arrays(), hyper.pi_lr), Adam(model.value.parameter_arrays(), 1e-3))
+    out = ppo_update(model, batch, hyper, Adam(model.policy.flat, hyper.pi_lr), Adam(model.value.flat, 1e-3))
     assert out["pi_steps"] < 80
+
+
+# name: (inputs, actions, hidden sizes, batch size, hyperparameters, shift of the old log-probabilities)
+_UPDATE_CASES = {
+    "n6_acceptance_shapes": (64, 153, (64, 64), 128, {}, 0.0),  # the output layer is F-ordered
+    "one_hidden_layer": (5, 4, (8,), 24, {"pi_iters": 20, "vf_iters": 20}, 0.0),
+    "kl_stop_at_first_step": (6, 5, (16, 16), 16, {"vf_iters": 10}, 0.5),
+    "kl_stop_never": (6, 5, (16, 16), 16, {"pi_iters": 15, "vf_iters": 10, "target_kl": math.inf}, 0.0),
+}
+
+
+def _memory_order(arrays) -> bytes:
+    return np.concatenate([a.ravel(order="K") for a in arrays]).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_UPDATE_CASES))
+def test_update_matches_the_per_array_oracle_bit_for_bit(case):
+    obs_dim, n_actions, hidden, size, settings_, shift = _UPDATE_CASES[case]
+    hyper = PpoHyperparams(hidden=hidden, **settings_)
+    model = build_model(obs_dim, n_actions, seed=21, hidden=hidden)
+    pi_opt, vf_opt = Adam(model.policy.flat, hyper.pi_lr), Adam(model.value.flat, hyper.vf_lr)
+    policy = ArrayMlp((obs_dim, *hidden, n_actions), rng_for(21, 0), FINAL_LAYER_SCALE)
+    value = ArrayMlp((obs_dim, *hidden, 1), rng_for(21, 1), FINAL_LAYER_SCALE)
+    oracle_pi = ArrayAdam(policy.weights + policy.biases, hyper.pi_lr)
+    oracle_vf = ArrayAdam(value.weights + value.biases, hyper.vf_lr)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        batch = make_batch(model, size, rng)
+        batch.log_probs_old += shift
+        out = ppo_update(model, batch, hyper, pi_opt, vf_opt)
+        assert out == array_ppo_update(policy, value, batch, hyper, oracle_pi, oracle_vf)
+        assert out["pi_steps"] == {"kl_stop_at_first_step": 0, "kl_stop_never": hyper.pi_iters}.get(case, out["pi_steps"])
+        # each vector holds the oracle's arrays in their memory order, bit for bit
+        for net, opt, oracle_net, oracle_opt in ((model.policy, pi_opt, policy, oracle_pi), (model.value, vf_opt, value, oracle_vf)):
+            assert net.flat.tobytes() == _memory_order(oracle_net.weights + oracle_net.biases)
+            assert opt.m.tobytes() == _memory_order(oracle_opt.m)
+            assert opt.v.tobytes() == _memory_order(oracle_opt.v)
+            assert opt.t == oracle_opt.t
+    assert policy.weights[-1].flags.f_contiguous == (n_actions > hidden[-1])
+
+
+def test_copied_network_keeps_its_views():
+    net = Mlp((3, 4, 2), np.random.default_rng(23))
+    twin = copy.deepcopy(net)
+    twin.flat += 1.0
+    assert np.array_equal(twin.weights[0], net.weights[0] + 1.0)
+    assert np.array_equal(twin.biases[-1], net.biases[-1] + 1.0)
 
 
 # --- gradient checks --------------------------------------------------------
@@ -415,10 +466,11 @@ def test_train_validates_worker_split():
         train(inst, TrainConfig(epochs=1, steps_per_epoch=5, workers=2), seed=0)
 
 
-def test_array_bytes_estimate_matches_the_traced_peak():
+@pytest.mark.parametrize("n", [10, 12])
+def test_array_bytes_estimate_matches_the_traced_peak(n):
     import tracemalloc
 
-    inst = make_instance("cycle", 12, 0, "maxcut")
+    inst = make_instance("cycle", n, 0, "maxcut")
     cfg = TrainConfig(epochs=1, steps_per_epoch=8, workers=1, optimizer=OptimizerConfig(max_iterations=10))
     tracemalloc.start()
     try:

@@ -16,6 +16,7 @@ from rlansatz.circuits import (
     TranspiledCounts,
     action_space,
     circuit_depth_basis,
+    gate_list_depth,
     h_layer,
     simplify_gates,
     to_basis_gates,
@@ -126,6 +127,13 @@ def test_depth_h_plus_ryz():
     circuit = Circuit(3, h_layer(3).gates + [GateApplication(GateKind.RYZ, (0, 1), angle=0.2)])
     # conjugated wire: H, Rx, Rzz, Rx -> chain of 4
     assert circuit_depth_basis(circuit) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), n_gates=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_basis_depth_is_the_depth_of_the_basis_gates(n, n_gates, seed):
+    circuit = random_circuit(np.random.default_rng(seed), n, n_gates)
+    assert circuit_depth_basis(circuit) == gate_list_depth(to_basis_gates(circuit).gates)
 
 
 def test_transpiled_counts_empty():

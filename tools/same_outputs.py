@@ -13,6 +13,9 @@ relative paths (so the circuit path that ``eval`` records matches too):
   one worker) with seeds 101 and 202;
 - ``train --workers 3`` on 3-regular MaxCut, n = 6, over 3 epochs of 24
   steps, so that episodes run across epoch boundaries;
+- ``train`` on 3-regular MaxCut at n = 10 with 2 workers, 2 epochs of 32
+  steps and 5 evaluations per optimization, so that the PPO update runs on
+  1024 inputs and its weights reach the second epoch's rows;
 - ``baseline qaoa2`` and ``brute-force`` on that instance;
 - a 12-cell ``matrix``: {maxcut, minvertexcover} x {cycle, star} x {6} x
   {qaoa1, maqaoa, linear};
@@ -123,6 +126,25 @@ shots = 1000
 master_seed = 7
 """
 
+INI_FILES["train10.ini"] = """[problem]
+kind = maxcut
+topology = three_regular
+n = 10
+seed = 1
+
+[rl]
+epochs = 2
+steps_per_epoch = 32
+workers = 2
+
+[optimizer]
+max_iterations = 5
+
+[run]
+shots = 1000
+master_seed = 17
+"""
+
 INI_FILES["clique8.ini"] = """[problem]
 kind = maxclique
 topology = erdos_renyi
@@ -141,6 +163,7 @@ COMMANDS = [
     ["train", "--config", "criterion.ini", "--out", "train_101", "--seed", "101"],
     ["train", "--config", "criterion.ini", "--out", "train_202", "--seed", "202"],
     ["train", "--config", "small.ini", "--out", "train_workers3", "--workers", "3"],
+    ["train", "--config", "train10.ini", "--out", "train_n10"],
     ["baseline", "qaoa2", "--config", "small.ini", "--out", "baseline_qaoa2"],
     ["matrix", "--config", "grid.ini", "--out", "matrix"],
     ["brute-force", "--config", "small.ini", "--out", "brute_force"],
