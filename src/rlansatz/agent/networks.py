@@ -45,20 +45,9 @@ class Mlp:
         for layer, w in enumerate(self.weights):
             w[...] = _orthogonal(*w.shape, rng, final_scale if layer == last else 1.0)
 
-    # copy and pickle only ``flat``: a copied view would no longer see the steps taken on it
-    def __getstate__(self) -> dict:
-        return {"sizes": self.sizes, "flat": self.flat}
-
-    def __setstate__(self, state: dict) -> None:
-        self.sizes, self.flat = state["sizes"], state["flat"]
-        self.weights, self.biases = self._views(self.flat)
-
-    def _shapes(self) -> list[tuple[int, int]]:
-        return list(zip(self.sizes[:-1], self.sizes[1:]))
-
     def _views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Weight and bias views into a vector laid out like ``flat``."""
-        shapes = self._shapes()
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
         weights, biases = [], []
         offset = 0
         for rows, cols in shapes:

@@ -1,6 +1,5 @@
 """Agent stack: networks, policy-gradient math, environment, training loop."""
 
-import copy
 import math
 
 import numpy as np
@@ -253,14 +252,6 @@ def test_update_matches_the_per_array_oracle_bit_for_bit(case):
             assert opt.v.tobytes() == _memory_order(oracle_opt.v)
             assert opt.t == oracle_opt.t
     assert policy.weights[-1].flags.f_contiguous == (n_actions > hidden[-1])
-
-
-def test_copied_network_keeps_its_views():
-    net = Mlp((3, 4, 2), np.random.default_rng(23))
-    twin = copy.deepcopy(net)
-    twin.flat += 1.0
-    assert np.array_equal(twin.weights[0], net.weights[0] + 1.0)
-    assert np.array_equal(twin.biases[-1], net.biases[-1] + 1.0)
 
 
 # --- gradient checks --------------------------------------------------------
