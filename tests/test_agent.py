@@ -457,8 +457,7 @@ def test_train_validates_worker_split():
         train(inst, TrainConfig(epochs=1, steps_per_epoch=5, workers=2), seed=0)
 
 
-@pytest.mark.parametrize("n", [10, 12])
-def test_array_bytes_estimate_matches_the_traced_peak(n):
+def traced_peak_over_estimate(n: int) -> float:
     import tracemalloc
 
     inst = make_instance("cycle", n, 0, "maxcut")
@@ -469,7 +468,16 @@ def test_array_bytes_estimate_matches_the_traced_peak(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.9 <= peak / cfg.array_bytes(inst.n) <= 1.1
+    return peak / cfg.array_bytes(inst.n)
+
+
+def test_array_bytes_estimate_matches_the_traced_peak():
+    assert 0.9 <= traced_peak_over_estimate(12) <= 1.1
+
+
+def test_array_bytes_estimate_matches_the_traced_peak_at_n10():
+    # the policy's output layer is 42% of its first layer here
+    assert 0.9 <= traced_peak_over_estimate(10) <= 1.1
 
 
 def test_update_batch_follows_the_step_log(monkeypatch):
