@@ -59,6 +59,17 @@ class Mlp:
             offset += cols
         return weights, biases
 
+    def __reduce_ex__(self, protocol):
+        """Refuse ``copy.copy``, ``copy.deepcopy`` and pickle, which all reduce the object first.
+
+        A copy would hold its weights as arrays apart from its ``flat``, and
+        its ``forward`` would not see the Adam steps later taken on ``flat``.
+        """
+        raise TypeError(
+            "an Mlp is not copied or pickled: its weights are views into its flat vector; "
+            "copy `flat` into an Mlp of the same sizes instead"
+        )
+
     @property
     def n_layers(self) -> int:
         return len(self.weights)

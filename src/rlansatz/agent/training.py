@@ -10,7 +10,7 @@ in the next epoch. The best-reward circuit over the whole run is kept
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +120,8 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
                 rewards[t] = reward
                 episode_return += reward
 
-                row = {"epoch": epoch, "worker": w, **asdict(info), "done": int(done)}
+                # StepInfo holds only scalars, so vars() gives asdict()'s row without its deep copy
+                row = {"epoch": epoch, "worker": w, **vars(info), "done": int(done)}
                 step_log.append(row)
                 if log_step is not None:
                     log_step(row)

@@ -152,7 +152,7 @@ class Circuit:
             if g.angle is not None:
                 doc["angle"] = g.angle
             gates.append(doc)
-        return {"n_qubits": self.n_qubits, "params": list(self.params), "gates": gates}
+        return {"n_qubits": self.n_qubits, "params": self.params.tolist(), "gates": gates}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Circuit":

@@ -72,7 +72,6 @@ evaluation's seed gives.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import groupby, product
 
 import numpy as np
@@ -226,7 +225,8 @@ class _Plan:
     Per rotation after the opening H layer it tabulates the rotation's
     ``_ROTATIONS`` record through gate views of 2^n-entry arrays: a sign
     vector, -1 in the negated blocks, and a partner index, ``arange(2^n)``
-    read through ``flips``. A run does ``_apply``'s arithmetic, in the same
+    read through ``flips``. A non-diagonal gate's sign vector is kept as
+    complex128, the operand numpy would otherwise cast it to on every run. A run does ``_apply``'s arithmetic, in the same
     order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
     indices where the sign is -1; any other adds ``sign * partner[index]``
     (no sign when no block is negated). H and Cx after the opening layer,
@@ -277,7 +277,7 @@ class _Plan:
 
     def __init__(self, n: int, gates: list[GateApplication]):
         self.n = n
-        self.gates = tuple(gates)
+        self.gates = list(gates)  # its own copy: the caller's list may change in place
         uniform = opens_with_h_layer(gates, n)
         body = gates[n:] if uniform else gates
         check_qubits(body, n)
@@ -335,8 +335,13 @@ class _Plan:
         self.steps = steps
 
     def matches(self, n: int, gates: list[GateApplication]) -> bool:
-        """True for the same gate objects; gates are frozen, so they have the same structure."""
-        return n == self.n and len(gates) == len(self.gates) and all(map(operator.is_, gates, self.gates))
+        """True for a list of equal gates, which compile to this plan: gates are frozen dataclasses.
+
+        One list comparison, which skips the field comparison of each gate
+        that is the plan's own object. Equal fixed angles may still differ
+        in the sign of a zero, which moves only the signs of zero amplitudes.
+        """
+        return n == self.n and gates == self.gates
 
     def run(self, theta: np.ndarray) -> np.ndarray:
         """The final state from |0...0> with the parameter vector ``theta``."""
@@ -360,7 +365,7 @@ class _Plan:
                 psi[table] *= complex(math.cos(angle), math.sin(angle))
                 continue
             partner = psi * (-1.0j * math.sin(half) * phase)
-            psi *= math.cos(half)
+            psi *= complex(math.cos(half), 0.0)  # the complex128 numpy would cast the float to
             partner = partner[table]
             if sign is not None:
                 partner *= sign
@@ -428,7 +433,7 @@ def _gate_step(n: int, gate: GateApplication, tables: dict, half: bool) -> tuple
             if half:
                 index = index[: sign.size]
                 index = np.where(index < sign.size, index, (1 << n) - 1 - index)
-            tables[key] = (index, sign if negated else None)
+            tables[key] = (index, sign.astype(complex) if negated else None)
     return (gate, *tables[key], None if diagonal else phase)
 
 

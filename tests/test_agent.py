@@ -1,6 +1,8 @@
 """Agent stack: networks, policy-gradient math, environment, training loop."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,14 @@ def test_mlp_flat_round_trip():
     flat = net.get_flat()
     net.set_flat(flat * 2.0)
     assert np.allclose(net.get_flat(), flat * 2.0)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps], ids=["copy", "deepcopy", "pickle"])
+def test_mlp_refuses_copies_whose_weights_would_leave_flat(copier):
+    """A copy's weights would stop being views of its flat vector, so its forward would miss Adam's steps."""
+    net = Mlp((3, 4, 2), np.random.default_rng(3))
+    with pytest.raises(TypeError, match="flat"):
+        copier(net)
 
 
 def test_adam_zero_gradient_is_noop():

@@ -1,6 +1,7 @@
 """Simulator checks against independent dense-matrix oracles."""
 
 import ast
+import dataclasses
 import gc
 import sys
 import threading
@@ -947,6 +948,58 @@ def test_circuits_with_flip_odd_gates_keep_the_full_plan(source):
     plan = qsim._Plan(n, circuit.gates)
     assert plan.start.size == 1 << n and not plan.half
     assert np.max(np.abs(plan.run(circuit.params) - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 1))
+def test_unfused_agent_plans_give_the_kernels_bits_from_cdf_sizes_on(n):
+    """The complex sign tables keep the kernels' bits where the inverse-CDF draw runs, too."""
+    checked = 0
+    for seed in range(8):
+        circuit = agent_circuit(n, seed)
+        plan = qsim._Plan(n, circuit.gates)
+        if diagonal_runs(plan) or rx_layers(plan):
+            continue
+        assert any(sign is not None for _, _, sign, _ in plan.steps)
+        assert np.array_equal(plan.run(circuit.params), qsim._run_kernels(n, circuit.gates, circuit.params))
+        checked += 1
+    assert checked >= 2
+
+
+def plan_reuse_circuit(n):
+    """An H layer, two parametrized rotations and one at a fixed angle."""
+    circuit = h_layer(n).appended(GateKind.RYZ, (0, 1), 0.4).appended(GateKind.RXY, (2, 1), -0.7)
+    circuit.gates.append(GateApplication(GateKind.RY, (2,), angle=0.3))
+    return circuit
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_equal_gates_in_new_objects_reuse_the_plan_and_draw_the_same_shots(n):
+    circuit = plan_reuse_circuit(n)
+    expected = sample_shots(circuit, 1000, 5)
+    plan = qsim._last_plan
+    rebuilt = Circuit.from_json_dict(circuit.to_json_dict())
+    assert all(a == b and a is not b for a, b in zip(rebuilt.gates, circuit.gates, strict=True))
+    assert np.array_equal(sample_shots(rebuilt, 1000, 5), expected)
+    assert qsim._last_plan is plan
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"qubits": (0, 3)}, {"coeff": 2.0}, {"angle": -0.3}],
+    ids=["qubits", "coeff", "angle"],
+)
+def test_a_gate_that_differs_gets_a_new_plan(change):
+    circuit = plan_reuse_circuit(6)
+    exact_probabilities(circuit)
+    plan = qsim._last_plan
+    at = {"qubits": 6, "coeff": 7, "angle": 8}[next(iter(change))]
+    gates = list(circuit.gates)
+    gates[at] = dataclasses.replace(gates[at], **change)
+    changed = Circuit(6, gates, circuit.params)
+    expected = qsim._run_kernels(6, changed.gates, changed.params)
+    assert not np.array_equal(expected, qsim._run_kernels(6, circuit.gates, circuit.params))
+    assert np.array_equal(run_circuit(changed), expected)
+    assert qsim._last_plan is not plan
 
 
 def test_full_plan_probabilities_are_contiguous_from_cdf_sizes_on():
