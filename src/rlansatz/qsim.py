@@ -423,7 +423,7 @@ def _gate_step(n: int, gate: GateApplication, tables: dict, half: bool) -> tuple
     if key not in tables:
         sign = _sign_vector(n, gate.qubits, negated)
         if half:
-            sign = sign[: 1 << (n - 1)].copy()
+            sign = sign[: 1 << (n - 1)]  # a view: the kept tables below are new arrays
         if diagonal:
             tables[key] = (np.flatnonzero(sign < 0), None)
         else:
