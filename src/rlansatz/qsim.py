@@ -225,13 +225,14 @@ class _Plan:
     Per rotation after the opening H layer it tabulates the rotation's
     ``_ROTATIONS`` record through gate views of 2^n-entry arrays: a sign
     vector, -1 in the negated blocks, and a partner index, ``arange(2^n)``
-    read through ``flips``. A non-diagonal gate's sign vector is kept as
-    complex128, the operand numpy would otherwise cast it to on every run. A run does ``_apply``'s arithmetic, in the same
-    order, on the whole vector: a diagonal gate scales ``psi[odd]``, the
-    indices where the sign is -1; any other adds ``sign * partner[index]``
-    (no sign when no block is negated). H and Cx after the opening layer,
-    and a lone diagonal gate on all n qubits (see ``_gate_step``), keep
-    their kernels. That gives the kernels' bits.
+    read through ``flips``; a non-diagonal gate keeps its sign vector as
+    complex128, the operand numpy would otherwise cast it to on every run.
+    A run does ``_apply``'s arithmetic, in the same order, on the whole
+    vector: a diagonal gate scales ``psi[odd]``, the indices where the sign
+    is -1; any other adds ``sign * partner[index]`` (no sign when no block
+    is negated). H and Cx after the opening layer, and a lone diagonal gate
+    on all n qubits (see ``_gate_step``), keep their kernels. That gives the
+    kernels' bits.
 
     Runs of gates fuse by what they touch. Each maximal run of consecutive
     Rx gates that touches all n qubits is one ``_RxLayer``, and each maximal
@@ -615,15 +616,17 @@ class _RxLayer:
 _FOLDS_OF_KINDS = {**dict.fromkeys(_DIAGONAL_KINDS, _DiagonalRun), GateKind.RX: _RxLayer}
 
 # The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
-# 2.4.6, median of three runs): for one optimization, a build and 42 runs,
-# kernel time over plan time was, on qaoa2 / maqaoa / linear (the Ryz chain)
-# / agent circuits, 5.36 / 2.97 / 2.55 / 2.22 at n = 10, 6.52 / 2.15 / 2.48 /
-# 1.68 at n = 12, 6.36 / 1.58 / 2.16 / 1.16 at n = 14, - / - / 1.92 / 1.04 at
-# n = 15 and 7.64 / 1.70 / 1.91 / 0.95 at n = 16. Past n = 14 the QAOA
-# circuits and the chain, whose plans fold layers or run on half the
-# amplitudes, would still gain, but agent circuits, mostly rotations that
-# fold into nothing and break the bit-flip symmetry, gain nothing over their
-# kernels.
+# 2.4.6, median of three runs, with complex128 sign tables): for one
+# optimization, a build and 42 runs, kernel time over plan time was, on
+# qaoa2 / maqaoa / linear (the Ryz chain) / agent circuits, 4.90 / 2.86 /
+# 2.86 / 2.47 at n = 10, 6.49 / 2.48 / 2.84 / 1.84 at n = 12, 7.53 / 1.80 /
+# 2.64 / 1.18 at n = 14, - / - / 2.03 / 0.98 at n = 15 and 8.53 / 1.99 / 1.85
+# / 0.93 at n = 16. The tool times one run of a freshly built plan; over 42
+# runs of one agent plan the ratio read 1.29-1.33 at n = 14 and 0.73-0.77 at
+# n = 16. Past n = 14 the QAOA circuits and the chain, whose plans fold
+# layers or run on half the amplitudes, would still gain, but agent
+# circuits, mostly rotations that fold into nothing and break the bit-flip
+# symmetry, gain nothing over their kernels.
 PLAN_MAX_QUBITS = 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's

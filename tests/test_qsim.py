@@ -984,15 +984,14 @@ def test_equal_gates_in_new_objects_reuse_the_plan_and_draw_the_same_shots(n):
 
 
 @pytest.mark.parametrize(
-    "change",
-    [{"qubits": (0, 3)}, {"coeff": 2.0}, {"angle": -0.3}],
+    "at, change",
+    [(6, {"qubits": (0, 3)}), (7, {"coeff": 2.0}), (8, {"angle": -0.3})],
     ids=["qubits", "coeff", "angle"],
 )
-def test_a_gate_that_differs_gets_a_new_plan(change):
+def test_a_gate_that_differs_gets_a_new_plan(at, change):
     circuit = plan_reuse_circuit(6)
     exact_probabilities(circuit)
     plan = qsim._last_plan
-    at = {"qubits": 6, "coeff": 7, "angle": 8}[next(iter(change))]
     gates = list(circuit.gates)
     gates[at] = dataclasses.replace(gates[at], **change)
     changed = Circuit(6, gates, circuit.params)
