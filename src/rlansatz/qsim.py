@@ -23,14 +23,15 @@ A circuit that opens with one H on each of qubits 0 .. n-1
 (``circuits.opens_with_h_layer``) starts from the uniform state instead of
 applying those gates.
 
-An optimization runs one gate list dozens of times with new angles, so up
-to ``PLAN_MAX_QUBITS`` qubits ``run_circuit`` compiles the list into a plan
-(``_Plan``) once and reruns it; only the last plan is kept. Above that size
-the gathers cost more than the kernels, which then run every time and
-leave the kept plan as it is. Each fact of that choice is read in one
-place: ``_plan_for`` alone compares with ``PLAN_MAX_QUBITS``, the plan's
-``half`` alone decides half mode (below), and ``draws_flip_classes`` adds
-only its own size rule to ``half``.
+An optimization runs one gate list dozens of times with new angles, so
+``run_circuit`` compiles the list into a plan (``_Plan``) once and reruns
+it; only the last plan is kept. Each step picks its own form: a rotation's
+table covers the 2^n basis states (2^(n-1) in half mode), and above
+``TABLE_MAX_ENTRIES`` entries, where its gather costs more than the view
+kernel, the step calls that kernel. Each fact of that choice is read in
+one place: ``_gate_step`` alone compares with ``TABLE_MAX_ENTRIES``, the
+plan's ``half`` alone decides half mode (below), and
+``draws_flip_classes`` adds only its own size rule to ``half``.
 
 The plan tabulates each rotation's record over the 2^n basis states and
 runs the kernels' arithmetic, in the same order, as gathers over the whole
@@ -230,9 +231,10 @@ class _Plan:
     A run does ``_apply``'s arithmetic, in the same order, on the whole
     vector: a diagonal gate scales ``psi[odd]``, the indices where the sign
     is -1; any other adds ``sign * partner[index]`` (no sign when no block
-    is negated). H and Cx after the opening layer, and a lone diagonal gate
-    on all n qubits (see ``_gate_step``), keep their kernels. That gives the
-    kernels' bits.
+    is negated). H and Cx after the opening layer, a lone diagonal gate on
+    all n qubits and every rotation whose table would cover more than
+    ``TABLE_MAX_ENTRIES`` entries (see ``_gate_step``) keep their kernels.
+    That gives the kernels' bits.
 
     Runs of gates fuse by what they touch. Each maximal run of consecutive
     Rx gates that touches all n qubits is one ``_RxLayer``, and each maximal
@@ -242,32 +244,37 @@ class _Plan:
     two or more Rz and Rzz gates. A fused step agrees with the kernels only
     to float rounding, so below that size, where the multinomial turns
     last-bit changes into other draws, the runs that miss a qubit (what the
-    agent builds) keep the kernels' bits. A lone Rz or Rzz keeps its own
-    table, which costs less to build and as much to run, and so does each
-    gate of a run that does not fold. An ``_RxLayer`` acts on phi = D psi
-    (``_frame``), and every diagonal step commutes with D, so the vector
-    stays in that frame from an Rx layer up to the next step that reads psi,
-    a non-diagonal gate's table or kernel, and to the end of ``state``;
-    there a step multiplies it by the conjugate of D, and before the next Rx
-    layer by D again. When no non-diagonal step comes before the first Rx
-    layer, the start vector holds D instead (``_enter_frame``).
+    agent builds) keep the kernels' bits. A diagonal run folds only when its
+    build matrix (a row per parameter and one for the fixed angles, over the
+    2^m bit patterns of its m qubits) fits in 2^(MAX_QUBITS+1) entries. A
+    lone Rz or Rzz keeps its own table, which costs less to build and as
+    much to run, and so does each gate of a run that does not fold. An
+    ``_RxLayer`` acts on phi = D psi (``_frame``), and every diagonal step
+    commutes with D, so the vector stays in that frame from an Rx layer up
+    to the next step that reads psi, a non-diagonal gate's table or kernel,
+    and to the end of ``state``; there a step multiplies it by the conjugate
+    of D, and before the next Rx layer by D again. When no non-diagonal step
+    comes before the first Rx layer, the start vector holds D instead
+    (``_enter_frame``).
 
     ``half`` is the package's one half-mode decision: true from
     ``2^CDF_MIN_QUBITS`` outcomes on when the plan starts from the uniform
-    state (the gates open with the H layer) and every gate after it is a
+    state (the gates open with the H layer), every gate after it is a
     rotation whose ``_ROTATIONS`` record is flip-even (an even count of y
-    and z factors). From the uniform state such gates keep ``psi(b) =
-    psi(~b)``, so every step acts on ``psi[:2^(n-1)]`` alone and reads
-    amplitude b >= 2^(n-1) as ``psi[2^n - 1 - b]``. The tables cover the
-    first half, with each partner index past it mapped to its complement; a
-    ``_DiagonalRun`` keeps the first half of its index; an ``_RxLayer``
-    applies its blocks to qubits 0 .. n-2 and qubit n-1's Rx through the
-    reversed vector, and D acts on qubits 0 .. n-2 only. ``state`` returns
-    that half, and ``run`` it followed by ``psi[::-1]``;
-    ``exact_probabilities`` squares the half before it mirrors or doubles
-    it. Half mode does each per-gate step's arithmetic on the same
-    amplitudes as the full plan, so it keeps their bits, and needs no kernel
-    step: H and Cx rule it out, and no diagonal gate acts on all n qubits.
+    and z factors), and every gate outside a fused run keeps its table,
+    2^(n-1) entries at most ``TABLE_MAX_ENTRIES``. From the uniform state
+    such gates keep ``psi(b) = psi(~b)``, so every step acts on
+    ``psi[:2^(n-1)]`` alone and reads amplitude b >= 2^(n-1) as
+    ``psi[2^n - 1 - b]``. The tables cover the first half, with each partner
+    index past it mapped to its complement; a ``_DiagonalRun`` keeps the
+    first half of its index; an ``_RxLayer`` applies its blocks to qubits
+    0 .. n-2 and qubit n-1's Rx through the reversed vector, and D acts on
+    qubits 0 .. n-2 only. ``state`` returns that half, and ``run`` it
+    followed by ``psi[::-1]``; ``exact_probabilities`` squares the half
+    before it mirrors or doubles it. Half mode does each per-gate step's
+    arithmetic on the same amplitudes as the full plan, so it keeps their
+    bits, and needs no kernel step: H and Cx rule it out, no diagonal gate
+    acts on all n qubits, and no table is too large.
 
     A step is ``(gate, table, sign, phase)`` for a tabulated rotation, or
     ``(apply, None, None, None)`` for a kernel, a fused run or a change of
@@ -283,27 +290,32 @@ class _Plan:
         body = gates[n:] if uniform else gates
         check_qubits(body, n)
         cdf = n >= CDF_MIN_QUBITS
-        self.half = half = cdf and uniform and all(g.kind in _FLIP_EVEN_KINDS for g in body)
+        groups = []  # each run of gates with its fused step, or None for per-gate steps
+        for step, group in groupby(body, key=lambda g: _FOLDS_OF_KINDS.get(g.kind)):
+            group = list(group)
+            m = len({q for g in group for q in g.qubits})
+            # one diagonal gate has nothing to fold, and its table is cheaper; an Rx run
+            # that misses a qubit is no tensor product over all n; below 2^CDF_MIN_QUBITS
+            # outcomes, where last-bit changes move the multinomial's draws, a diagonal
+            # run folds only on every qubit; and its build matrix must fit in 2^(MAX_QUBITS+1)
+            fold = (step is _RxLayer and m == n) or (
+                step is _DiagonalRun and len(group) > 1 and (cdf or m == n)
+                and (len(_parameter_slots(group)[0]) + 1) << m <= 2 << MAX_QUBITS
+            )
+            groups.append((group, step if fold else None))
+        # and where no gate outside a fused run needs a kernel step
+        self.half = half = cdf and uniform and all(g.kind in _FLIP_EVEN_KINDS for g in body) and (
+            1 << (n - 1) <= TABLE_MAX_ENTRIES or all(step for _, step in groups))
         self.start = _start_state(n, uniform)
         if half:
             self.start = self.start[: 1 << (n - 1)].copy()
         tables: dict[tuple, tuple] = {}  # repeated gates and runs share them
         self.steps = []
-        for step, group in groupby(body, key=lambda g: _FOLDS_OF_KINDS.get(g.kind)):
-            group = list(group)
-            # one diagonal gate has nothing to fold, and its table is cheaper; an
-            # Rx run that misses a qubit is no tensor product over all n; and
-            # below 2^CDF_MIN_QUBITS outcomes, where last-bit changes move the
-            # multinomial's draws, a diagonal run folds only on every qubit
-            if (
-                step is not None
-                and (step is _RxLayer or len(group) > 1)
-                and ((cdf and step is _DiagonalRun) or len({q for g in group for q in g.qubits}) == n)
-            ):
+        for group, step in groups:
+            if step:
                 self.steps.append((step(n, group, tables, half), None, None, None))
-                continue
-            for gate in group:
-                self.steps.append(_gate_step(n, gate, tables, half))
+            else:
+                self.steps.extend(_gate_step(n, gate, tables, half) for gate in group)
         if any(isinstance(op, _RxLayer) for op, *_ in self.steps):
             self._enter_frame()
 
@@ -411,8 +423,9 @@ def _gate_step(n: int, gate: GateApplication, tables: dict, half: bool) -> tuple
     # H and Cx keep their kernels, and so does a diagonal gate on all n
     # qubits, for the same bits: its kernel multiplies blocks of one
     # amplitude, which numpy does without the fused multiply-add it
-    # uses on longer arrays.
-    if flips is None or (diagonal and len(gate.qubits) == n):
+    # uses on longer arrays. So does a rotation whose table would cover more
+    # than TABLE_MAX_ENTRIES entries, which never happens in half mode.
+    if flips is None or (diagonal and len(gate.qubits) == n) or 1 << (n - half) > TABLE_MAX_ENTRIES:
         kind, qubits = gate.kind, gate.qubits
 
         def kernel(psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -615,19 +628,15 @@ class _RxLayer:
 # gates by it.
 _FOLDS_OF_KINDS = {**dict.fromkeys(_DIAGONAL_KINDS, _DiagonalRun), GateKind.RX: _RxLayer}
 
-# The crossover, from tools/plan_crossover.py --sizes 10-16 (2 vCPU, numpy
-# 2.4.6, median of three runs, with complex128 sign tables): for one
-# optimization, a build and 42 runs, kernel time over plan time was, on
-# qaoa2 / maqaoa / linear (the Ryz chain) / agent circuits, 4.90 / 2.86 /
-# 2.86 / 2.47 at n = 10, 6.49 / 2.48 / 2.84 / 1.84 at n = 12, 7.53 / 1.80 /
-# 2.64 / 1.18 at n = 14, - / - / 2.03 / 0.98 at n = 15 and 8.53 / 1.99 / 1.85
-# / 0.93 at n = 16. The tool times one run of a freshly built plan; over 42
-# runs of one agent plan the ratio read 1.29-1.33 at n = 14 and 0.73-0.77 at
-# n = 16. Past n = 14 the QAOA circuits and the chain, whose plans fold
-# layers or run on half the amplitudes, would still gain, but agent
-# circuits, mostly rotations that fold into nothing and break the bit-flip
-# symmetry, gain nothing over their kernels.
-PLAN_MAX_QUBITS = 14
+# The most entries a per-gate rotation's table covers; above it the step calls
+# the rotation's kernel. From tools/plan_crossover.py --sizes 12-18 with every
+# step tabulated (2 vCPU, numpy 2.4.6, 4 rounds of a build and 42 runs): on
+# agent circuits in full mode, kernel over table time per run read 1.82 / 1.69
+# / 1.41 at 2^12 / 2^13 / 2^14 entries and 1.00 / 1.09 / 1.01 / 1.08 at 2^15 /
+# 2^16 / 2^17 / 2^18, with 19 / 41 / 88 / 181 MiB of tables. The Ryz chain in
+# half mode read 2.26-2.32 at n = 15-16 and 1.67-1.71 at 17-18: half mode's
+# gain, which this bound keeps up to n = 15 only.
+TABLE_MAX_ENTRIES = 1 << 14
 
 # From this many qubits on, shots are drawn by inverse CDF instead of numpy's
 # multinomial, which walks all 2^n outcomes (see sample_from_probabilities).
@@ -643,15 +652,14 @@ CDF_MIN_QUBITS = 10
 _last_plan: _Plan | None = None
 
 
-def _plan_for(n: int, gates: list[GateApplication]) -> _Plan | None:
-    """The plan of the gate list, reusing the last one built; only that one is kept.
+def _plan_for(n: int, gates: list[GateApplication]) -> _Plan:
+    """The plan of the gate list on n qubits, reusing the last one built; only that one is kept.
 
-    The one reader of ``PLAN_MAX_QUBITS``: above it the kernels run, and
-    this returns ``None`` and leaves the kept plan as it is.
+    Raises ``ConfigurationError`` unless 1 <= n <= ``MAX_QUBITS``.
     """
     global _last_plan
-    if n > PLAN_MAX_QUBITS:
-        return None
+    if not (1 <= n <= MAX_QUBITS):
+        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     plan = _last_plan  # read once: another thread may replace it at any point
     if plan is None or not plan.matches(n, gates):
         _last_plan = plan = None  # drop the old tables before building new ones
@@ -673,12 +681,7 @@ def run_circuit(circuit: Circuit, params: np.ndarray | None = None, mirror: bool
         theta = np.asarray(params, dtype=float)
         if theta.shape != circuit.params.shape:
             raise ConfigurationError(f"params of shape {theta.shape} for a circuit of {circuit.n_params} parameters")
-    n = circuit.n_qubits
-    if not (1 <= n <= MAX_QUBITS):
-        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
-    plan = _plan_for(n, circuit.gates)
-    if plan is None:
-        return _run_kernels(n, circuit.gates, theta)
+    plan = _plan_for(circuit.n_qubits, circuit.gates)
     return plan.run(theta) if mirror else plan.state(theta)
 
 
@@ -690,11 +693,8 @@ def draws_flip_classes(circuit: Circuit) -> bool:
     From that size on it builds the plan, or finds it kept, so the first run
     of the circuit reuses it.
     """
-    n = circuit.n_qubits
-    if n - 1 < CDF_MIN_QUBITS:  # its 2^(n-1) classes would take the multinomial draw
-        return False
-    plan = _plan_for(n, circuit.gates)
-    return plan is not None and plan.half
+    n = circuit.n_qubits  # up to CDF_MIN_QUBITS its 2^(n-1) classes take the multinomial draw
+    return n > CDF_MIN_QUBITS and _plan_for(n, circuit.gates).half
 
 
 def exact_probabilities(circuit: Circuit, params: np.ndarray | None = None, folded: bool = False) -> np.ndarray:

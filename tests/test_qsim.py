@@ -26,7 +26,7 @@ from rlansatz.circuits import (
     rotation_axes,
     to_basis_gates,
 )
-from rlansatz.ansatz import build_baseline, build_linear_ryz
+from rlansatz.ansatz import BASELINE_BUILDERS, build_baseline, build_linear_ryz
 from rlansatz.errors import ConfigurationError, InvalidGateError
 from rlansatz.metrics import evaluate_circuit
 from rlansatz.problems import make_instance
@@ -134,14 +134,17 @@ def test_apply_gate_rejects_bad_qubits():
         apply_gate(state, GateApplication(GateKind.RX, (5,), angle=0.1))
     with pytest.raises(InvalidGateError):
         GateApplication(GateKind.RZZ, (1, 1), angle=0.1)
-    # a body gate on qubit n: apply_gate, the plan (n=4) and the kernels (n=15) raise the same error
-    for n in (4, qsim.PLAN_MAX_QUBITS + 1):
+    # a body gate on qubit n: apply_gate, the plan and the kernels raise the same error, at n = 4 and at
+    # n = 15, where the plan's per-gate steps are kernels
+    for n in (4, 15):
         for gate in (GateApplication(GateKind.RX, (n,), angle=0.1), GateApplication(GateKind.RYZ, (1, n), angle=0.1)):
             gates = h_layer(n).gates + [GateApplication(GateKind.RZ, (0,), angle=0.3), gate]
             messages = set()
-            runs = [lambda: apply_gate(ket_zero(n), gate), lambda: qsim._run_kernels(n, gates, np.zeros(0))]
-            if n <= qsim.PLAN_MAX_QUBITS:
-                runs.append(lambda: qsim._Plan(n, gates))
+            runs = [
+                lambda: apply_gate(ket_zero(n), gate),
+                lambda: qsim._run_kernels(n, gates, np.zeros(0)),
+                lambda: qsim._Plan(n, gates),
+            ]
             for run in runs:
                 with pytest.raises(InvalidGateError) as raised:
                     run()
@@ -511,7 +514,7 @@ def test_apply_gate_rejects_strided_real_or_wrong_length_vector():
 # ---------------------------------------------------------------------------
 
 PLAN_SIZES = st.integers(2, qsim.CDF_MIN_QUBITS - 1)  # where the bits decide the multinomial's draws
-FUSED_SIZES = st.integers(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 2)
+FUSED_SIZES = st.integers(qsim.CDF_MIN_QUBITS, 16)  # tables up to 14 qubits (15 in half mode), kernels above
 DIAGONAL = (GateKind.RZ, GateKind.RZZ)
 
 
@@ -902,12 +905,18 @@ def test_half_mode_is_chosen_exactly_for_flip_symmetric_circuits():
     assert np.array_equal(plan.run(theta), qsim._run_kernels(small, gates, theta))
 
 
-@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 1))
+# from 2^CDF_MIN_QUBITS outcomes on, both sides of TABLE_MAX_ENTRIES, and one size where a kernel run takes 0.1 s
+BEYOND_CDF_SIZES = [*range(qsim.CDF_MIN_QUBITS, 17), 18]
+
+
+@pytest.mark.parametrize("n", BEYOND_CDF_SIZES)
 def test_the_ryz_chain_runs_in_half_mode_with_the_kernels_bits(n):
+    """In half mode while its 2^(n-1)-entry tables fit, and above that on the full vector with kernel steps."""
     circuit = build_linear_ryz(n)
     circuit.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.n_params)
     plan = qsim._Plan(n, circuit.gates)
-    assert half_mode(plan) and diagonal_runs(plan) == [] and rx_layers(plan) == []
+    assert half_mode(plan) == (1 << (n - 1) <= qsim.TABLE_MAX_ENTRIES)
+    assert diagonal_runs(plan) == [] and rx_layers(plan) == []
     assert np.array_equal(plan.run(circuit.params), qsim._run_kernels(n, circuit.gates, circuit.params))
 
 
@@ -950,16 +959,18 @@ def test_circuits_with_flip_odd_gates_keep_the_full_plan(source):
     assert np.max(np.abs(plan.run(circuit.params) - qsim._run_kernels(n, circuit.gates, circuit.params))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", range(qsim.CDF_MIN_QUBITS, qsim.PLAN_MAX_QUBITS + 1))
+@pytest.mark.parametrize("n", BEYOND_CDF_SIZES)
 def test_unfused_agent_plans_give_the_kernels_bits_from_cdf_sizes_on(n):
-    """The complex sign tables keep the kernels' bits where the inverse-CDF draw runs, too."""
+    """The complex sign tables, and the kernel steps that replace them above TABLE_MAX_ENTRIES entries, keep
+    the kernels' bits where the inverse-CDF draw runs, too."""
     checked = 0
     for seed in range(8):
         circuit = agent_circuit(n, seed)
         plan = qsim._Plan(n, circuit.gates)
         if diagonal_runs(plan) or rx_layers(plan):
             continue
-        assert any(sign is not None for _, _, sign, _ in plan.steps)
+        tabulated = [sign is not None for _, _, sign, _ in plan.steps]
+        assert any(tabulated) if 1 << n <= qsim.TABLE_MAX_ENTRIES else not any(tabulated)
         assert np.array_equal(plan.run(circuit.params), qsim._run_kernels(n, circuit.gates, circuit.params))
         checked += 1
     assert checked >= 2
@@ -1100,13 +1111,12 @@ def test_folded_probabilities_of_full_runs_are_the_flip_class_sums(source):
         circuit = build_baseline("qaoa2", make_instance("three_regular", 12, 1, "minvertexcover"))
     elif source.startswith("agent"):
         circuit = agent_circuit(12, int(source.split()[1]))
-    else:  # flip-symmetric, but below half mode's sizes or above the plan's
+    else:  # flip-symmetric, but below half mode's sizes or with half tables above TABLE_MAX_ENTRIES entries
         circuit = build_linear_ryz(int(source.split("=")[1]))
     circuit.params[:] = np.random.default_rng(7).uniform(-np.pi, np.pi, circuit.n_params)
     assert not qsim.draws_flip_classes(circuit)
     folded = exact_probabilities(circuit, folded=True)
-    if circuit.n_qubits <= qsim.PLAN_MAX_QUBITS:
-        assert not qsim._last_plan.half
+    assert not qsim._last_plan.half
     assert folded.shape == (1 << (circuit.n_qubits - 1),)
     assert np.max(np.abs(folded - flip_classes(exact_probabilities(circuit)))) <= 1e-15
     counts = sample_shots(circuit, 1000, 3, folded=True)
@@ -1167,7 +1177,7 @@ def test_plan_is_rebuilt_when_the_gate_list_changes_in_place():
 
 def test_an_opening_h_layer_must_cover_qubits_0_to_n_minus_1():
     """n distinct H qubits are no H layer when one of them is not below n: the gate is out of range."""
-    for n in (4, qsim.PLAN_MAX_QUBITS + 1):  # the plan, and the kernels above its sizes
+    for n in (4, 15):  # the plan's tables, and its kernel steps
         circuit = h_layer(n)
         circuit.gates[0] = GateApplication(GateKind.H, (n + 3,))
         with pytest.raises(InvalidGateError, match="out of range"):
@@ -1178,18 +1188,66 @@ def test_an_opening_h_layer_must_cover_qubits_0_to_n_minus_1():
             run_circuit(circuit)
 
 
-def test_kernel_runs_leave_the_kept_plan():
-    """Above PLAN_MAX_QUBITS neither the kernels nor the flip-class rule touch the kept plan."""
-    circuit, _ = half_mode_circuit("qaoa2", 12)
-    assert qsim.draws_flip_classes(circuit)  # builds the n=12 plan, which the first run then reuses
+@pytest.mark.parametrize("n", [15, 16])
+def test_per_gate_steps_are_kernels_above_table_max_entries(n):
+    """A rotation's table covers 2^n entries, 2^(n-1) in half mode; above TABLE_MAX_ENTRIES its step is its
+    kernel. The chain keeps half mode while its half tables fit, and runs every gate's kernel above that."""
+    assert 1 << 14 <= qsim.TABLE_MAX_ENTRIES < 1 << 15  # no plan up to 14 qubits crosses it; the chain's half tables at 16 do
+    for seed in range(3):
+        circuit = agent_circuit(n, seed)
+        plan = qsim._Plan(n, circuit.gates)
+        per_gate = [(op, table) for op, table, *_ in plan.steps if not isinstance(op, (qsim._DiagonalRun, qsim._RxLayer))]
+        assert per_gate and all(table is None for _, table in per_gate)  # kernels and changes of frame only
+        if len(per_gate) == len(plan.steps):
+            assert np.array_equal(run_circuit(circuit), qsim._run_kernels(n, circuit.gates, circuit.params))
+    chain = build_linear_ryz(n)
+    chain.params[:] = np.random.default_rng(n).uniform(-np.pi, np.pi, chain.n_params)
+    assert qsim.draws_flip_classes(chain) == (n == 15)  # builds the plan that run_circuit then reuses
     plan = qsim._last_plan
-    assert plan.half and plan.matches(12, circuit.gates)
-    big = build_linear_ryz(qsim.PLAN_MAX_QUBITS + 1)
-    assert not qsim.draws_flip_classes(big)
-    assert np.array_equal(run_circuit(big), qsim._run_kernels(big.n_qubits, big.gates, big.params))
+    assert plan.half == half_mode(plan) == (n == 15)
+    assert all((table is None) == (n == 16) for _, table, *_ in plan.steps)
+    assert np.array_equal(run_circuit(chain), qsim._run_kernels(n, chain.gates, chain.params))
     assert qsim._last_plan is plan
-    exact_probabilities(circuit)
-    assert qsim._last_plan is plan
+
+
+def test_a_diagonal_run_folds_only_when_its_build_matrix_fits():
+    """(parameter slots + 1) x 2^m entries, for a run on m qubits, must fit in 2^(MAX_QUBITS + 1); a run that
+    does not fit keeps per-gate steps, and their bits."""
+    n = 15
+    rng = np.random.default_rng(9)
+    pairs = [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(64)]
+    theta = rng.uniform(-np.pi, np.pi, 64)
+    for size, folds in ((63, True), (64, False)):  # 64 x 2^15 = 2^21 entries, and 65 x 2^15
+        body = [GateApplication(GateKind.RZZ, pair, param_index=i) for i, pair in enumerate(pairs[:size])]
+        assert len({q for g in body for q in g.qubits}) == n
+        circuit = Circuit(n, h_layer(n).gates + body, theta[:size])
+        plan = qsim._Plan(n, circuit.gates)
+        assert len(diagonal_runs(plan)) == folds and plan.half  # half tables of 2^14 entries fit
+        kernels = qsim._run_kernels(n, circuit.gates, circuit.params)
+        if folds:
+            assert np.max(np.abs(plan.run(circuit.params) - kernels)) <= 1e-12
+        else:
+            assert np.array_equal(plan.run(circuit.params), kernels)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_instance("star", 14, 1, "maxclique"),
+        make_instance("erdos_renyi", 14, 1, "minvertexcover", er_p=0.9),
+    ],
+    ids=["maxclique-star", "minvertexcover-erdos-renyi"],
+)
+def test_baselines_fuse_their_diagonal_runs_on_the_densest_n14_instances(inst):
+    """The build-matrix bound binds on no package circuit up to 14 qubits: maqaoa, the largest, needs 93 and
+    97 rows of 2^14 entries on these instances, of the 128 that fit."""
+    for algorithm in BASELINE_BUILDERS:
+        circuit = build_baseline(algorithm, inst)
+        body = circuit.gates[inst.n:]
+        runs = [list(run) for diagonal, run in groupby(body, key=lambda g: g.kind in DIAGONAL) if diagonal]
+        plan = qsim._Plan(inst.n, circuit.gates)
+        assert len(diagonal_runs(plan)) == sum(len(run) > 1 for run in runs), algorithm
+        assert np.max(np.abs(plan.run(circuit.params) - qsim._run_kernels(inst.n, circuit.gates, circuit.params))) <= 1e-12
 
 
 def test_plan_runs_new_angles_without_a_rebuild():

@@ -1,4 +1,4 @@
-"""Smoke tests of the crossover scripts behind ``qsim.PLAN_MAX_QUBITS`` and ``qsim.CDF_MIN_QUBITS``, and
+"""Smoke tests of the crossover scripts behind ``qsim.TABLE_MAX_ENTRIES`` and ``qsim.CDF_MIN_QUBITS``, and
 of the file comparison in ``tools/same_outputs.py``."""
 
 import subprocess
@@ -13,7 +13,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("plan_crossover.py", ["--sizes", "4-5", "--rounds", "2"]),
+        ("plan_crossover.py", ["--sizes", "4-5", "--rounds", "2", "--runs", "3"]),
         ("sample_crossover.py", ["--sizes", "4-5", "--rounds", "2", "--draws", "2", "--shots", "50"]),
     ],
 )
@@ -22,6 +22,8 @@ def test_crossover_script_prints_one_row_per_size_and_family(script, args):
     assert done.returncode == 0, done.stderr
     header, columns, *rows = done.stdout.splitlines()
     assert "numpy" in header and columns.split()[:2] == ["n", "family"]
+    if script == "plan_crossover.py":
+        assert header.startswith("TABLE_MAX_ENTRIES = ") and "per 3 runs" in columns
     families = ["qaoa2", "maqaoa", "linear", "agent"] if script == "plan_crossover.py" else ["qaoa2", "agent"]
     assert [row.split()[:2] for row in rows] == [[n, f] for n in ("4", "5") for f in families]
     # n = 4 is timed for every family; a 3-regular graph needs an even n, the chain and the agent do not

@@ -29,7 +29,11 @@ relative paths (so the circuit path that ``eval`` records matches too):
   still draws by multinomial;
 - ``brute-force`` and a 2-run ``baseline qaoa1`` on maximum clique with
   penalty 2.3 on an 8-vertex Erdos-Renyi graph, so that a change in how an
-  energy table's sums round shows in the spectrum and the ratios.
+  energy table's sums round shows in the spectrum and the ratios;
+- a 2-run ``baseline qaoa2`` and a 2-run ``baseline linear`` on 3-regular
+  MaxCut at n = 16, past ``qsim.TABLE_MAX_ENTRIES``: qaoa2 folds every
+  gate and runs in half mode, while the chain's per-gate steps are the
+  kernels.
 
 Then it compares every file of the two work directories except
 ``run_info.json``, which records the machine and the git revision. It prints
@@ -159,6 +163,18 @@ eval_runs = 2
 master_seed = 13
 """
 
+INI_FILES["n16_maxcut.ini"] = """[problem]
+kind = maxcut
+topology = three_regular
+n = 16
+seed = 1
+
+[run]
+shots = 1000
+eval_runs = 2
+master_seed = 19
+"""
+
 COMMANDS = [
     ["train", "--config", "criterion.ini", "--out", "train_101", "--seed", "101"],
     ["train", "--config", "criterion.ini", "--out", "train_202", "--seed", "202"],
@@ -174,6 +190,8 @@ COMMANDS = [
     ["matrix", "--config", "grid8.ini", "--out", "matrix_n8"],
     ["brute-force", "--config", "clique8.ini", "--out", "brute_force_clique8"],
     ["baseline", "qaoa1", "--config", "clique8.ini", "--out", "baseline_qaoa1_clique8"],
+    ["baseline", "qaoa2", "--config", "n16_maxcut.ini", "--out", "baseline_qaoa2_n16"],
+    ["baseline", "linear", "--config", "n16_maxcut.ini", "--out", "baseline_linear_n16"],
 ]
 
 
