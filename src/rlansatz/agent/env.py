@@ -96,8 +96,6 @@ class CircuitBuildEnv:
         cfg = self.config
         if self.done:
             raise RuntimeError("episode is over; call reset()")
-        if not (0 <= action_id < self.n_actions):
-            raise ValueError(f"action id {action_id} out of range [0, {self.n_actions})")
 
         self.circuit = self.actions.apply(self.circuit, action_id)
         step_key = self.steps + 1  # 0 is the reset observation

@@ -90,14 +90,14 @@ class Mlp:
             activations.append(h)
         return h, activations
 
-    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of a scalar loss given d loss / d output.
+    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss given d loss / d output.
 
-        The weight and bias gradients are views into one fresh vector laid
-        out like ``flat`` (their ``base``), so an earlier call's gradients
-        stay as they were.
+        A fresh vector laid out like ``flat``: entry i is d loss / d
+        ``flat[i]``, so an earlier call's gradient stays as it was.
         """
-        grad_w, grad_b = self._views(np.empty_like(self.flat))
+        grad = np.empty_like(self.flat)
+        grad_w, grad_b = self._views(grad)
         delta = np.atleast_2d(grad_out)
         for layer in range(self.n_layers - 1, -1, -1):
             if grad_w[layer].flags.c_contiguous:
@@ -111,19 +111,7 @@ class Mlp:
                 np.subtract(1.0, slope, out=slope)
                 delta = delta @ self.weights[layer].T
                 delta *= slope
-        return grad_w, grad_b
-
-    # flat copies with each array in C order, used by the finite-difference checks
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for arr in self.weights + self.biases:
-            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-        if offset != flat.size:
-            raise ValueError(f"expected {offset} values, got {flat.size}")
+        return grad
 
 
 class Adam:

@@ -110,8 +110,8 @@ def policy_loss_and_grads(
     log_probs_old: np.ndarray,
     advantages: np.ndarray,
     clip_ratio: float,
-) -> tuple[float, list[np.ndarray], list[np.ndarray], dict]:
-    """Clipped-surrogate loss with manual gradients through the softmax."""
+) -> tuple[float, np.ndarray, dict]:
+    """Clipped-surrogate loss and its gradient (laid out like ``policy.flat``), through the softmax."""
     logits, cache = policy.forward_cached(observations)
     logp_all = log_softmax(logits)
     batch = np.arange(len(actions))
@@ -128,25 +128,22 @@ def policy_loss_and_grads(
     grad_logits = probs * (-(dl_dratio * ratio))[:, None]
     grad_logits[batch, actions] += dl_dratio * ratio
 
-    grad_w, grad_b = policy.backward(cache, grad_logits)
+    grad = policy.backward(cache, grad_logits)
     info = {
         "kl": float(np.mean(log_probs_old - logp)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_ratio)),
         "entropy": float(-np.mean(np.sum(probs * logp_all, axis=1))),
     }
-    return loss, grad_w, grad_b, info
+    return loss, grad, info
 
 
-def value_loss_and_grads(
-    value: Mlp, observations: np.ndarray, returns: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error of the value head against the returns."""
+def value_loss_and_grads(value: Mlp, observations: np.ndarray, returns: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of the value head against the returns, and its gradient (laid out like ``value.flat``)."""
     predictions, cache = value.forward_cached(observations)
     err = predictions[:, 0] - returns
     loss = float(np.mean(err**2))
     grad_out = (2.0 * err / len(returns))[:, None]
-    grad_w, grad_b = value.backward(cache, grad_out)
-    return loss, grad_w, grad_b
+    return loss, value.backward(cache, grad_out)
 
 
 def ppo_update(
@@ -170,7 +167,7 @@ def ppo_update(
     entropy = 0.0
     pi_steps = 0
     for _ in range(hyper.pi_iters):
-        loss, grad_w, grad_b, info = policy_loss_and_grads(
+        loss, grad, info = policy_loss_and_grads(
             model.policy, batch.observations, batch.actions, batch.log_probs_old, advantages, hyper.clip_ratio
         )
         if pi_loss_initial is None:
@@ -178,15 +175,15 @@ def ppo_update(
         kl, clip_fraction, entropy = info["kl"], info["clip_fraction"], info["entropy"]
         if kl > hyper.target_kl:
             break
-        pi_optimizer.step(model.policy.flat, grad_w[0].base)  # the vector every gradient view shares
+        pi_optimizer.step(model.policy.flat, grad)
         pi_steps += 1
     vf_loss_initial = None
     vf_loss = 0.0
     for _ in range(hyper.vf_iters):
-        vf_loss, grad_w, grad_b = value_loss_and_grads(model.value, batch.observations, batch.returns)
+        vf_loss, grad = value_loss_and_grads(model.value, batch.observations, batch.returns)
         if vf_loss_initial is None:
             vf_loss_initial = vf_loss
-        vf_optimizer.step(model.value.flat, grad_w[0].base)
+        vf_optimizer.step(model.value.flat, grad)
     return {
         "pi_loss": pi_loss_initial or 0.0,
         "vf_loss": vf_loss_initial or 0.0,

@@ -76,11 +76,13 @@ class TrainResult:
     best_reward: float
     best_expectation: float
     history: list[dict]
-    steps: list[dict]
 
 
 def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> TrainResult:
-    """Train an agent on one instance; fully deterministic in (cfg, seed)."""
+    """Train an agent on one instance; fully deterministic in (cfg, seed).
+
+    ``log_step``, if given, gets each step's row (the ``steps.csv`` columns) as the step ends.
+    """
     cfg.validate()
     # per worker: (env, action rng, current observation, return of the open episode)
     workers = []
@@ -97,13 +99,12 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
     best_circuit: Circuit | None = None
     best_expectation = np.nan
     history: list[dict] = []
-    step_log: list[dict] = []
 
     # One observation buffer for every epoch: a batch is spent once its update
     # returns, and a second 2^n-wide batch would outweigh the networks.
     observations = np.empty((cfg.steps_per_epoch, obs_dim))
     for epoch in range(cfg.epochs):
-        # the epoch's transitions, worker by worker in step order (the step-log order)
+        # the epoch's transitions, worker by worker in step order (the order log_step sees)
         actions = np.empty(cfg.steps_per_epoch, dtype=int)
         log_probs = np.empty(cfg.steps_per_epoch)
         values = np.empty(cfg.steps_per_epoch)
@@ -120,11 +121,9 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
                 rewards[t] = reward
                 episode_return += reward
 
-                # StepInfo holds only scalars, so vars() gives asdict()'s row without its deep copy
-                row = {"epoch": epoch, "worker": w, **vars(info), "done": int(done)}
-                step_log.append(row)
                 if log_step is not None:
-                    log_step(row)
+                    # StepInfo holds only scalars, so vars() gives asdict()'s row without its deep copy
+                    log_step({"epoch": epoch, "worker": w, **vars(info), "done": int(done)})
 
                 if reward > best_reward:
                     best_reward = reward
@@ -165,5 +164,4 @@ def train(inst: ProblemInstance, cfg: TrainConfig, seed: int, log_step=None) -> 
         best_reward=float(best_reward),
         best_expectation=float(best_expectation),
         history=history,
-        steps=step_log,
     )

@@ -135,8 +135,9 @@ def cmd_train(args) -> int:
     _write_config(out, cfg, inst)
     _write_run_info(out)
 
-    result = train(inst, cfg.train, cfg.master_seed)
-    _write_csv(out / "steps.csv", result.steps)
+    steps: list[dict] = []
+    result = train(inst, cfg.train, cfg.master_seed, log_step=steps.append)
+    _write_csv(out / "steps.csv", steps)
     _write_csv(out / "epochs.csv", result.history)
     write_text(out / "best_circuit.json", json.dumps(result.best_circuit.to_json_dict(), indent=2))
 

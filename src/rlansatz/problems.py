@@ -86,6 +86,8 @@ def _normalized_edges(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int]
 def grid_shape(n: int, rows: int | None = None) -> tuple[int, int]:
     """Default rows x cols factorization: the most-square split with rows <= cols."""
     if rows is not None:
+        if rows < 1:
+            raise ConfigurationError(f"rows must be >= 1, got rows={rows}")
         if n % rows != 0:
             raise ConfigurationError(f"rows={rows} does not divide n={n}")
         return rows, n // rows

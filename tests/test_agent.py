@@ -50,13 +50,6 @@ def test_mlp_shapes_and_final_scale():
     assert np.allclose(w @ w.T, np.eye(w.shape[0]), atol=1e-9)
 
 
-def test_mlp_flat_round_trip():
-    net = Mlp((3, 5, 2), np.random.default_rng(1))
-    flat = net.get_flat()
-    net.set_flat(flat * 2.0)
-    assert np.allclose(net.get_flat(), flat * 2.0)
-
-
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps], ids=["copy", "deepcopy", "pickle"])
 def test_mlp_refuses_copies_whose_weights_would_leave_flat(copier):
     """A copy's weights would stop being views of its flat vector, so its forward would miss Adam's steps."""
@@ -68,9 +61,9 @@ def test_mlp_refuses_copies_whose_weights_would_leave_flat(copier):
 def test_adam_zero_gradient_is_noop():
     net = Mlp((3, 4, 2), np.random.default_rng(2))
     optimizer = Adam(net.flat, lr=1e-3)
-    before = net.get_flat()
+    before = net.flat.copy()
     optimizer.step(net.flat, np.zeros_like(net.flat))
-    assert np.array_equal(net.get_flat(), before)
+    assert np.array_equal(net.flat, before)
 
 
 # --- policy head ------------------------------------------------------------
@@ -185,9 +178,9 @@ def test_zero_advantages_leave_policy_unchanged():
     rng = np.random.default_rng(9)
     batch = make_batch(model, 16, rng, advantages=np.zeros(16))
     hyper = PpoHyperparams(pi_iters=5, vf_iters=0)
-    before = model.policy.get_flat()
+    before = model.policy.flat.copy()
     ppo_update(model, batch, hyper, Adam(model.policy.flat, 1e-3), Adam(model.value.flat, 1e-3))
-    assert np.array_equal(model.policy.get_flat(), before)
+    assert np.array_equal(model.policy.flat, before)
 
 
 def test_positive_advantage_increases_action_probability():
@@ -197,11 +190,10 @@ def test_positive_advantage_increases_action_probability():
     action = 1
     logits = log_softmax(model.policy.forward(obs))
     before = policy_forward(model, obs)[action]
-    _, grad_w, grad_b, _ = policy_loss_and_grads(
+    _, grad, _ = policy_loss_and_grads(
         model.policy, obs[None, :], np.array([action]), np.array([logits[0, action]]), np.array([1.0]), 0.2
     )
-    for arr, grad in zip(model.policy.weights + model.policy.biases, grad_w + grad_b):
-        arr -= 1e-3 * grad
+    model.policy.flat -= 1e-3 * grad
     after = policy_forward(model, obs)[action]
     assert after > before
 
@@ -210,7 +202,7 @@ def test_value_steps_reduce_value_loss():
     model = build_model(4, 3, seed=11)
     rng = np.random.default_rng(12)
     batch = make_batch(model, 32, rng)
-    loss_before, _, _ = value_loss_and_grads(model.value, batch.observations, batch.returns)
+    loss_before, _ = value_loss_and_grads(model.value, batch.observations, batch.returns)
     hyper = PpoHyperparams(pi_iters=0, vf_iters=40)
     out = ppo_update(model, batch, hyper, Adam(model.policy.flat, 3e-4), Adam(model.value.flat, 1e-2))
     assert out["vf_loss_final"] < loss_before
@@ -266,19 +258,18 @@ def test_update_matches_the_per_array_oracle_bit_for_bit(case):
 
 # --- gradient checks --------------------------------------------------------
 
-def central_difference(loss_of_flat, flat, h=1e-6):
+def central_difference(loss, flat, h=1e-6):
+    """d loss / d flat[i] for each i, perturbing ``flat`` in place and restoring it."""
     grad = np.zeros_like(flat)
     for i in range(flat.size):
-        up = flat.copy()
-        up[i] += h
-        down = flat.copy()
-        down[i] -= h
-        grad[i] = (loss_of_flat(up) - loss_of_flat(down)) / (2 * h)
+        center = flat[i]
+        flat[i] = center + h
+        up = loss()
+        flat[i] = center - h
+        down = loss()
+        flat[i] = center
+        grad[i] = (up - down) / (2 * h)
     return grad
-
-
-def flatten_grads(grad_w, grad_b):
-    return np.concatenate([g.ravel() for g in grad_w + grad_b])
 
 
 def test_policy_gradient_matches_finite_differences():
@@ -290,18 +281,11 @@ def test_policy_gradient_matches_finite_differences():
         logp_old = log_softmax(net.forward(obs))[np.arange(6), actions] + rng.uniform(-0.05, 0.05, 6)
         advantages = rng.standard_normal(6)
 
-        _, grad_w, grad_b, _ = policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)
-        analytic = flatten_grads(grad_w, grad_b)
+        def loss():
+            return policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)[0]
 
-        center = net.get_flat()
-
-        def loss_of(flat):
-            net.set_flat(flat)
-            loss, *_ = policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)
-            return loss
-
-        numeric = central_difference(loss_of, center)
-        net.set_flat(center)
+        _, analytic, _ = policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)
+        numeric = central_difference(loss, net.flat)
         rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-4, trial
 
@@ -311,18 +295,38 @@ def test_value_gradient_matches_finite_differences():
     net = Mlp((4, 8, 1), np.random.default_rng(17))
     obs = rng.random((6, 4))
     returns = rng.standard_normal(6)
-    _, grad_w, grad_b = value_loss_and_grads(net, obs, returns)
-    analytic = flatten_grads(grad_w, grad_b)
-    center = net.get_flat()
-
-    def loss_of(flat):
-        net.set_flat(flat)
-        loss, *_ = value_loss_and_grads(net, obs, returns)
-        return loss
-
-    numeric = central_difference(loss_of, center)
+    _, analytic = value_loss_and_grads(net, obs, returns)
+    numeric = central_difference(lambda: value_loss_and_grads(net, obs, returns)[0], net.flat)
     rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
     assert rel <= 1e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=3, max_size=5).filter(
+        lambda sizes: any(2 <= a < b for a, b in zip(sizes[:-2], sizes[1:-1])) and sizes[-1] >= 2
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_each_gradient_entry_is_the_derivative_by_the_same_flat_entry(sizes, seed):
+    """Entry i of each gradient vector is d loss / d flat[i], for F-ordered (wide) and C-ordered weights alike."""
+    rng = np.random.default_rng(seed)
+    policy = Mlp(tuple(sizes), rng)
+    value = Mlp((*sizes[:-1], 1), rng)
+    assert any(w.flags.f_contiguous and not w.flags.c_contiguous for w in value.weights)
+    obs = rng.random((5, sizes[0]))
+    actions = rng.integers(0, sizes[-1], size=5)
+    logp_old = log_softmax(policy.forward(obs))[np.arange(5), actions] + rng.uniform(-0.05, 0.05, 5)
+    advantages = rng.standard_normal(5)
+    returns = rng.standard_normal(5)
+    for net, loss_and_grad in (
+        (policy, lambda: policy_loss_and_grads(policy, obs, actions, logp_old, advantages, 0.2)),
+        (value, lambda: value_loss_and_grads(value, obs, returns)),
+    ):
+        analytic = loss_and_grad()[1]
+        assert analytic.shape == net.flat.shape
+        numeric = central_difference(lambda: loss_and_grad()[0], net.flat)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
 # --- environment ------------------------------------------------------------
@@ -340,8 +344,12 @@ def test_reset_observation_near_uniform():
 def test_step_rejects_bad_action_ids():
     env = CircuitBuildEnv(toy_instance(), EnvConfig(shots=50, optimizer=OptimizerConfig(max_iterations=5)), seed=0)
     env.reset()
-    with pytest.raises(ValueError):
-        env.step(env.n_actions)
+    circuit = env.circuit
+    for action_id in (-1, env.n_actions):
+        with pytest.raises(ValueError, match=f"action id {action_id} out of range"):
+            env.step(action_id)
+        assert env.steps == 0
+        assert env.circuit is circuit
 
 
 def scripted_env(monkeypatch, inst, expectations, **kwargs):
@@ -440,12 +448,13 @@ TOY_TRAIN = dict(
 
 def test_train_toy_run_plumbing():
     inst = toy_instance()
-    result = train(inst, TrainConfig(**TOY_TRAIN), seed=5)
+    steps = []
+    result = train(inst, TrainConfig(**TOY_TRAIN), seed=5, log_step=steps.append)
     assert len(result.history) == 2
-    assert len(result.steps) == 16
+    assert len(steps) == 16
     assert len(result.best_circuit.gates) > inst.n
-    assert result.best_reward == max(row["reward"] for row in result.steps)
-    for row in result.steps:
+    assert result.best_reward == max(row["reward"] for row in steps)
+    for row in steps:
         assert row["step"] <= 2 * inst.n
         assert 0 <= row["patience"] <= 3
         assert 0 <= row["action_id"] < 3 * inst.n + 9 * inst.n * (inst.n - 1) // 2
@@ -454,10 +463,11 @@ def test_train_toy_run_plumbing():
 
 def test_train_deterministic_across_runs():
     inst = toy_instance()
-    a = train(inst, TrainConfig(**TOY_TRAIN), seed=9)
-    b = train(inst, TrainConfig(**TOY_TRAIN), seed=9)
+    a_steps, b_steps = [], []
+    a = train(inst, TrainConfig(**TOY_TRAIN), seed=9, log_step=a_steps.append)
+    b = train(inst, TrainConfig(**TOY_TRAIN), seed=9, log_step=b_steps.append)
     assert a.best_reward == b.best_reward
-    assert a.steps == b.steps
+    assert a_steps == b_steps
     assert [h["kl"] for h in a.history] == [h["kl"] for h in b.history]
 
 
@@ -501,15 +511,16 @@ def test_update_batch_follows_the_step_log(monkeypatch):
     monkeypatch.setattr(training, "ppo_update", spy)
     # 3 steps per worker per epoch, episodes of up to 4 steps: some run across an epoch boundary
     cfg = TrainConfig(epochs=3, steps_per_epoch=9, workers=3, shots=100, optimizer=OptimizerConfig(max_iterations=20))
-    result = train(toy_instance(), cfg, seed=4)
+    steps = []
+    train(toy_instance(), cfg, seed=4, log_step=steps.append)
     epochs_of = {}
-    for row in result.steps:
+    for row in steps:
         epochs_of.setdefault((row["worker"], row["episode"]), set()).add(row["epoch"])
     assert any(len(epochs) > 1 for epochs in epochs_of.values())
-    assert any(row["done"] for row in result.steps)
+    assert any(row["done"] for row in steps)
     assert len(batches) == 3
     for epoch, batch in enumerate(batches):
-        rows = [row for row in result.steps if row["epoch"] == epoch]
+        rows = [row for row in steps if row["epoch"] == epoch]
         assert batch.actions.tolist() == [row["action_id"] for row in rows]
         done = [t for t, row in enumerate(rows) if row["done"]]
         assert batch.returns[done].tolist() == [rows[t]["reward"] for t in done]

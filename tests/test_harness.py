@@ -288,6 +288,12 @@ UNBUILDABLE = {
     "negative-seed-flag": ({}, {}, ["--seed", "-2"]),
     "one-vertex": ({"kind": "minvertexcover", "topology": "grid2d", "n": 1}, {}, []),
     "n20-default-train": ({"n": 20}, {"epochs = 2\nsteps_per_epoch = 8\nworkers = 2\n": ""}, []),
+    "grid-rows-zero": ({"kind": "minvertexcover", "topology": "grid2d", "n": 6}, {"seed = 1\n": "seed = 1\nrows = 0\n"}, []),
+    "grid-rows-negative": (
+        {"kind": "minvertexcover", "topology": "grid2d", "n": 6},
+        {"seed = 1\n": "seed = 1\nrows = -2\n"},
+        [],
+    ),
 }
 # cases left out: brute-force flags a constant objective as degenerate and has no --seed;
 # eval and brute-force run on one vertex; train's refusal of one has its own test; and
@@ -483,6 +489,11 @@ def _evaluate(arg):
     return lambda seen: seen["evaluate_circuit"][arg]
 
 
+def _train_steps(seen):
+    """The step rows ``train`` passed to ``log_step``: cmd_train hands it a list's ``append``."""
+    return seen["train"]["log_step"].__self__
+
+
 # (section, key, INI value, expected value, subcommand, where the value lands)
 KEY_TABLE = [
     ("problem", "kind", "minvertexcover", "minvertexcover", "brute-force", _instance("kind")),
@@ -493,8 +504,8 @@ KEY_TABLE = [
     ("problem", "er_p", "0.5", 0.5, "brute-force", _instance("er_p")),
     ("problem", "rows", "1", 1, "brute-force", _instance("rows")),
     ("rl", "epochs", "2", 2, "train", lambda seen: len(seen["train"]["result"].history)),
-    ("rl", "steps_per_epoch", "4", 4, "train", lambda seen: len(seen["train"]["result"].steps)),
-    ("rl", "workers", "2", 2, "train", lambda seen: len({row["worker"] for row in seen["train"]["result"].steps})),
+    ("rl", "steps_per_epoch", "4", 4, "train", lambda seen: len(_train_steps(seen))),
+    ("rl", "workers", "2", 2, "train", lambda seen: len({row["worker"] for row in _train_steps(seen)})),
     ("rl", "beta", "0.5", 0.5, "train", _env("beta")),
     ("rl", "gamma", "0.5", 0.5, "train", lambda seen: seen["compute_returns_and_advantages"]["gamma"]),
     ("rl", "gae_lambda", "0.8", 0.8, "train", lambda seen: seen["compute_returns_and_advantages"]["gae_lambda"]),

@@ -16,8 +16,6 @@ PACKAGE = ROOT / "src" / "rlansatz"
 
 # kept without a caller on purpose (ROADMAP.md, Floors)
 KEPT = {
-    "agent.networks.Mlp.get_flat": "criterion 5's gradient check reads it; the checkpoint of resumable runs will",
-    "agent.networks.Mlp.set_flat": "criterion 5's gradient check writes it; resuming from a checkpoint will",
     "metrics.solution_distribution": "criterion 11 compares the chain's and QAOA's mass on the ground states",
     "ansatz.is_ryz_connected": "ROADMAP item 2 will apply it to the agent's best circuits",
     "qsim.apply_gate": "the kernel tests' entry point: it checks the vector before the unchecked kernel runs",
