@@ -281,11 +281,10 @@ def test_policy_gradient_matches_finite_differences():
         logp_old = log_softmax(net.forward(obs))[np.arange(6), actions] + rng.uniform(-0.05, 0.05, 6)
         advantages = rng.standard_normal(6)
 
-        def loss():
-            return policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)[0]
-
         _, analytic, _ = policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)
-        numeric = central_difference(loss, net.flat)
+        numeric = central_difference(
+            lambda: policy_loss_and_grads(net, obs, actions, logp_old, advantages, 0.2)[0], net.flat
+        )
         rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-4, trial
 
